@@ -50,14 +50,11 @@ def mfa_concat(maps: Sequence[FeatureMap]) -> MfaFeature:
     """Concatenate block outputs along channels, then normalize per frame."""
     if not maps:
         raise DimensionError("need at least one feature map")
-    frames = maps[0].frames
-    if any(m.frames != frames for m in maps):
-        raise DimensionError("all feature maps must share the frame count")
-    stacked = np.concatenate([m.values for m in maps], axis=0)  # (D, T)
-    mu = stacked.mean(axis=0, keepdims=True)
-    var = stacked.var(axis=0, keepdims=True)
-    normalized = (stacked - mu) / np.sqrt(var + 1e-5)
-    return MfaFeature(normalized, [m.dim for m in maps])
+    dims = [m.dim for m in maps]
+    aggregator = MfaAggregator(sum(dims))
+    seed_parameters(aggregator, 0)  # gamma 1 and beta 0 whatever the seed
+    normalized = aggregator([ad.tensor(m.values.T[None]) for m in maps])
+    return MfaFeature(normalized.data[0].T, dims)
 
 
 class AttentiveStatsPooling(Module):
@@ -94,18 +91,6 @@ class AttentiveStatsPooling(Module):
         sq = ad.sum_(alpha * x * x, axis=1)
         std = ad.sqrt(ad.clip(sq - mean * mean, 0.0, np.inf) + ad.tensor(VAR_FLOOR))
         return ad.concat([mean, std], axis=-1)
-
-    def attention(self, x: Tensor) -> np.ndarray:
-        """Per-channel frame weights, for inspection."""
-        if self.global_context:
-            mu = ad.mean(x, axis=1, keepdims=True)
-            var = ad.mean(x * x, axis=1, keepdims=True) - mu * mu
-            sd = ad.sqrt(ad.clip(var, 0.0, np.inf) + ad.tensor(VAR_FLOOR))
-            tile = ad.tensor(np.zeros((1, x.shape[1], 1)))
-            ctx = ad.concat([x, mu + tile, sd + tile], axis=-1)
-        else:
-            ctx = x
-        return ad.softmax(self.score2(ad.tanh(self.score1(ctx))), axis=1).data
 
 
 class EmbeddingHead(Module):

@@ -1,4 +1,10 @@
-"""Training loops for the four strategies, plus embedding extraction.
+"""Training for every strategy through one loop, plus embedding extraction.
+
+ASR pretraining, speaker training (scratch, pretrained-init with a frozen
+warm-up, distillation), large-margin fine-tuning and adaptation all run in
+`_train_epochs`: shuffled batches, one backward and one AdamW step per batch
+under a cosine lr schedule, and one loss.csv row per epoch.  Each strategy
+supplies only its batch source, its loss and its schedule.
 
 Everything is a deterministic function of (config, seed): corpus order,
 crops, augmentation draws, dropout masks, and parameter init all derive from
@@ -172,8 +178,52 @@ class _TrainableSet:
             p.grad = None
 
 
-def speaker_checkpoint_arrays(model: SpeakerModel) -> dict[str, np.ndarray]:
-    return model.state_arrays()
+def _train_epochs(cfg: RunConfig, trainset: _TrainableSet, opt: AdamW, n_items: int,
+                  epochs: range, schedule: tuple[int, float, float], streams: tuple[str, str],
+                  batch_at, loss_of, step: int = 0) -> tuple[list[list[float]], int]:
+    """The training loop shared by every strategy.
+
+    Each epoch draws an item order from the `streams[0]` seed stream and walks
+    it in batches: `batch_at(order, epoch, start)` builds a batch and
+    `loss_of(batch, rng)` returns the loss tensor and the extra loss.csv
+    columns, with `rng` keyed by `streams[1]` and the step.  One backward and
+    one AdamW step follow, at the `cosine_lr` of `schedule` = (epochs, warmup
+    epochs, base lr); a schedule may span several calls, joined by `step`.
+    Returns one row per epoch (the epoch number, then the mean of the loss and
+    of each extra column) and the step after the last.
+    """
+    steps_per_epoch = math.ceil(n_items / cfg.batch_size)
+    schedule_epochs, warmup_epochs, base_lr = schedule
+    total, warmup = steps_per_epoch * schedule_epochs, round(steps_per_epoch * warmup_epochs)
+    order_stream, dropout_stream = streams
+    rows = []
+    for epoch in epochs:
+        order = rng_for(cfg.seed, order_stream, epoch).permutation(n_items)
+        for module in trainset.modules.values():
+            module.train_mode()
+        columns = []
+        for start in range(0, n_items, cfg.batch_size):
+            batch = batch_at(order, epoch, start)
+            loss, extra = loss_of(batch, rng_for(cfg.seed, dropout_stream, step))
+            value = _check_finite_loss(float(loss.data))
+            trainset.zero_grad()
+            ad.backward(loss)
+            opt.step(trainset.named_parameters(), cosine_lr(step, total, warmup, base_lr))
+            columns.append([value, *extra])
+            step += 1
+        # means over 1-D lists, one per column, keep the summation order fixed
+        rows.append([epoch] + [float(np.mean(column)) for column in zip(*columns)])
+    return rows, step
+
+
+def _speaker_batches(manifest_path, items, labels, cfg: RunConfig, crop_seconds: float):
+    """Batch source over `items`: cropped, augmented log-mel and label ids."""
+
+    def batch_at(order, epoch, start):
+        return _speaker_batch(manifest_path, items, order, labels, cfg, epoch, start,
+                              cfg.batch_size, crop_seconds, augment=cfg.augment_prob > 0)
+
+    return batch_at
 
 
 def save_speaker_checkpoint(path, model: SpeakerModel, run_cfg: RunConfig) -> None:
@@ -230,39 +280,26 @@ def pretrain_asr(cfg: RunConfig, manifest_path, out_dir) -> Path:
     decoder = CtcDecoder(cfg.encoder.dim, cfg.vocab)
     seed_parameters(encoder, cfg.seed, scope="asr_encoder")
     seed_parameters(decoder, cfg.seed, scope="asr_decoder")
-    trainset = _TrainableSet(encoder=encoder, decoder=decoder)
-    opt = AdamW(cfg.weight_decay)
-
     n = len(entries)
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = steps_per_epoch * cfg.epochs
-    warmup = round(steps_per_epoch * cfg.warmup_epochs)
-    rows = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = rng_for(cfg.seed, "asr_order", epoch).permutation(n)
-        encoder.train_mode()
-        decoder.train_mode()
-        epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            batch_idx = [int(order[j]) for j in range(start, min(start + cfg.batch_size, n))]
-            utts = [load_utterance(manifest_path, entries[i]) for i in batch_idx]
-            max_len = max(u.n_samples for u in utts)
-            feats = np.stack(
-                [log_mel(np.pad(u.waveform, (0, max_len - u.n_samples))).T for u in utts]
-            )
-            targets = [u.token_id_seq() for u in utts]
-            rng = rng_for(cfg.seed, "asr_dropout", step)
-            maps = encoder(ad.tensor(feats), rng)
-            logits = decoder(maps[-1])
-            loss = ctc_loss_batch(logits, targets)
-            value = _check_finite_loss(float(loss.data))
-            trainset.zero_grad()
-            ad.backward(loss)
-            opt.step(trainset.named_parameters(), cosine_lr(step, total_steps, warmup, cfg.lr))
-            epoch_losses.append(value)
-            step += 1
-        rows.append([epoch, float(np.mean(epoch_losses))])
+
+    def asr_batch(order, epoch, start):
+        utts = [load_utterance(manifest_path, entries[int(order[j])])
+                for j in range(start, min(start + cfg.batch_size, n))]
+        max_len = max(u.n_samples for u in utts)
+        feats = np.stack(
+            [log_mel(np.pad(u.waveform, (0, max_len - u.n_samples))).T for u in utts]
+        )
+        return ad.tensor(feats), [u.token_id_seq() for u in utts]
+
+    def ctc_loss_of(batch, rng):
+        feats, targets = batch
+        return ctc_loss_batch(decoder(encoder(feats, rng)[-1]), targets), []
+
+    rows, _ = _train_epochs(
+        cfg, _TrainableSet(encoder=encoder, decoder=decoder), AdamW(cfg.weight_decay), n,
+        range(cfg.epochs), (cfg.epochs, cfg.warmup_epochs, cfg.lr), ("asr_order", "asr_dropout"),
+        asr_batch, ctc_loss_of,
+    )
     _write_loss_csv(out_dir / "asr_loss.csv", ["epoch", "loss"], rows)
     path = out_dir / "asr.ckpt"
     save_asr_checkpoint(path, encoder, decoder, cfg)
@@ -333,103 +370,53 @@ def train_speaker(
                              student_decoder=student_decoder, rate_match=rate_match)
     opt = AdamW(cfg.weight_decay)
 
-    n = len(items)
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = steps_per_epoch * cfg.epochs
-    warmup = round(steps_per_epoch * cfg.warmup_epochs)
+    def speaker_loss(margin: float, with_kl: bool):
+        # distill rows always carry (loss_spk, loss_distill); without a KL term
+        # loss_distill is 0
+        def loss_of(batch, rng):
+            mel, ys = batch
+            emb, maps = model(mel, rng, return_maps=True)
+            l_spk = aam_softmax_loss(emb, ys, classifier, cfg.aam_scale, margin)
+            if not with_kl:
+                return l_spk, ([float(l_spk.data), 0.0] if distilling else [])
+            frames = maps[-1] if rate_match is None else rate_match(maps[-1])
+            l_kl = distill_kl_loss(student_decoder(frames),
+                                   _teacher_logits(teacher_encoder, teacher_decoder, mel))
+            return combined_loss(l_spk, l_kl, cfg.alpha), [float(l_spk.data), float(l_kl.data)]
 
-    header = ["epoch", "loss"] + (["loss_spk", "loss_distill"] if distilling else [])
-    rows = []
-    step = 0
-    epoch = 0
+        return loss_of
+
+    # one step counter and one cosine schedule across the frozen and full phases
+    rows, step, epoch = [], 0, 0
     for phase in phases:
         trainset.set_phase(phase.scope)
-        for _ in range(phase.epochs):
-            order = rng_for(cfg.seed, "order", epoch).permutation(n)
-            model.train_mode()
-            if student_decoder is not None:
-                student_decoder.train_mode()
-            if rate_match is not None:
-                rate_match.train_mode()
-            epoch_losses, epoch_spk, epoch_kl = [], [], []
-            for start in range(0, n, cfg.batch_size):
-                mel, ys = _speaker_batch(
-                    manifest_path, items, order, labels, cfg, epoch, start,
-                    cfg.batch_size, cfg.crop_seconds, augment=cfg.augment_prob > 0,
-                )
-                rng = rng_for(cfg.seed, "dropout", step)
-                emb, maps = model(mel, rng, return_maps=True)
-                l_spk = aam_softmax_loss(emb, ys, classifier, cfg.aam_scale, cfg.aam_margin)
-                if distilling and cfg.alpha > 0:
-                    frames = maps[-1]
-                    if rate_match is not None:
-                        frames = rate_match(frames)
-                    s_logits = student_decoder(frames)
-                    t_logits = _teacher_logits(teacher_encoder, teacher_decoder, mel)
-                    l_kl = distill_kl_loss(s_logits, t_logits)
-                    loss = combined_loss(l_spk, l_kl, cfg.alpha)
-                    epoch_spk.append(float(l_spk.data))
-                    epoch_kl.append(float(l_kl.data))
-                else:
-                    loss = l_spk
-                    if distilling:
-                        epoch_spk.append(float(l_spk.data))
-                        epoch_kl.append(0.0)
-                value = _check_finite_loss(float(loss.data))
-                trainset.zero_grad()
-                ad.backward(loss)
-                opt.step(trainset.named_parameters(), cosine_lr(step, total_steps, warmup, cfg.lr))
-                epoch_losses.append(value)
-                step += 1
-            row = [epoch, float(np.mean(epoch_losses))]
-            if distilling:
-                row += [float(np.mean(epoch_spk)), float(np.mean(epoch_kl))]
-            rows.append(row)
-            epoch += 1
+        phase_rows, step = _train_epochs(
+            cfg, trainset, opt, len(items), range(epoch, epoch + phase.epochs),
+            (cfg.epochs, cfg.warmup_epochs, cfg.lr), ("order", "dropout"),
+            _speaker_batches(manifest_path, items, labels, cfg, cfg.crop_seconds),
+            speaker_loss(cfg.aam_margin, student_decoder is not None), step,
+        )
+        rows += phase_rows
+        epoch += phase.epochs
 
     if cfg.lmft:
-        lmft_rows = _large_margin_finetune(cfg, manifest_path, model, classifier,
-                                           trainset, opt, entries, labels, epoch)
-        rows.extend(lmft_rows)
+        # long-crop, large-margin refinement on the original (unperturbed) items:
+        # its own streams and step count, epoch numbers continue
+        trainset.set_phase("all")
+        originals = [DatasetItem(e, 1.0) for e in entries]
+        lmft_rows, _ = _train_epochs(
+            cfg, trainset, opt, len(originals), range(epoch, epoch + cfg.lmft_epochs),
+            (cfg.lmft_epochs, 0, cfg.lr * 0.1), ("lmft_order", "lmft_dropout"),
+            _speaker_batches(manifest_path, originals, labels, cfg, cfg.lmft_crop_seconds),
+            speaker_loss(cfg.lmft_margin, False),
+        )
+        rows += lmft_rows
 
+    header = ["epoch", "loss"] + (["loss_spk", "loss_distill"] if distilling else [])
     _write_loss_csv(out_dir / "loss.csv", header, rows)
     path = out_dir / "speaker.ckpt"
     save_speaker_checkpoint(path, model, cfg)
     return path
-
-
-def _large_margin_finetune(cfg, manifest_path, model, classifier, trainset, opt,
-                           entries, labels, epoch_base) -> list[list[float]]:
-    """Long-crop, large-margin refinement on the original (unperturbed) items."""
-    items = [DatasetItem(e, 1.0) for e in entries]
-    n = len(items)
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total = steps_per_epoch * cfg.lmft_epochs
-    trainset.set_phase("all")
-    rows = []
-    step = 0
-    for e in range(cfg.lmft_epochs):
-        epoch = epoch_base + e
-        order = rng_for(cfg.seed, "lmft_order", epoch).permutation(n)
-        model.train_mode()
-        losses = []
-        for start in range(0, n, cfg.batch_size):
-            mel, ys = _speaker_batch(
-                manifest_path, items, order, labels, cfg, epoch, start,
-                cfg.batch_size, cfg.lmft_crop_seconds, augment=cfg.augment_prob > 0,
-            )
-            rng = rng_for(cfg.seed, "lmft_dropout", step)
-            emb = model(mel, rng)
-            loss = aam_softmax_loss(emb, ys, classifier, cfg.aam_scale, cfg.lmft_margin)
-            value = _check_finite_loss(float(loss.data))
-            trainset.zero_grad()
-            ad.backward(loss)
-            opt.step(trainset.named_parameters(),
-                     cosine_lr(step, total, 0, cfg.lr * 0.1))
-            losses.append(value)
-            step += 1
-        rows.append([epoch, float(np.mean(losses))])
-    return rows
 
 
 # -- adaptation training -----------------------------------------------------------
@@ -449,34 +436,18 @@ def train_adaptation(cfg: RunConfig, manifest_path, backbone_ckpt, out_dir) -> P
     module = SpeakerAdaptation(backbone, cfg.adaptation, seed=cfg.seed)
     classifier = AamClassifier(len(labels))
     seed_parameters(classifier, cfg.seed, scope="classifier")
-    trainset = _TrainableSet(adaptation=module, classifier=classifier)
-    opt = AdamW(cfg.weight_decay)
 
-    n = len(items)
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = steps_per_epoch * cfg.epochs
-    warmup = round(steps_per_epoch * cfg.warmup_epochs)
-    rows = []
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = rng_for(cfg.seed, "order", epoch).permutation(n)
-        module.train_mode()
-        losses = []
-        for start in range(0, n, cfg.batch_size):
-            mel, ys = _speaker_batch(
-                manifest_path, items, order, labels, cfg, epoch, start,
-                cfg.batch_size, cfg.crop_seconds, augment=cfg.augment_prob > 0,
-            )
-            rng = rng_for(cfg.seed, "dropout", step)
-            emb = module(mel, rng)
-            loss = aam_softmax_loss(emb, ys, classifier, cfg.aam_scale, cfg.aam_margin)
-            value = _check_finite_loss(float(loss.data))
-            trainset.zero_grad()
-            ad.backward(loss)
-            opt.step(trainset.named_parameters(), cosine_lr(step, total_steps, warmup, cfg.lr))
-            losses.append(value)
-            step += 1
-        rows.append([epoch, float(np.mean(losses))])
+    def aam_loss_of(batch, rng):
+        mel, ys = batch
+        return aam_softmax_loss(module(mel, rng), ys, classifier, cfg.aam_scale,
+                                cfg.aam_margin), []
+
+    rows, _ = _train_epochs(
+        cfg, _TrainableSet(adaptation=module, classifier=classifier), AdamW(cfg.weight_decay),
+        len(items), range(cfg.epochs), (cfg.epochs, cfg.warmup_epochs, cfg.lr),
+        ("order", "dropout"),
+        _speaker_batches(manifest_path, items, labels, cfg, cfg.crop_seconds), aam_loss_of,
+    )
     _write_loss_csv(out_dir / "loss.csv", ["epoch", "loss"], rows)
     path = out_dir / "adaptation.ckpt"
     save_adaptation(path, module, backbone.state_arrays())

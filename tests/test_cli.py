@@ -32,6 +32,16 @@ batch_size = 12
 epochs = 2
 """
 
+HALF_RATE_DISTILL_CONFIG = (
+    MINI_CONFIG.replace("subsample_rate = 0.25", "subsample_rate = 0.5")
+    + "\n[loss]\nalpha = 0.5\n"
+)
+
+V3_ADAPT_CONFIG = MINI_CONFIG + (
+    "\n[adaptation]\nvariant = V3\nadapted_layers = 1\nextra_layers = 1\n"
+    "light_dim = 16\nlight_hidden = 32\nlight_kernel = 7\n"
+)
+
 
 @pytest.fixture(scope="module")
 def mini(tmp_path_factory):
@@ -102,6 +112,39 @@ class TestTrain:
             "--out", str(tmp_path / "o"), "--init", str(mini["asr_ckpt"]),
         ])
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("command, config, ckpt", [
+        ("distill", HALF_RATE_DISTILL_CONFIG, "speaker.ckpt"),  # runs the rate matcher
+        ("adapt", V3_ADAPT_CONFIG, "adaptation.ckpt"),
+    ])
+    def test_distill_and_adapt_are_reproducible(self, mini, tmp_path, command, config, ckpt):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        for out in (out1, out2):
+            assert main([
+                command, "--config", str(cfg), "--manifest", str(mini["manifest"]),
+                "--out", str(out), "--teacher", str(mini["asr_ckpt"]),
+            ]) == EXIT_OK
+        assert (out1 / "loss.csv").read_bytes() == (out2 / "loss.csv").read_bytes()
+        assert (out1 / ckpt).read_bytes() == (out2 / ckpt).read_bytes()
+
+    def test_distill_lmft_rows_have_every_header_field(self, mini, tmp_path):
+        cfg = tmp_path / "lmft.cfg"
+        cfg.write_text(MINI_CONFIG + "\n[schedule]\nlmft = true\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main([
+            "distill", "--config", str(cfg), "--manifest", str(mini["manifest"]),
+            "--out", str(out), "--teacher", str(mini["asr_ckpt"]),
+        ]) == EXIT_OK
+        header, *rows = (out / "loss.csv").read_text().splitlines()
+        assert header == "epoch,loss,loss_spk,loss_distill"
+        assert len(rows) == 2 + 2  # 2 training epochs, 2 LMFT epochs
+        assert all(len(row.split(",")) == 4 for row in rows)
+        # LMFT has no distillation term: loss_spk is the loss, loss_distill 0
+        for row in rows[2:]:
+            _, loss, loss_spk, loss_distill = row.split(",")
+            assert loss_spk == loss and float(loss_distill) == 0.0
 
     def test_missing_teacher_for_distill(self, mini, tmp_path):
         code = main([
