@@ -35,7 +35,7 @@ from .scoring import (
     load_embeddings,
     min_dcf,
     parse_trials,
-    qmf_apply,
+    qmf_features,
     qmf_fit,
     save_embeddings,
     score_trials,
@@ -46,13 +46,12 @@ from .training import (
     extract_embeddings,
     load_asr_model,
     load_speaker_model,
-    make_score_records,
     pretrain_asr,
     quality_features,
     train_adaptation,
     train_speaker,
 )
-from .util import rng_for
+from .util import rng_for, write_atomic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -171,13 +170,11 @@ def cmd_embed(args) -> int:
 
 
 def _scored(args):
-    """Raw cosine scores, then s-norm and QMF calibration as flags request."""
+    """Cosine or s-norm scores of the trials, then QMF calibration if asked for."""
     store = load_embeddings(args.embeddings)
     trials = parse_trials(args.trials)
     if len(trials) == 0:
         raise DataError(f"{args.trials}: no trials")
-    raw = score_trials(store, trials)
-    cohort = None
     if args.snorm:
         if args.cohort is None:
             raise ConfigError("--snorm needs --cohort embeddings")
@@ -189,11 +186,11 @@ def _scored(args):
             cohort = {keys[i]: cohort[keys[i]] for i in sorted(picked)}
 
     def chain(trial_list):
-        if cohort is not None:
+        if args.snorm:
             return snorm_scores(store, trial_list, cohort, top_k=args.top_k)
         return score_trials(store, trial_list)
 
-    scores = chain(trials) if args.snorm else raw
+    scores = chain(trials)
     if args.qmf:
         if args.calib_trials is None:
             raise ConfigError("--qmf needs --calib-trials")
@@ -203,28 +200,27 @@ def _scored(args):
         quality = quality_features(args.manifest, entries, store)
         calib = parse_trials(args.calib_trials)
         # calibration scores go through the same normalization as the trials
-        model = qmf_fit(make_score_records(calib, chain(calib), quality), calib.labels)
-        records = make_score_records(trials, scores, quality)
-        scores = np.array([qmf_apply(model, r).calibrated for r in records])
-    return store, trials, raw, scores
+        model = qmf_fit(qmf_features(calib, chain(calib), quality), calib.labels)
+        scores = model.calibrate(qmf_features(trials, scores, quality))
+    return trials, scores
 
 
 def cmd_score(args) -> int:
-    _, trials, _, scores = _scored(args)
+    trials, scores = _scored(args)
     write_score_file(args.out, trials, scores)
     print(f"wrote {len(trials)} scores to {args.out}")
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    store, trials, raw, scores = _scored(args)
+    trials, scores = _scored(args)
     labels = trials.labels
     e = eer(scores, labels)
     d = min_dcf(scores, labels)
     print(f"EER[%] {e:.4f}")
     print(f"minDCF {d:.4f}")
     if args.out:
-        Path(args.out).write_text(f"eer_percent,min_dcf\n{e:.17g},{d:.17g}\n", encoding="utf-8")
+        write_atomic(args.out, f"eer_percent,min_dcf\n{e:.17g},{d:.17g}\n".encode("utf-8"))
     return EXIT_OK
 
 

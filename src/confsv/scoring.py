@@ -5,26 +5,38 @@ against each side's top-k highest imposter-cohort scores and the two z-scores
 are averaged.  Calibration is a logistic model over the raw score plus six
 quality features.  EER interpolates linearly between the bracketing ROC points;
 minDCF sweeps every decision threshold including accept-all and reject-all.
+
+Trial lists reuse their embeddings many times, so the per-embedding work (the
+float64 copy and norm, the cohort top-k statistics, the quality features) is
+done once per key and each distinct pair is cosine-scored once.  The cached
+paths run the same float operations in the same order as the one-trial
+functions `cosine_score`, `adapted_snorm` and `QmfModel.transform`, so both
+give bit-identical scores.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateCohortError,
     DegenerateEmbeddingError,
     DegenerateLabelsError,
+    DimensionError,
     MissingEmbeddingError,
+    NumericError,
     TrialParseError,
 )
+from .util import write_atomic
 
 EMB_STORE_MAGIC = b"CFSVEMB1"
+EMB_STORE_VERSION = 1
 EMB_DIM = 256
 
 
@@ -76,6 +88,10 @@ class ScoreRecord:
             ]
         )
 
+    def feature_vector(self) -> np.ndarray:
+        """[raw score, quality vector]: one row of the calibration features."""
+        return np.concatenate([[self.raw], self.quality_vector()])
+
 
 def parse_trials(path: Union[str, Path]) -> TrialList:
     """Lines of "label enroll test" with label in {0, 1}, whitespace-separated."""
@@ -92,14 +108,39 @@ def parse_trials(path: Union[str, Path]) -> TrialList:
     return TrialList(trials)
 
 
+def _cosine(e1: np.ndarray, n1: float, e2: np.ndarray, n2: float) -> float:
+    if n1 == 0.0 or n2 == 0.0:
+        raise DegenerateEmbeddingError("cannot cosine-score a zero embedding")
+    return float(np.dot(e1, e2) / (n1 * n2))
+
+
 def cosine_score(e1: np.ndarray, e2: np.ndarray) -> float:
     """Inner product of the L2-normalized embeddings, in [-1, 1]."""
     e1 = np.asarray(e1, dtype=np.float64)
     e2 = np.asarray(e2, dtype=np.float64)
-    n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
-    if n1 == 0.0 or n2 == 0.0:
-        raise DegenerateEmbeddingError("cannot cosine-score a zero embedding")
-    return float(np.dot(e1, e2) / (n1 * n2))
+    return _cosine(e1, np.linalg.norm(e1), e2, np.linalg.norm(e2))
+
+
+def _check_cohort_size(top_k: int, enroll_size: int, test_size: int) -> None:
+    if top_k < 2 or enroll_size < top_k or test_size < top_k:
+        raise DegenerateCohortError(
+            f"need cohorts of >= top_k >= 2 scores (top_k={top_k}, "
+            f"sizes {enroll_size}/{test_size})"
+        )
+
+
+def _top_stats(cohort_scores: np.ndarray, top_k: int) -> tuple[float, float]:
+    """Mean and standard deviation of the top_k highest cohort scores."""
+    top = np.sort(cohort_scores)[-top_k:]
+    return float(top.mean()), float(top.std())
+
+
+def _snorm(raw: float, enroll_stats: tuple[float, float],
+           test_stats: tuple[float, float]) -> float:
+    (mu_e, sigma_e), (mu_t, sigma_t) = enroll_stats, test_stats
+    if sigma_e == 0.0 or sigma_t == 0.0:
+        raise DegenerateCohortError("zero-variance cohort")
+    return 0.5 * ((raw - mu_e) / sigma_e + (raw - mu_t) / sigma_t)
 
 
 def adapted_snorm(
@@ -111,19 +152,8 @@ def adapted_snorm(
     """Symmetric adaptive normalization against each side's top-k cohort scores."""
     enroll = np.asarray(enroll_cohort_scores, dtype=np.float64)
     test = np.asarray(test_cohort_scores, dtype=np.float64)
-    if top_k < 2 or enroll.size < top_k or test.size < top_k:
-        raise DegenerateCohortError(
-            f"need cohorts of >= top_k >= 2 scores (top_k={top_k}, "
-            f"sizes {enroll.size}/{test.size})"
-        )
-    parts = []
-    for cohort in (enroll, test):
-        top = np.sort(cohort)[-top_k:]
-        mu, sigma = float(top.mean()), float(top.std())
-        if sigma == 0.0:
-            raise DegenerateCohortError("zero-variance cohort")
-        parts.append((raw - mu) / sigma)
-    return 0.5 * (parts[0] + parts[1])
+    _check_cohort_size(top_k, enroll.size, test.size)
+    return _snorm(raw, _top_stats(enroll, top_k), _top_stats(test, top_k))
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -134,37 +164,35 @@ def _check_two_classes(labels: np.ndarray) -> None:
         raise DegenerateLabelsError("need both target and nontarget trials")
 
 
-def _roc_points(scores: np.ndarray, labels: np.ndarray):
-    """FAR/FRR at every unique threshold, accept iff score >= threshold."""
+def _operating_points(scores: Sequence[float], labels: Sequence[int]):
+    """Accepted targets and nontargets at every unique threshold, high to low.
+
+    A trial is accepted iff its score >= the threshold.  One stable sort by
+    descending score; the cumulative counts at the end of each tie group are
+    the accepts with that group's score as the threshold.  O(N log N).
+    Returns (accepted targets, accepted nontargets, n_target, n_nontarget).
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    _check_two_classes(labels)
+    if scores.shape != labels.shape:
+        raise DimensionError(f"{scores.shape} scores for {labels.shape} labels")
+    if np.isnan(scores).any():
+        raise NumericError("NaN in the scores")
     order = np.argsort(-scores, kind="stable")
     s, y = scores[order], labels[order]
-    n_tar = int((labels == 1).sum())
-    n_non = int((labels == 0).sum())
-    uniq = np.unique(s)[::-1]
-    # cumulative accepts scanning thresholds from high to low
-    far, frr = [], []
-    for th in uniq:
-        acc = s >= th
-        far.append((y == 0)[acc].sum() / n_non)
-        frr.append(((y == 1) & ~acc).sum() / n_tar)
-    return np.array(far), np.array(frr), uniq
+    tar = np.cumsum(y == 1)
+    non = np.cumsum(y == 0)
+    last = np.flatnonzero(np.r_[s[1:] != s[:-1], True])  # end of each tie group
+    return tar[last], non[last], int(tar[-1]), int(non[-1])
 
 
 def eer(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Equal error rate in percent, linearly interpolated at the FAR/FRR crossing."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    _check_two_classes(labels)
-    n_tar = int((labels == 1).sum())
-    n_non = int((labels == 0).sum())
-    uniq = np.unique(scores)[::-1]
-    tar_counts = np.array([(scores[labels == 1] >= th).sum() for th in uniq])
-    non_counts = np.array([(scores[labels == 0] >= th).sum() for th in uniq])
-    far = non_counts / n_non
-    frr = 1.0 - tar_counts / n_tar
+    tar, non, n_tar, n_non = _operating_points(scores, labels)
     # prepend the reject-everything operating point
-    far = np.concatenate([[0.0], far])
-    frr = np.concatenate([[1.0], frr])
+    far = np.concatenate([[0.0], non / n_non])
+    frr = np.concatenate([[1.0], 1.0 - tar / n_tar])
     diff = far - frr
     if diff[-1] < 0:  # even accept-almost-everything rejects targets; take endpoint
         return float(100.0 * max(far[-1], frr[-1]))
@@ -185,13 +213,10 @@ def min_dcf(
     c_fa: float = 1.0,
 ) -> float:
     """Minimum normalized detection cost over all decision thresholds."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    _check_two_classes(labels)
-    far, frr, _ = _roc_points(scores, labels)
+    tar, non, n_tar, n_non = _operating_points(scores, labels)
     # accept-all (threshold below min) and reject-all (above max) endpoints
-    far = np.concatenate([far, [1.0], [0.0]])
-    frr = np.concatenate([frr, [0.0], [1.0]])
+    far = np.concatenate([non / n_non, [1.0], [0.0]])
+    frr = np.concatenate([(n_tar - tar) / n_tar, [0.0], [1.0]])
     cost = c_miss * p_target * frr + c_fa * (1.0 - p_target) * far
     return float(cost.min() / min(c_miss * p_target, c_fa * (1.0 - p_target)))
 
@@ -208,10 +233,17 @@ class QmfModel:
     feat_mean: np.ndarray
     feat_std: np.ndarray
 
+    def calibrate(self, features: np.ndarray) -> np.ndarray:
+        """Calibrated score of each (n, 7) feature row.
+
+        One 7-term dot product per row: a matrix-vector product would sum in
+        another order and change the last bits.
+        """
+        z = (features - self.feat_mean) / self.feat_std
+        return np.array([float(row @ self.weights + self.bias) for row in z])
+
     def transform(self, record: ScoreRecord) -> float:
-        x = np.concatenate([[record.raw], record.quality_vector()])
-        z = (x - self.feat_mean) / self.feat_std
-        return float(z @ self.weights + self.bias)
+        return float(self.calibrate(record.feature_vector()[None])[0])
 
     @property
     def raw_score_weight(self) -> float:
@@ -239,11 +271,37 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray, tol: float = 1e-8,
     return w, b
 
 
-def qmf_fit(records: Sequence[ScoreRecord], labels: Sequence[int]) -> QmfModel:
-    """Fit the calibration model on labelled trials with quality features."""
+def qmf_features(trials: TrialList, scores: np.ndarray,
+                 quality: dict[str, tuple[float, float, float]]) -> np.ndarray:
+    """(n, 7) calibration features: each trial's score, then the (duration, SNR,
+    magnitude) of its enroll and test utterances, in `ScoreRecord.feature_vector`
+    order.  The per-utterance features are looked up once per key."""
+    index = {key: i for i, key in enumerate(quality)}
+    try:
+        enroll = np.array([index[t.enroll] for t in trials], dtype=np.int64)
+        test = np.array([index[t.test] for t in trials], dtype=np.int64)
+    except KeyError as e:
+        raise MissingEmbeddingError(f"no quality features for id {e.args[0]!r}") from None
+    table = np.array(list(quality.values()), dtype=np.float64).reshape(-1, 3)
+    x = np.empty((len(trials), 7))
+    x[:, 0] = scores
+    x[:, 1::2] = table[enroll]  # duration, SNR, magnitude of the enroll side
+    x[:, 2::2] = table[test]
+    return x
+
+
+def qmf_fit(records: Union[Sequence[ScoreRecord], np.ndarray],
+            labels: Sequence[int]) -> QmfModel:
+    """Fit the calibration model on labelled trials with quality features.
+
+    `records` is a list of ScoreRecords or the (n, 7) matrix of `qmf_features`.
+    """
     labels = np.asarray(labels, dtype=np.float64)
     _check_two_classes(labels.astype(np.int64))
-    x = np.stack([np.concatenate([[r.raw], r.quality_vector()]) for r in records])
+    if isinstance(records, np.ndarray):
+        x = records
+    else:
+        x = np.stack([r.feature_vector() for r in records])
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std[std == 0] = 1.0
@@ -262,35 +320,54 @@ def qmf_apply(model: QmfModel, record: ScoreRecord) -> ScoreRecord:
 # u16 id length + id bytes + dim little-endian float32 values.
 
 
-def save_embeddings(path: Union[str, Path], embeddings: dict[str, np.ndarray],
-                    dim: int = EMB_DIM) -> None:
-    with open(path, "wb") as f:
-        f.write(EMB_STORE_MAGIC)
-        f.write(struct.pack("<III", 1, len(embeddings), dim))
-        for key, vec in embeddings.items():
-            vec = np.asarray(vec, dtype="<f4")
-            if vec.shape != (dim,):
-                raise DegenerateEmbeddingError(f"{key}: expected ({dim},), got {vec.shape}")
-            kb = key.encode("utf-8")
-            f.write(struct.pack("<H", len(kb)))
-            f.write(kb)
-            f.write(vec.tobytes())
+def save_embeddings(path: Union[str, Path], embeddings: dict[str, np.ndarray]) -> None:
+    """Write the store atomically: a failure leaves any existing file as it was."""
+    chunks = [EMB_STORE_MAGIC, struct.pack("<III", EMB_STORE_VERSION, len(embeddings), EMB_DIM)]
+    for key, vec in embeddings.items():
+        vec = np.asarray(vec, dtype="<f4")
+        if vec.shape != (EMB_DIM,):
+            raise DegenerateEmbeddingError(f"{key}: expected ({EMB_DIM},), got {vec.shape}")
+        kb = key.encode("utf-8")
+        if len(kb) > 0xFFFF:
+            raise DataError(f"embedding id of {len(kb)} bytes is longer than 65535")
+        chunks += [struct.pack("<H", len(kb)), kb, vec.tobytes()]
+    write_atomic(path, b"".join(chunks))
 
 
 def load_embeddings(path: Union[str, Path]) -> dict[str, np.ndarray]:
+    """Read a store; a truncated, malformed or foreign file raises a DataError."""
     data = Path(path).read_bytes()
     if data[:8] != EMB_STORE_MAGIC:
         raise MissingEmbeddingError(f"{path}: bad embedding store magic")
-    version, count, dim = struct.unpack_from("<III", data, 8)
-    off = 20
+    off = 8
+
+    def take(n: int, what: str) -> int:
+        """Offset of the next n bytes, which must lie inside the file."""
+        nonlocal off
+        if off + n > len(data):
+            raise DataError(f"{path}: truncated embedding store: {what} at byte {off}")
+        off += n
+        return off - n
+
+    version, count, dim = struct.unpack_from("<III", data, take(12, "header"))
+    if version != EMB_STORE_VERSION:
+        raise DataError(f"{path}: unsupported embedding store version {version}")
+    if dim != EMB_DIM:
+        raise DataError(f"{path}: embedding dim {dim}, expected {EMB_DIM}")
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (klen,) = struct.unpack_from("<H", data, off)
-        off += 2
-        key = data[off : off + klen].decode("utf-8")
-        off += klen
-        out[key] = np.frombuffer(data, dtype="<f4", count=dim, offset=off).copy()
-        off += 4 * dim
+    for i in range(count):
+        (klen,) = struct.unpack_from("<H", data, take(2, f"entry {i} id length"))
+        start = take(klen, f"entry {i} id")
+        try:
+            key = data[start : start + klen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataError(f"{path}: entry {i} id is not UTF-8") from None
+        if key in out:
+            raise DataError(f"{path}: duplicate embedding id {key!r}")
+        values = take(4 * dim, f"entry {i} values")
+        out[key] = np.frombuffer(data, dtype="<f4", count=dim, offset=values).copy()
+    if off != len(data):
+        raise DataError(f"{path}: {len(data) - off} trailing bytes after {count} entries")
     return out
 
 
@@ -300,11 +377,34 @@ def resolve_embedding(store: dict[str, np.ndarray], key: str) -> np.ndarray:
     return store[key].astype(np.float64)
 
 
+class _PairScorer:
+    """`cosine_score` of store entries: each entry is converted to float64 and
+    normed once, and each distinct (enroll, test) pair is scored once."""
+
+    def __init__(self, store: dict[str, np.ndarray]):
+        self._store = store
+        self._entries: dict[str, tuple[np.ndarray, float]] = {}
+        self._pairs: dict[tuple[str, str], float] = {}
+
+    def entry(self, key: str) -> tuple[np.ndarray, float]:
+        hit = self._entries.get(key)
+        if hit is None:
+            vec = resolve_embedding(self._store, key)
+            hit = self._entries[key] = (vec, np.linalg.norm(vec))
+        return hit
+
+    def __call__(self, trial: Trial) -> float:
+        pair = (trial.enroll, trial.test)
+        score = self._pairs.get(pair)
+        if score is None:
+            score = self._pairs[pair] = _cosine(*self.entry(trial.enroll),
+                                                *self.entry(trial.test))
+        return score
+
+
 def score_trials(store: dict[str, np.ndarray], trials: TrialList) -> np.ndarray:
-    return np.array(
-        [cosine_score(resolve_embedding(store, t.enroll), resolve_embedding(store, t.test))
-         for t in trials]
-    )
+    cosine = _PairScorer(store)
+    return np.array([cosine(t) for t in trials])
 
 
 def snorm_scores(
@@ -313,29 +413,31 @@ def snorm_scores(
     cohort: dict[str, np.ndarray],
     top_k: int,
 ) -> np.ndarray:
-    """Adapted s-norm of every trial against a shared imposter cohort."""
+    """Adapted s-norm of every trial against a shared imposter cohort.
+
+    Each key's top-k cohort statistics are computed once; a trial then costs a
+    cached cosine score and a few float operations.
+    """
+    _check_cohort_size(top_k, len(cohort), len(cohort))
     cohort_mat = np.stack([v.astype(np.float64) for v in cohort.values()])
     norms = np.linalg.norm(cohort_mat, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise DegenerateEmbeddingError("cohort contains a zero embedding")
     cohort_mat /= norms
+    cosine = _PairScorer(store)
+    stats: dict[str, tuple[float, float]] = {}
 
-    def cohort_scores(key: str) -> np.ndarray:
-        e = resolve_embedding(store, key)
-        e = e / np.linalg.norm(e)
-        return cohort_mat @ e
+    def key_stats(key: str) -> tuple[float, float]:
+        hit = stats.get(key)
+        if hit is None:
+            vec, norm = cosine.entry(key)
+            hit = stats[key] = _top_stats(cohort_mat @ (vec / norm), top_k)
+        return hit
 
-    cache: dict[str, np.ndarray] = {}
-    out = []
-    for t in trials:
-        for k in (t.enroll, t.test):
-            if k not in cache:
-                cache[k] = cohort_scores(k)
-        raw = cosine_score(resolve_embedding(store, t.enroll), resolve_embedding(store, t.test))
-        out.append(adapted_snorm(raw, cache[t.enroll], cache[t.test], top_k=top_k))
-    return np.array(out)
+    return np.array([_snorm(cosine(t), key_stats(t.enroll), key_stats(t.test))
+                     for t in trials])
 
 
 def write_score_file(path: Union[str, Path], trials: TrialList, scores: np.ndarray) -> None:
     lines = [f"{t.enroll} {t.test} {s:.17g}" for t, s in zip(trials, scores)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))

@@ -57,7 +57,7 @@ from .losses import (
     distill_kl_loss,
 )
 from .nn import Module, Parameter, seed_parameters
-from .scoring import ScoreRecord
+from .scoring import resolve_embedding
 from .util import parallel_map, rng_for
 
 
@@ -476,21 +476,8 @@ def quality_features(manifest_path, entries: Sequence[ManifestEntry],
 
     def one(entry: ManifestEntry):
         utt = load_utterance(manifest_path, entry)
-        emb = store[entry.path]
-        return (utt.duration_sec, snr_estimate_db(utt.waveform),
-                float(np.linalg.norm(emb.astype(np.float64))))
+        emb = resolve_embedding(store, entry.path)
+        return (utt.duration_sec, snr_estimate_db(utt.waveform), float(np.linalg.norm(emb)))
 
     feats = parallel_map(one, entries)
     return {e.path: f for e, f in zip(entries, feats)}
-
-
-def make_score_records(trials, raw_scores, quality: dict) -> list[ScoreRecord]:
-    records = []
-    for t, s in zip(trials, raw_scores):
-        de, se, me = quality[t.enroll]
-        dt, st, mt = quality[t.test]
-        records.append(ScoreRecord(
-            raw=float(s), duration_enroll=de, duration_test=dt,
-            snr_enroll=se, snr_test=st, magnitude_enroll=me, magnitude_test=mt,
-        ))
-    return records

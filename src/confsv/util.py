@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+import secrets
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from pathlib import Path
+from typing import Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -36,13 +38,13 @@ def rng_for(*parts: object) -> np.random.Generator:
 
 
 def worker_count() -> int:
-    """Worker cap from CONFSV_THREADS; defaults to 1 (serial)."""
+    """Worker cap from CONFSV_THREADS, at most the CPU count; defaults to 1 (serial)."""
     raw = os.environ.get(THREADS_ENV, "")
     try:
         n = int(raw)
     except ValueError:
         return 1
-    return max(1, n)
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def parallel_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
@@ -56,6 +58,24 @@ def parallel_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))
+
+
+def write_atomic(path: Union[str, Path], data: bytes) -> None:
+    """Replace `path` with `data` through a temporary file in the same directory.
+
+    Readers see the old file or the new one, never a partial write; if writing
+    fails, the temporary file is removed and the old file is left as it was.
+    The data is not fsynced, so this guards against failed runs, not power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def check_finite(arr: np.ndarray, what: str = "array") -> np.ndarray:

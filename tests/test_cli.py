@@ -294,6 +294,16 @@ class TestScoreEvaluate:
                      "--out", str(tmp_path / "s.txt"), "--snorm"])
         assert code == EXIT_CONFIG
 
+    def test_truncated_store_exits_3(self, separated_store, tmp_path, capsys):
+        emb, trials = separated_store
+        emb.write_bytes(emb.read_bytes()[:-100])
+        out = tmp_path / "s.txt"
+        code = main(["score", "--embeddings", str(emb), "--trials", str(trials),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "truncated embedding store" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_snorm_path_runs(self, separated_store, tmp_path):
         emb, trials = separated_store
         rng = np.random.default_rng(1)

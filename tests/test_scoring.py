@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 
 from confsv.errors import (
+    ConfsvError,
+    DataError,
     DegenerateCohortError,
     DegenerateEmbeddingError,
     DegenerateLabelsError,
+    DimensionError,
     MissingEmbeddingError,
+    NumericError,
     TrialParseError,
 )
 from confsv.scoring import (
     ScoreRecord,
+    Trial,
+    TrialList,
     adapted_snorm,
     cosine_score,
     eer,
@@ -19,6 +25,7 @@ from confsv.scoring import (
     min_dcf,
     parse_trials,
     qmf_apply,
+    qmf_features,
     qmf_fit,
     resolve_embedding,
     save_embeddings,
@@ -321,3 +328,266 @@ class TestEmbeddingStore:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("u0 u1 ")
         assert float(lines[0].split()[2]) == pytest.approx(raw[0], abs=0)
+
+
+# -- the cached scoring path against the one-trial functions ---------------------
+
+
+def quadratic_eer(scores, labels):
+    """The threshold-by-threshold EER scan the sort-based one replaced."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_tar = int((labels == 1).sum())
+    n_non = int((labels == 0).sum())
+    uniq = np.unique(scores)[::-1]
+    tar_counts = np.array([(scores[labels == 1] >= th).sum() for th in uniq])
+    non_counts = np.array([(scores[labels == 0] >= th).sum() for th in uniq])
+    far = np.concatenate([[0.0], non_counts / n_non])
+    frr = np.concatenate([[1.0], 1.0 - tar_counts / n_tar])
+    diff = far - frr
+    if diff[-1] < 0:
+        return float(100.0 * max(far[-1], frr[-1]))
+    idx = int(np.argmax(diff >= 0))
+    if diff[idx] == 0:
+        return float(100.0 * far[idx])
+    f1, r1, f2, r2 = far[idx - 1], frr[idx - 1], far[idx], frr[idx]
+    t = (r1 - f1) / ((r1 - f1) - (r2 - f2))
+    return float(100.0 * (f1 + t * (f2 - f1)))
+
+
+def quadratic_min_dcf(scores, labels, p_target=0.01):
+    """The threshold-by-threshold minDCF scan the sort-based one replaced."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n_tar = int((labels == 1).sum())
+    n_non = int((labels == 0).sum())
+    far, frr = [], []
+    for th in np.unique(scores)[::-1]:
+        acc = scores >= th
+        far.append((labels == 0)[acc].sum() / n_non)
+        frr.append(((labels == 1) & ~acc).sum() / n_tar)
+    far = np.concatenate([far, [1.0], [0.0]])
+    frr = np.concatenate([frr, [0.0], [1.0]])
+    cost = p_target * frr + (1.0 - p_target) * far
+    return float(cost.min() / min(p_target, 1.0 - p_target))
+
+
+def tied_score_set(rng):
+    scores, labels = random_score_set(rng)
+    return np.round(scores, 1), labels  # about 40 distinct values, many shared by both classes
+
+
+def random_store_and_trials(rng, n_keys=9, n_trials=300):
+    store = {f"k{i}": rng.normal(size=256).astype(np.float32) for i in range(n_keys)}
+    keys = list(store)
+    trials = TrialList([Trial(int(rng.integers(2)), keys[rng.integers(n_keys)],
+                              keys[rng.integers(n_keys)]) for _ in range(n_trials)])
+    return store, trials
+
+
+def per_trial_snorm(store, trials, cohort, top_k):
+    cohort_mat = np.stack([v.astype(np.float64) for v in cohort.values()])
+    cohort_mat /= np.linalg.norm(cohort_mat, axis=1, keepdims=True)
+
+    def cohort_scores(key):
+        e = resolve_embedding(store, key)
+        return cohort_mat @ (e / np.linalg.norm(e))
+
+    return np.array([
+        adapted_snorm(cosine_score(resolve_embedding(store, t.enroll),
+                                   resolve_embedding(store, t.test)),
+                      cohort_scores(t.enroll), cohort_scores(t.test), top_k=top_k)
+        for t in trials
+    ])
+
+
+class TestCachedScoring:
+    def test_score_trials_bitwise_equals_cosine_score(self):
+        rng = np.random.default_rng(20)
+        store, trials = random_store_and_trials(rng)
+        expected = np.array([cosine_score(resolve_embedding(store, t.enroll),
+                                          resolve_embedding(store, t.test)) for t in trials])
+        assert score_trials(store, trials).tobytes() == expected.tobytes()
+
+    def test_snorm_scores_bitwise_equal_adapted_snorm(self):
+        rng = np.random.default_rng(21)
+        store, trials = random_store_and_trials(rng)
+        cohort = {f"c{i}": rng.normal(size=256).astype(np.float32) for i in range(25)}
+        for top_k in (2, 10, 25):
+            got = snorm_scores(store, trials, cohort, top_k=top_k)
+            assert got.tobytes() == per_trial_snorm(store, trials, cohort, top_k).tobytes()
+
+    def test_empty_trial_list(self):
+        store = {"a": np.ones(256, dtype=np.float32)}
+        cohort = {f"c{i}": np.eye(256, dtype=np.float32)[i] for i in range(3)}
+        assert score_trials(store, TrialList([])).shape == (0,)
+        assert snorm_scores(store, TrialList([]), cohort, top_k=2).shape == (0,)
+
+    def test_qmf_features_bitwise_equal_score_records(self):
+        rng = np.random.default_rng(22)
+        store, trials = random_store_and_trials(rng, n_trials=120)
+        quality = {k: (float(rng.uniform(1, 4)), float(rng.normal(15, 5)),
+                       float(rng.uniform(5, 20))) for k in store}
+        scores = score_trials(store, trials)
+        records = [
+            ScoreRecord(raw=float(s), duration_enroll=quality[t.enroll][0],
+                        duration_test=quality[t.test][0], snr_enroll=quality[t.enroll][1],
+                        snr_test=quality[t.test][1], magnitude_enroll=quality[t.enroll][2],
+                        magnitude_test=quality[t.test][2])
+            for t, s in zip(trials, scores)
+        ]
+        labels = trials.labels
+        features = qmf_features(trials, scores, quality)
+        from_records, from_features = qmf_fit(records, labels), qmf_fit(features, labels)
+        assert from_features.weights.tobytes() == from_records.weights.tobytes()
+        assert from_features.bias == from_records.bias
+        m = from_records
+        expected = np.array([  # one record at a time, as QmfModel.transform computes it
+            float((np.concatenate([[r.raw], r.quality_vector()]) - m.feat_mean) / m.feat_std
+                  @ m.weights + m.bias)
+            for r in records
+        ])
+        assert from_features.calibrate(features).tobytes() == expected.tobytes()
+        assert np.array([qmf_apply(m, r).calibrated for r in records]).tobytes() \
+            == expected.tobytes()
+
+    def test_qmf_features_missing_id(self):
+        trials = TrialList([Trial(1, "a", "b")])
+        with pytest.raises(MissingEmbeddingError):
+            qmf_features(trials, np.zeros(1), {"a": (1.0, 2.0, 3.0)})
+
+    def test_sort_based_metrics_equal_quadratic_scans_on_ties(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            scores, labels = tied_score_set(rng)
+            assert eer(scores, labels) == quadratic_eer(scores, labels)
+            assert min_dcf(scores, labels) == quadratic_min_dcf(scores, labels)
+
+    def test_sort_based_metrics_match_brute_force_on_ties(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            scores, labels = tied_score_set(rng)
+            assert eer(scores, labels) == pytest.approx(brute_force_eer(scores, labels), abs=1e-9)
+            assert min_dcf(scores, labels) == pytest.approx(
+                brute_force_min_dcf(scores, labels), abs=1e-9)
+
+    def test_all_scores_tied(self):
+        scores, labels = np.full(6, 0.3), [1, 0, 1, 0, 0, 1]
+        assert eer(scores, labels) == quadratic_eer(scores, labels) == 50.0
+        assert min_dcf(scores, labels) == quadratic_min_dcf(scores, labels)
+
+    def test_nan_score_rejected(self):
+        with pytest.raises(NumericError):
+            eer([0.1, np.nan, 0.3], [1, 0, 0])
+        with pytest.raises(NumericError):
+            min_dcf([0.1, np.nan, 0.3], [1, 0, 0])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            eer([0.1, 0.2, 0.3], [1, 0])
+        with pytest.raises(DimensionError):
+            min_dcf([0.1, 0.2], [1, 0, 0])
+
+
+class TestCachedScoringErrors:
+    """The cached path raises the same typed error as the one-trial functions."""
+
+    @staticmethod
+    def setup_store():
+        rng = np.random.default_rng(25)
+        store = {k: rng.normal(size=256).astype(np.float32) for k in "abc"}
+        cohort = {f"c{i}": rng.normal(size=256).astype(np.float32) for i in range(6)}
+        return store, cohort
+
+    def both_raise(self, error, store, trials, cohort, top_k=3):
+        trials = TrialList([Trial(1, a, b) for a, b in trials])
+        with pytest.raises(error):
+            per_trial_snorm(store, trials, cohort, top_k)
+        with pytest.raises(error):
+            snorm_scores(store, trials, cohort, top_k)
+
+    def test_missing_id(self):
+        store, cohort = self.setup_store()
+        trials = TrialList([Trial(1, "a", "b"), Trial(0, "a", "zz")])
+        with pytest.raises(MissingEmbeddingError):
+            score_trials(store, trials)
+        self.both_raise(MissingEmbeddingError, store, [("a", "b"), ("a", "zz")], cohort)
+
+    def test_zero_embedding(self):
+        store, cohort = self.setup_store()
+        store["z"] = np.zeros(256, dtype=np.float32)
+        trials = TrialList([Trial(1, "a", "b"), Trial(0, "z", "a")])
+        with pytest.raises(DegenerateEmbeddingError):
+            cosine_score(resolve_embedding(store, "z"), resolve_embedding(store, "a"))
+        with pytest.raises(DegenerateEmbeddingError):
+            score_trials(store, trials)
+        with np.errstate(invalid="ignore"):  # the per-trial path norms the zero vector first
+            self.both_raise(DegenerateEmbeddingError, store, [("a", "b"), ("z", "a")], cohort)
+
+    def test_cohort_smaller_than_top_k(self):
+        store, cohort = self.setup_store()
+        self.both_raise(DegenerateCohortError, store, [("a", "b")], cohort, top_k=7)
+        self.both_raise(DegenerateCohortError, store, [("a", "b")], cohort, top_k=1)
+
+    def test_zero_variance_cohort(self):
+        store, _ = self.setup_store()
+        same = np.random.default_rng(26).normal(size=256).astype(np.float32)
+        cohort = {f"c{i}": same for i in range(5)}
+        self.both_raise(DegenerateCohortError, store, [("a", "b")], cohort)
+
+    def test_empty_cohort(self):
+        store, _ = self.setup_store()
+        with pytest.raises(DegenerateCohortError):
+            snorm_scores(store, TrialList([Trial(1, "a", "b")]), {}, top_k=2)
+
+
+class TestEmbeddingStoreReader:
+    @staticmethod
+    def small_store(tmp_path):
+        rng = np.random.default_rng(27)
+        path = tmp_path / "emb.bin"
+        save_embeddings(path, {k: rng.normal(size=256).astype(np.float32)
+                               for k in ("a.wav", "bb.wav")})
+        return path
+
+    def test_every_truncation_raises_typed_error(self, tmp_path):
+        data = self.small_store(tmp_path).read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises(ConfsvError):
+                load_embeddings(cut)
+
+    @pytest.mark.parametrize("offset,value,match", [(8, 99, "version 99"),
+                                                    (16, 128, "dim 128")])
+    def test_unknown_header_field_rejected(self, tmp_path, offset, value, match):
+        path = self.small_store(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[offset:offset + 4] = value.to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match=match):
+            load_embeddings(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = self.small_store(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(DataError, match="trailing"):
+            load_embeddings(path)
+
+    def test_duplicate_id_rejected(self, tmp_path):
+        path = self.small_store(tmp_path)
+        data = path.read_bytes()
+        entry = data[20:20 + 2 + 5 + 1024]  # the "a.wav" entry
+        data = data[:12] + (3).to_bytes(4, "little") + data[16:] + entry
+        path.write_bytes(data)
+        with pytest.raises(DataError, match="duplicate"):
+            load_embeddings(path)
+
+    def test_failed_save_keeps_old_store(self, tmp_path):
+        path = self.small_store(tmp_path)
+        before = path.read_bytes()
+        bad = {"ok.wav": np.ones(256, dtype=np.float32), "bad.wav": np.ones(10)}
+        with pytest.raises(DegenerateEmbeddingError):
+            save_embeddings(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -1,8 +1,10 @@
 """Seeding stability and worker-pool determinism."""
 
+import os
+
 import numpy as np
 
-from confsv.util import parallel_map, rng_for, stable_seed, worker_count
+from confsv.util import parallel_map, rng_for, stable_seed, worker_count, write_atomic
 
 
 def test_stable_seed_is_process_independent():
@@ -23,6 +25,8 @@ def test_parallel_map_matches_serial(monkeypatch):
     fn = lambda x: x * x + 1
     monkeypatch.setenv("CONFSV_THREADS", "1")
     serial = parallel_map(fn, items)
+    # three workers even on a machine with fewer cores
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setenv("CONFSV_THREADS", "3")
     assert worker_count() == 3
     threaded = parallel_map(fn, items)
@@ -34,3 +38,21 @@ def test_worker_count_defaults_to_serial(monkeypatch):
     assert worker_count() == 1
     monkeypatch.setenv("CONFSV_THREADS", "junk")
     assert worker_count() == 1
+
+
+def test_worker_count_clamped_to_cpu_count(monkeypatch):
+    # only the count is computed; no pool is started with it
+    monkeypatch.setenv("CONFSV_THREADS", str(10**9))
+    assert worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert worker_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
+
+
+def test_write_atomic_replaces_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    write_atomic(path, b"old")
+    write_atomic(path, b"new contents")
+    assert path.read_bytes() == b"new contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
