@@ -8,7 +8,7 @@ minDCF sweeps every decision threshold including accept-all and reject-all.
 
 Trial lists reuse their embeddings many times, so the per-embedding work (the
 float64 copy and norm, the cohort top-k statistics, the quality features) is
-done once per key and each distinct pair is cosine-scored once.  The cached
+done once per key and a trial costs one 256-term dot product.  The cached
 paths run the same float operations in the same order as the one-trial
 functions `cosine_score`, `adapted_snorm` and `QmfModel.transform`, so both
 give bit-identical scores.
@@ -377,34 +377,21 @@ def resolve_embedding(store: dict[str, np.ndarray], key: str) -> np.ndarray:
     return store[key].astype(np.float64)
 
 
-class _PairScorer:
-    """`cosine_score` of store entries: each entry is converted to float64 and
-    normed once, and each distinct (enroll, test) pair is scored once."""
-
-    def __init__(self, store: dict[str, np.ndarray]):
-        self._store = store
-        self._entries: dict[str, tuple[np.ndarray, float]] = {}
-        self._pairs: dict[tuple[str, str], float] = {}
-
-    def entry(self, key: str) -> tuple[np.ndarray, float]:
-        hit = self._entries.get(key)
-        if hit is None:
-            vec = resolve_embedding(self._store, key)
-            hit = self._entries[key] = (vec, np.linalg.norm(vec))
-        return hit
-
-    def __call__(self, trial: Trial) -> float:
-        pair = (trial.enroll, trial.test)
-        score = self._pairs.get(pair)
-        if score is None:
-            score = self._pairs[pair] = _cosine(*self.entry(trial.enroll),
-                                                *self.entry(trial.test))
-        return score
+def _entries(store: dict[str, np.ndarray],
+             trials: TrialList) -> dict[str, tuple[np.ndarray, float]]:
+    """Float64 copy and norm of every key the trials use, each computed once."""
+    out: dict[str, tuple[np.ndarray, float]] = {}
+    for t in trials:
+        for key in (t.enroll, t.test):
+            if key not in out:
+                vec = resolve_embedding(store, key)
+                out[key] = (vec, np.linalg.norm(vec))
+    return out
 
 
 def score_trials(store: dict[str, np.ndarray], trials: TrialList) -> np.ndarray:
-    cosine = _PairScorer(store)
-    return np.array([cosine(t) for t in trials])
+    entries = _entries(store, trials)
+    return np.array([_cosine(*entries[t.enroll], *entries[t.test]) for t in trials])
 
 
 def snorm_scores(
@@ -416,7 +403,7 @@ def snorm_scores(
     """Adapted s-norm of every trial against a shared imposter cohort.
 
     Each key's top-k cohort statistics are computed once; a trial then costs a
-    cached cosine score and a few float operations.
+    cosine score and a few float operations.
     """
     _check_cohort_size(top_k, len(cohort), len(cohort))
     cohort_mat = np.stack([v.astype(np.float64) for v in cohort.values()])
@@ -424,17 +411,18 @@ def snorm_scores(
     if np.any(norms == 0.0):
         raise DegenerateEmbeddingError("cohort contains a zero embedding")
     cohort_mat /= norms
-    cosine = _PairScorer(store)
+    entries = _entries(store, trials)
     stats: dict[str, tuple[float, float]] = {}
 
     def key_stats(key: str) -> tuple[float, float]:
         hit = stats.get(key)
         if hit is None:
-            vec, norm = cosine.entry(key)
+            vec, norm = entries[key]
             hit = stats[key] = _top_stats(cohort_mat @ (vec / norm), top_k)
         return hit
 
-    return np.array([_snorm(cosine(t), key_stats(t.enroll), key_stats(t.test))
+    return np.array([_snorm(_cosine(*entries[t.enroll], *entries[t.test]),
+                            key_stats(t.enroll), key_stats(t.test))
                      for t in trials])
 
 

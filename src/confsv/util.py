@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 import secrets
+import stat
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar, Union
@@ -65,13 +66,27 @@ def write_atomic(path: Union[str, Path], data: bytes) -> None:
 
     Readers see the old file or the new one, never a partial write; if writing
     fails, the temporary file is removed and the old file is left as it was.
-    The data is not fsynced, so this guards against failed runs, not power loss.
+    A symlink is followed, so its target is replaced and the link kept, and the
+    new file keeps the old one's permission bits.  A path that exists but is
+    not a regular file (a device such as /dev/stdout, a pipe) cannot be
+    replaced and is written in place.  The data is not fsynced, so this guards
+    against failed runs, not power loss.
     """
-    path = Path(path)
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "wb") as f:
+            f.write(data)
+        return
+    path = Path(path).resolve()
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
     try:
         with open(tmp, "xb") as f:
             f.write(data)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -1,6 +1,7 @@
 """Seeding stability and worker-pool determinism."""
 
 import os
+import stat
 
 import numpy as np
 
@@ -56,3 +57,21 @@ def test_write_atomic_replaces_and_leaves_no_temp_file(tmp_path):
     write_atomic(path, b"new contents")
     assert path.read_bytes() == b"new contents"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_atomic_follows_symlink_and_keeps_mode(tmp_path):
+    target = tmp_path / "target.txt"
+    target.write_bytes(b"old")
+    target.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_atomic(link, b"new")
+    assert link.is_symlink()
+    assert target.read_bytes() == b"new"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
+
+
+def test_write_atomic_writes_a_device_in_place():
+    write_atomic(os.devnull, b"discarded")
+    assert not stat.S_ISREG(os.stat(os.devnull).st_mode)
