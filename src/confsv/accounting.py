@@ -153,16 +153,6 @@ def pooling_params(d_channels: int, bottleneck: int = ASP_BOTTLENECK) -> int:
     return linear_params(3 * d_channels, bottleneck) + linear_params(bottleneck, d_channels)
 
 
-def speaker_head_params(d_channels: int) -> int:
-    """Aggregation norm + attentive pooling + post-pool batch norm + embedding map."""
-    return (
-        norm_params(d_channels)
-        + pooling_params(d_channels)
-        + norm_params(2 * d_channels)
-        + linear_params(2 * d_channels, EMBEDDING_DIM)
-    )
-
-
 def decoder_params(d: int, vocab: int) -> int:
     return linear_params(d, vocab + 1)
 

@@ -9,7 +9,8 @@ Three ways to reuse a frozen ASR-trained Conformer for speaker embedding:
   concatenation of all L taps (V1/V2 feed them from the L-th tap alone).
 
 All variants aggregate the branch outputs channel-wise, pool, and project to
-the speaker embedding.  The backbone is never touched: taps are detached, so
+the speaker embedding.  The backbone is never touched: attaching the
+adaptation freezes it, so autodiff records no graph through its weights and
 no gradient can reach it, and its forward outputs are bit-identical with or
 without the adaptation attached.
 """
@@ -103,6 +104,8 @@ def apply_layer_adaptor(feature_map, adaptor: LayerAdaptor) -> np.ndarray:
 class SpeakerAdaptation(Module):
     """Trainable add-on reading frozen encoder taps; owns no backbone weights.
 
+    Building one freezes `backbone`.
+
     The published size tables instantiate the lightweight-branch input linear
     whenever the backbone width differs from the lightweight width, even at
     K = 0; this module mirrors that so its parameter set matches the
@@ -120,7 +123,7 @@ class SpeakerAdaptation(Module):
         if cfg.variant == "V3" and cfg.extra_layers == 0 and not _allow_degenerate_v3:
             raise ConfigError("V3 requires at least one lightweight layer")
         self.cfg = cfg
-        self._backbone = backbone  # underscore: excluded from parameter traversal
+        self._backbone = backbone.set_trainable(False)  # underscore: not a submodule
         self._backbone_dim = bcfg.dim
 
         if cfg.variant in ("V2", "V3"):
@@ -149,13 +152,13 @@ class SpeakerAdaptation(Module):
         return self._backbone
 
     def backbone_taps(self, mel: Tensor) -> list[Tensor]:
-        """Frozen, dropout-free backbone forward; outputs detached."""
+        """Frozen, dropout-free backbone forward; no gradient reaches its weights."""
         was_training = self._backbone.training
         self._backbone.eval_mode()
         maps = self._backbone(mel, rng=None)
         if was_training:
             self._backbone.train_mode()
-        return [m.detach() for m in maps[: self.cfg.adapted_layers]]
+        return maps[: self.cfg.adapted_layers]
 
     def forward(self, mel: Tensor, rng=None) -> Tensor:
         taps = self.backbone_taps(mel)
@@ -201,13 +204,7 @@ def truncate_encoder(encoder: ConformerEncoder, n: int) -> ConformerEncoder:
         raise ConfigError(f"cannot keep {n} of {encoder.cfg.layers} layers")
     cfg = EncoderConfig(**{**encoder.cfg.to_dict(), "layers": n})
     out = ConformerEncoder(cfg)
-    keep = dict(out.named_parameters())
-    source = dict(encoder.named_parameters())
-    for name, p in keep.items():
-        p.data = source[name].data.copy()
-    src_buffers = dict(encoder.named_buffers())
-    for name, (owner, key) in out._buffer_owners().items():
-        owner._buffers[key] = src_buffers[name].copy()
+    out.load_state_arrays(encoder.state_arrays())  # the extra blocks' arrays are ignored
     return out
 
 
@@ -309,6 +306,7 @@ def save_adaptation(path, module: SpeakerAdaptation, backbone_arrays: dict) -> N
 
 def load_adaptation(path, backbone: ConformerEncoder,
                     backbone_arrays: dict) -> SpeakerAdaptation:
+    """The stored add-on on `backbone`, frozen like its backbone."""
     meta, arrays = ckpt.load_checkpoint(path)
     if meta.get("kind") != ADAPTATION_CKPT_KIND:
         raise CheckpointError(f"{path}: not an adaptation checkpoint")
@@ -317,4 +315,4 @@ def load_adaptation(path, backbone: ConformerEncoder,
     cfg = AdaptationConfig(**meta["config"])
     module = SpeakerAdaptation(backbone, cfg, seed=None)
     module.load_state_arrays(arrays)
-    return module
+    return module.set_trainable(False)

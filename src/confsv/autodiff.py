@@ -72,9 +72,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -397,18 +394,6 @@ def take(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
         sl[axis] = indices
         np.add.at(ga, tuple(sl), g)
         return (ga,)
-
-    return _make(out, (a,), grad_fn)
-
-
-def pad_last(a: Tensor, before: int, after: int, value: float = 0.0) -> Tensor:
-    """Constant-pad the final axis."""
-    width = [(0, 0)] * (a.ndim - 1) + [(before, after)]
-    out = np.pad(a.data, width, constant_values=value)
-
-    def grad_fn(g):
-        sl = [slice(None)] * (a.ndim - 1) + [slice(before, before + a.shape[-1])]
-        return (g[tuple(sl)],)
 
     return _make(out, (a,), grad_fn)
 

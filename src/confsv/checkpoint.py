@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Union
@@ -27,6 +28,7 @@ from typing import Union
 import numpy as np
 
 from .errors import CheckpointError
+from .util import ByteReader
 
 MAGIC = b"CFSVCKPT"
 VERSION = 1
@@ -58,34 +60,36 @@ def save_checkpoint(path: Union[str, Path], meta: dict, arrays: dict[str, np.nda
 
 
 def load_checkpoint(path: Union[str, Path]) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as f:
-        data = f.read()
+    """Read a checkpoint; a truncated or malformed file raises CheckpointError."""
+    data = Path(path).read_bytes()
     if data[:8] != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
-    (version,) = struct.unpack_from("<I", data, 8)
+    read = ByteReader(data, path, CheckpointError, "checkpoint")
+    read.take(len(MAGIC), "magic")
+    (version,) = read.unpack("<I", "version")
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
-    (meta_len,) = struct.unpack_from("<I", data, 12)
-    off = 16
-    meta = json.loads(data[off : off + meta_len].decode("utf-8"))
-    off += meta_len
-    (count,) = struct.unpack_from("<I", data, off)
-    off += 4
+    (meta_len,) = read.unpack("<I", "metadata length")
+    try:
+        meta = json.loads(read.text(meta_len, "metadata"))
+    except ValueError as e:  # JSONDecodeError, or a number past the int digit limit
+        raise CheckpointError(f"{path}: metadata is not valid JSON: {e}") from None
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: metadata is not a JSON object")
+    (count,) = read.unpack("<I", "array count")
     arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        name = data[off : off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", data, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, off)
-        off += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=off).reshape(shape)
+    for i in range(count):
+        (name_len,) = read.unpack("<H", f"array {i} name length")
+        name = read.text(name_len, f"array {i} name")
+        if name in arrays:
+            raise CheckpointError(f"{path}: duplicate array {name!r}")
+        (ndim,) = read.unpack("<B", f"array {name!r} rank")
+        shape = read.unpack(f"<{ndim}I", f"array {name!r} shape")
+        n = math.prod(shape)
+        values = read.take(8 * n, f"array {name!r} values")
+        arr = np.frombuffer(data, dtype="<f8", count=n, offset=values).reshape(shape)
         arrays[name] = arr.astype(np.float64)
-        off += 8 * n
-    if off != len(data):
+    if read.off != len(data):
         raise CheckpointError(f"{path}: trailing bytes after array table")
     return meta, arrays
 

@@ -20,18 +20,29 @@ from .util import rng_for
 
 
 class Parameter(Tensor):
-    """A trainable leaf with an init recipe.
+    """A leaf with an init recipe, trainable unless frozen.
 
     init: "fanin" (uniform +-1/sqrt(fan)), "zeros", or "ones".
+
+    `trainable` is `requires_grad` under its module-level name: a frozen
+    parameter is a constant to autodiff, so no graph is recorded through it,
+    `backward` gives it no gradient and the optimizer never updates it.
     """
 
-    __slots__ = ("init", "fan", "trainable")
+    __slots__ = ("init", "fan")
 
     def __init__(self, shape: tuple[int, ...], init: str = "fanin", fan: Optional[int] = None):
         super().__init__(np.zeros(shape), requires_grad=True)
         self.init = init
         self.fan = fan
-        self.trainable = True
+
+    @property
+    def trainable(self) -> bool:
+        return self.requires_grad
+
+    @trainable.setter
+    def trainable(self, flag: bool) -> None:
+        self.requires_grad = flag
 
     def initialize(self, rng: np.random.Generator) -> None:
         if self.init == "zeros":
@@ -56,31 +67,31 @@ class Module:
     def register_buffer(self, name: str, value: np.ndarray) -> None:
         self._buffers[name] = np.asarray(value, dtype=np.float64)
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
+    def _members(self, prefix: str) -> Iterator[tuple[str, object]]:
+        """Qualified name and value of each parameter and submodule attribute.
+
+        Attributes come in definition order, which checkpoint array order
+        follows; underscore attributes are outside the module tree.
+        """
         for key, value in vars(self).items():
-            if key.startswith("_") or key == "training":
+            if key.startswith("_"):
                 continue
-            full = f"{prefix}{key}" if prefix else key
-            if isinstance(value, Parameter):
-                yield full, value
-            elif isinstance(value, Module):
-                yield from value.named_parameters(full + ".")
-            elif isinstance(value, ModuleList):
+            if isinstance(value, ModuleList):
                 for i, sub in enumerate(value):
-                    yield from sub.named_parameters(f"{full}.{i}.")
+                    yield f"{prefix}{key}.{i}", sub
+            elif isinstance(value, (Parameter, Module)):
+                yield f"{prefix}{key}", value
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
+        for name, value in self._members(prefix):
+            if isinstance(value, Parameter):
+                yield name, value
+            else:
+                yield from value.named_parameters(name + ".")
 
     def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for name in self._buffers:
-            yield (f"{prefix}{name}" if prefix else name), self._buffers[name]
-        for key, value in vars(self).items():
-            if key.startswith("_") or key == "training":
-                continue
-            full = f"{prefix}{key}" if prefix else key
-            if isinstance(value, Module):
-                yield from value.named_buffers(full + ".")
-            elif isinstance(value, ModuleList):
-                for i, sub in enumerate(value):
-                    yield from sub.named_buffers(f"{full}.{i}.")
+        for name, (owner, key) in self._buffer_owners(prefix).items():
+            yield name, owner._buffers[key]
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
@@ -92,14 +103,9 @@ class Module:
 
     def modules(self) -> Iterator["Module"]:
         yield self
-        for key, value in vars(self).items():
-            if key.startswith("_"):  # underscore attrs are outside the module tree
-                continue
+        for _, value in self._members(""):
             if isinstance(value, Module):
                 yield from value.modules()
-            elif isinstance(value, ModuleList):
-                for sub in value:
-                    yield from sub.modules()
 
     def train_mode(self, flag: bool = True) -> "Module":
         for m in self.modules():
@@ -146,18 +152,10 @@ class Module:
             raise DimensionError(f"missing arrays in state: {missing[:5]}")
 
     def _buffer_owners(self, prefix: str = "") -> dict[str, tuple["Module", str]]:
-        owners = {}
-        for key in self._buffers:
-            owners[f"{prefix}{key}" if prefix else key] = (self, key)
-        for key, value in vars(self).items():
-            if key.startswith("_") or key == "training":
-                continue
-            full = f"{prefix}{key}" if prefix else key
+        owners = {f"{prefix}{key}": (self, key) for key in self._buffers}
+        for name, value in self._members(prefix):
             if isinstance(value, Module):
-                owners.update(value._buffer_owners(full + "."))
-            elif isinstance(value, ModuleList):
-                for i, sub in enumerate(value):
-                    owners.update(sub._buffer_owners(f"{full}.{i}."))
+                owners.update(value._buffer_owners(name + "."))
         return owners
 
     def __call__(self, *args, **kwargs):

@@ -33,7 +33,7 @@ from .errors import (
     NumericError,
     TrialParseError,
 )
-from .util import write_atomic
+from .util import ByteReader, write_atomic
 
 EMB_STORE_MAGIC = b"CFSVEMB1"
 EMB_STORE_VERSION = 1
@@ -339,35 +339,23 @@ def load_embeddings(path: Union[str, Path]) -> dict[str, np.ndarray]:
     data = Path(path).read_bytes()
     if data[:8] != EMB_STORE_MAGIC:
         raise MissingEmbeddingError(f"{path}: bad embedding store magic")
-    off = 8
-
-    def take(n: int, what: str) -> int:
-        """Offset of the next n bytes, which must lie inside the file."""
-        nonlocal off
-        if off + n > len(data):
-            raise DataError(f"{path}: truncated embedding store: {what} at byte {off}")
-        off += n
-        return off - n
-
-    version, count, dim = struct.unpack_from("<III", data, take(12, "header"))
+    read = ByteReader(data, path, DataError, "embedding store")
+    read.take(len(EMB_STORE_MAGIC), "magic")
+    version, count, dim = read.unpack("<III", "header")
     if version != EMB_STORE_VERSION:
         raise DataError(f"{path}: unsupported embedding store version {version}")
     if dim != EMB_DIM:
         raise DataError(f"{path}: embedding dim {dim}, expected {EMB_DIM}")
     out: dict[str, np.ndarray] = {}
     for i in range(count):
-        (klen,) = struct.unpack_from("<H", data, take(2, f"entry {i} id length"))
-        start = take(klen, f"entry {i} id")
-        try:
-            key = data[start : start + klen].decode("utf-8")
-        except UnicodeDecodeError:
-            raise DataError(f"{path}: entry {i} id is not UTF-8") from None
+        (klen,) = read.unpack("<H", f"entry {i} id length")
+        key = read.text(klen, f"entry {i} id")
         if key in out:
             raise DataError(f"{path}: duplicate embedding id {key!r}")
-        values = take(4 * dim, f"entry {i} values")
+        values = read.take(4 * dim, f"entry {i} values")
         out[key] = np.frombuffer(data, dtype="<f4", count=dim, offset=values).copy()
-    if off != len(data):
-        raise DataError(f"{path}: {len(data) - off} trailing bytes after {count} entries")
+    if read.off != len(data):
+        raise DataError(f"{path}: {len(data) - read.off} trailing bytes after {count} entries")
     return out
 
 

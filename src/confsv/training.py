@@ -45,7 +45,7 @@ from .datapipe import (
     snr_estimate_db,
     speed_perturb,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .heads import SpeakerModel
 from .losses import (
     AamClassifier,
@@ -58,7 +58,7 @@ from .losses import (
 )
 from .nn import Module, Parameter, seed_parameters
 from .scoring import resolve_embedding
-from .util import parallel_map, rng_for
+from .util import check_finite, parallel_map, rng_for
 
 
 class AdamW:
@@ -71,9 +71,15 @@ class AdamW:
         self.state: dict[str, dict] = {}
 
     def step(self, named_params: Sequence[tuple[str, Parameter]], lr: float) -> None:
+        """Update every parameter holding a gradient; frozen ones never hold one.
+
+        A non-finite gradient raises NumericError before any parameter or
+        optimizer state changes.
+        """
+        named_params = [(name, p) for name, p in named_params if p.grad is not None]
         for name, p in named_params:
-            if not p.trainable or p.grad is None:
-                continue
+            check_finite(p.grad, f"gradient of {name}")
+        for name, p in named_params:
             st = self.state.setdefault(name, {"m": np.zeros_like(p.data),
                                               "v": np.zeros_like(p.data), "t": 0})
             st["t"] += 1
@@ -150,12 +156,6 @@ def _write_loss_csv(path: Path, header: list[str], rows: list[list[float]]) -> N
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _check_finite_loss(value: float) -> float:
-    if not np.isfinite(value):
-        raise NumericError(f"non-finite training loss: {value}")
-    return value
-
-
 class _TrainableSet:
     """Named parameters across the model and its training-only heads."""
 
@@ -170,8 +170,7 @@ class _TrainableSet:
 
     def set_phase(self, scope: str) -> None:
         """head_only freezes the encoder; all trains everything."""
-        for name, p in self.named_parameters():
-            p.trainable = not (scope == "head_only" and name.startswith("model.encoder."))
+        self.modules["model"].encoder.set_trainable(scope != "head_only")
 
     def zero_grad(self) -> None:
         for _, p in self.named_parameters():
@@ -205,7 +204,7 @@ def _train_epochs(cfg: RunConfig, trainset: _TrainableSet, opt: AdamW, n_items: 
         for start in range(0, n_items, cfg.batch_size):
             batch = batch_at(order, epoch, start)
             loss, extra = loss_of(batch, rng_for(cfg.seed, dropout_stream, step))
-            value = _check_finite_loss(float(loss.data))
+            value = float(check_finite(loss.data, "training loss"))
             trainset.zero_grad()
             ad.backward(loss)
             opt.step(trainset.named_parameters(), cosine_lr(step, total, warmup, base_lr))
@@ -232,12 +231,13 @@ def save_speaker_checkpoint(path, model: SpeakerModel, run_cfg: RunConfig) -> No
 
 
 def load_speaker_model(path) -> SpeakerModel:
+    """The stored model, frozen."""
     meta, arrays = ckpt.load_checkpoint(path)
     if meta.get("kind") != "speaker":
         raise ConfigError(f"{path}: not a speaker checkpoint")
     model = SpeakerModel(EncoderConfig.from_dict(meta["encoder"]))
     model.load_state_arrays(arrays)
-    return model
+    return model.set_trainable(False)
 
 
 def save_asr_checkpoint(path, encoder: ConformerEncoder, decoder: CtcDecoder,
@@ -254,6 +254,7 @@ def save_asr_checkpoint(path, encoder: ConformerEncoder, decoder: CtcDecoder,
 
 
 def load_asr_model(path) -> tuple[ConformerEncoder, CtcDecoder, dict]:
+    """The stored encoder and decoder, frozen, and the checkpoint metadata."""
     meta, arrays = ckpt.load_checkpoint(path)
     if meta.get("kind") != "asr":
         raise ConfigError(f"{path}: not an ASR checkpoint")
@@ -265,7 +266,7 @@ def load_asr_model(path) -> tuple[ConformerEncoder, CtcDecoder, dict]:
     decoder.load_state_arrays(
         {n[len("decoder."):]: a for n, a in arrays.items() if n.startswith("decoder.")}
     )
-    return encoder, decoder, meta
+    return encoder.set_trainable(False), decoder.set_trainable(False), meta
 
 
 # -- ASR pretraining ----------------------------------------------------------------
@@ -343,8 +344,6 @@ def train_speaker(
         if teacher_ckpt is None:
             raise ConfigError("distillation requires a teacher checkpoint")
         teacher_encoder, teacher_decoder, _ = load_asr_model(teacher_ckpt)
-        teacher_encoder.set_trainable(False)
-        teacher_decoder.set_trainable(False)
         if cfg.alpha > 0:
             student_decoder = CtcDecoder(cfg.encoder.dim, teacher_decoder.vocab)
             seed_parameters(student_decoder, cfg.seed, scope="student_decoder")
@@ -432,7 +431,6 @@ def train_adaptation(cfg: RunConfig, manifest_path, backbone_ckpt, out_dir) -> P
     items, labels = build_items(entries, cfg.speed_perturb)
 
     backbone, _, _ = load_asr_model(backbone_ckpt)
-    backbone.set_trainable(False)
     module = SpeakerAdaptation(backbone, cfg.adaptation, seed=cfg.seed)
     classifier = AamClassifier(len(labels))
     seed_parameters(classifier, cfg.seed, scope="classifier")

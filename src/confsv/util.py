@@ -12,6 +12,7 @@ import hashlib
 import os
 import secrets
 import stat
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar, Union
@@ -91,6 +92,36 @@ def write_atomic(path: Union[str, Path], data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class ByteReader:
+    """Bounds-checked sequential reads over the bytes of a binary file.
+
+    A read past the end raises `error` naming the file, its `kind` and what
+    was being read, and so does text that is not UTF-8; no read can fail with
+    another exception.
+    """
+
+    def __init__(self, data: bytes, path: Union[str, Path], error: type, kind: str):
+        self.data, self.path, self.error, self.kind = data, path, error, kind
+        self.off = 0
+
+    def take(self, n: int, what: str) -> int:
+        """Offset of the next n bytes, which must lie inside the data."""
+        if self.off + n > len(self.data):
+            raise self.error(f"{self.path}: truncated {self.kind}: {what} at byte {self.off}")
+        self.off += n
+        return self.off - n
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self.take(struct.calcsize(fmt), what))
+
+    def text(self, n: int, what: str) -> str:
+        start = self.take(n, what)
+        try:
+            return self.data[start : start + n].decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.error(f"{self.path}: {what} is not UTF-8") from None
 
 
 def check_finite(arr: np.ndarray, what: str = "array") -> np.ndarray:

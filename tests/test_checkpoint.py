@@ -1,7 +1,11 @@
 """Checkpoint container: bit-exact round trips, validation, content hashing."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsv.checkpoint import content_hash, load_checkpoint, save_checkpoint
 from confsv.conformer import ConformerEncoder, EncoderConfig
@@ -62,6 +66,65 @@ def test_trailing_garbage(tmp_path):
     path.write_bytes(path.read_bytes() + b"extra")
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+SMALL_META = {"kind": "test", "n": 3}
+
+
+def small_checkpoint(path):
+    save_checkpoint(path, SMALL_META, {"w": np.arange(4.0).reshape(2, 2), "s": np.array(0.5)})
+    return path.read_bytes()
+
+
+def test_every_truncation_raises_checkpoint_error(tmp_path):
+    data = small_checkpoint(tmp_path / "full.ckpt")
+    cut = tmp_path / "cut.ckpt"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(cut)
+
+
+@pytest.mark.parametrize("meta", [b"[1, 2]", b"{not json", b"\xff\xfe{}", b"1" * 5000],
+                         ids=["list", "not-json", "not-utf8", "over-int-digit-limit"])
+def test_malformed_metadata_raises_checkpoint_error(tmp_path, meta):
+    data = small_checkpoint(tmp_path / "full.ckpt")
+    meta_len = int.from_bytes(data[12:16], "little")
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(data[:12] + len(meta).to_bytes(4, "little") + meta + data[16 + meta_len:])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_duplicate_array_name_raises_checkpoint_error(tmp_path):
+    data = small_checkpoint(tmp_path / "full.ckpt")
+    assert data.count(b"\x01\x00s") == 1  # the name entry of array "s"
+    path = tmp_path / "dup.ckpt"
+    path.write_bytes(data.replace(b"\x01\x00s", b"\x01\x00w"))
+    with pytest.raises(CheckpointError, match="duplicate"):
+        load_checkpoint(path)
+
+
+# magic, version, metadata length, metadata, array count and the first array's
+# name, rank and shape: every byte before the first array's values
+HEADER_LEN = 8 + 4 + 4 + len(json.dumps(SMALL_META, sort_keys=True)) + 4 + 2 + 1 + 1 + 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, HEADER_LEN - 1), st.integers(0, 255)),
+                min_size=1, max_size=4))
+def test_corrupted_header_loads_or_raises_checkpoint_error(tmp_path_factory, edits):
+    path = tmp_path_factory.mktemp("fuzz") / "x.ckpt"
+    data = bytearray(small_checkpoint(path))
+    for offset, value in edits:
+        data[offset] = value
+    path.write_bytes(bytes(data))
+    try:
+        meta, arrays = load_checkpoint(path)
+    except CheckpointError:
+        return
+    assert isinstance(meta, dict)
+    assert all(a.dtype == np.float64 for a in arrays.values())
 
 
 def test_content_hash_tracks_values_not_metadata():

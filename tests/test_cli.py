@@ -174,6 +174,17 @@ class TestAdapt:
 
 
 class TestEmbedPipeline:
+    @pytest.mark.parametrize("keep", [4, 14, 200, -8])
+    def test_truncated_checkpoint_exits_3(self, mini, tmp_path, capsys, keep):
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes(mini["asr_ckpt"].read_bytes()[:keep])
+        out = tmp_path / "e.bin"
+        code = main(["embed", "--ckpt", str(ckpt), "--manifest", str(mini["manifest"]),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert not out.exists()
+        assert "data error: " in capsys.readouterr().err
+
     def test_adaptation_checkpoint_embeds_and_evaluates(self, mini, tmp_path):
         cfg = tmp_path / "adapt.cfg"
         cfg.write_text(

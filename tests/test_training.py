@@ -1,0 +1,122 @@
+"""Freezing and the optimizer: frozen parameters are constants to autodiff,
+loaders return frozen modules, and AdamW never applies a non-finite gradient."""
+
+import numpy as np
+import pytest
+
+from confsv import autodiff as ad
+from confsv.adaptation import SpeakerAdaptation, load_adaptation, save_adaptation
+from confsv.conformer import EncoderConfig
+from confsv.errors import NumericError
+from confsv.heads import SpeakerModel
+from confsv.losses import AamClassifier, CtcDecoder, aam_softmax_loss
+from confsv.nn import Parameter, seed_parameters
+from confsv.training import (
+    AdamW,
+    _TrainableSet,
+    load_asr_model,
+    load_speaker_model,
+    save_asr_checkpoint,
+    save_speaker_checkpoint,
+)
+
+from conftest import toy_run_config
+from test_adaptation import toy_adapt_cfg, toy_backbone
+
+ENCODER = EncoderConfig(1, 8, 2, 16, conv_kernel=5, dropout=0.1)
+
+
+def frozen(module) -> bool:
+    return all(not p.requires_grad for p in module.parameters())
+
+
+class TestFrozenParameters:
+    def test_trainable_is_requires_grad(self):
+        p = Parameter((2,))
+        assert p.trainable and p.requires_grad
+        p.trainable = False
+        assert not p.requires_grad
+        p.requires_grad = True
+        assert p.trainable
+
+    def test_head_only_backward_skips_the_encoder(self):
+        model = SpeakerModel(ENCODER, seed=3)
+        clf = AamClassifier(2)
+        seed_parameters(clf, 4)
+        trainset = _TrainableSet(model=model, classifier=clf)
+        model.train_mode()
+        mel = ad.tensor(np.random.default_rng(5).normal(size=(2, 16, 80)))
+        encoder_ids = {id(p) for p in model.encoder.parameters()}
+
+        def head_grads(scope):
+            trainset.set_phase(scope)
+            trainset.zero_grad()
+            loss = aam_softmax_loss(model(mel, np.random.default_rng(6)), [0, 1], clf, 8.0, 0.1)
+            nodes = {id(node) for node in ad.topo_order(loss)}
+            ad.backward(loss)
+            grads = {n: p.grad for n, p in trainset.named_parameters()
+                     if not n.startswith("model.encoder.")}
+            return grads, nodes
+
+        frozen_grads, frozen_nodes = head_grads("head_only")
+        assert all(p.grad is None for p in model.encoder.parameters())
+        assert not encoder_ids & frozen_nodes
+        full_grads, full_nodes = head_grads("all")
+        assert all(p.grad is not None for p in model.encoder.parameters())
+        assert encoder_ids <= full_nodes
+        assert frozen_grads.keys() == full_grads.keys()
+        for name, grad in frozen_grads.items():
+            assert grad.tobytes() == full_grads[name].tobytes(), name
+
+
+class TestLoadersReturnFrozenModules:
+    def test_speaker_model(self, tmp_path):
+        model = SpeakerModel(ENCODER, seed=7)
+        path = tmp_path / "speaker.ckpt"
+        save_speaker_checkpoint(path, model, toy_run_config())
+        loaded = load_speaker_model(path)
+        assert frozen(loaded) and loaded.param_count(trainable_only=True) == 0
+        feats = np.random.default_rng(8).normal(size=(80, 30))
+        assert loaded.embed_utterance(feats).tobytes() == model.embed_utterance(feats).tobytes()
+
+    def test_asr_model(self, tmp_path):
+        encoder = SpeakerModel(ENCODER, seed=9).encoder
+        decoder = CtcDecoder(ENCODER.dim, 6)
+        seed_parameters(decoder, 10)
+        path = tmp_path / "asr.ckpt"
+        save_asr_checkpoint(path, encoder, decoder, toy_run_config())
+        loaded_encoder, loaded_decoder, meta = load_asr_model(path)
+        assert frozen(loaded_encoder) and frozen(loaded_decoder)
+        assert meta["kind"] == "asr"
+
+    def test_adaptation(self, tmp_path):
+        backbone = toy_backbone()
+        module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=12)
+        assert frozen(backbone)  # attaching an adaptation freezes its backbone
+        assert not frozen(module)
+        path = tmp_path / "adapt.ckpt"
+        save_adaptation(path, module, backbone.state_arrays())
+        loaded = load_adaptation(path, backbone, backbone.state_arrays())
+        assert frozen(loaded) and frozen(loaded.backbone)
+        feats = np.random.default_rng(13).normal(size=(80, 24))
+        assert loaded.embed_utterance(feats).tobytes() == module.embed_utterance(feats).tobytes()
+
+
+class TestAdamW:
+    def test_non_finite_gradient_changes_nothing(self):
+        params = [Parameter((3,)), Parameter((2, 2)), Parameter((4,))]
+        for i, p in enumerate(params):
+            p.data = np.arange(p.size, dtype=np.float64).reshape(p.shape) + i
+            p.grad = np.ones(p.shape)
+        params[1].grad[0, 1] = np.nan
+        named = [(f"p{i}", p) for i, p in enumerate(params)]
+        before = [p.data.copy() for p in params]
+        opt = AdamW()
+        with pytest.raises(NumericError, match="p1"):
+            opt.step(named, 1e-2)
+        for p, data in zip(params, before):
+            assert p.data.tobytes() == data.tobytes()
+        assert opt.state == {}
+        params[1].grad[0, 1] = np.inf
+        with pytest.raises(NumericError):
+            opt.step(named, 1e-2)
