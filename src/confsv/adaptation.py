@@ -304,15 +304,18 @@ def save_adaptation(path, module: SpeakerAdaptation, backbone_arrays: dict) -> N
     ckpt.save_checkpoint(path, meta, module.state_arrays())
 
 
-def load_adaptation(path, backbone: ConformerEncoder,
-                    backbone_arrays: dict) -> SpeakerAdaptation:
-    """The stored add-on on `backbone`, frozen like its backbone."""
-    meta, arrays = ckpt.load_checkpoint(path)
+def load_adaptation(path, backbone: ConformerEncoder, backbone_arrays: dict,
+                    checkpoint: Optional[tuple[dict, dict]] = None) -> SpeakerAdaptation:
+    """The stored add-on on `backbone`, frozen like its backbone.
+
+    `checkpoint` is `path` already read, if it was.
+    """
+    meta, arrays = checkpoint or ckpt.load_checkpoint(path)
     if meta.get("kind") != ADAPTATION_CKPT_KIND:
         raise CheckpointError(f"{path}: not an adaptation checkpoint")
-    if meta["backbone_hash"] != ckpt.content_hash(backbone_arrays):
+    if ckpt.meta_value(meta, "backbone_hash", str, path) != ckpt.content_hash(backbone_arrays):
         raise CheckpointError(f"{path}: backbone content hash mismatch")
-    cfg = AdaptationConfig(**meta["config"])
+    cfg = ckpt.config_from_meta(AdaptationConfig, meta, "config", path)
     module = SpeakerAdaptation(backbone, cfg, seed=None)
     module.load_state_arrays(arrays)
     return module.set_trainable(False)

@@ -609,7 +609,8 @@ def conv1d(
                 gwin[:, gi * Cg : (gi + 1) * Cg] = part.reshape(B, Tout, Cg, K).transpose(
                     0, 2, 1, 3
                 )
-        grads = [_scatter_1d(gwin), gw]
+        # no input gradient for a constant input
+        grads = [_scatter_1d(gwin) if x._needs_graph() else None, gw]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2)))
         return tuple(grads)
@@ -662,18 +663,29 @@ def conv2d(
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
+    def _col2im_2d(g2: np.ndarray) -> np.ndarray:
+        # Tap-major weight columns make each tap's gradient a contiguous (C,)
+        # run, so the col2im adds go into a channels-last buffer row by row.
+        # Every element still sums its taps in (i, j) order from zero.
+        wtaps = weight.data.transpose(0, 2, 3, 1).reshape(Cout, KH * KW * C)
+        gtaps = (g2 @ wtaps).reshape(B, Hout, Wout, KH, KW, C)
+        gxp = np.zeros((B, H + 2 * padding, W + 2 * padding, C))
+        for i in range(KH):
+            for j in range(KW):
+                gxp[:, i : i + stride * Hout : stride, j : j + stride * Wout : stride] += (
+                    gtaps[:, :, :, i, j]
+                )
+        # Copied to C order: reductions over the transposed view (such as the
+        # next op's bias sum) would add in another order and change last bits.
+        return np.ascontiguousarray(
+            gxp[:, padding : padding + H, padding : padding + W].transpose(0, 3, 1, 2)
+        )
+
     def grad_fn(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * Hout * Wout, Cout)
         gw = (g2.T @ cols).reshape(Cout, C, KH, KW)
-        gcols = (g2 @ wmat).reshape(B, Hout, Wout, C, KH, KW).transpose(0, 3, 1, 2, 4, 5)
-        gxp = np.zeros_like(xp)
-        for i in range(KH):
-            for j in range(KW):
-                gxp[:, :, i : i + stride * Hout : stride, j : j + stride * Wout : stride] += (
-                    gcols[:, :, :, :, i, j]
-                )
-        gx = gxp[:, :, padding : padding + H, padding : padding + W]
-        grads = [gx, gw]
+        # no input gradient for a constant input (the log-mel into the first conv)
+        grads = [_col2im_2d(g2) if x._needs_graph() else None, gw]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2, 3)))
         return tuple(grads)

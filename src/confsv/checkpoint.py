@@ -22,12 +22,13 @@ import hashlib
 import json
 import math
 import struct
+import typing
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .util import ByteReader
 
 MAGIC = b"CFSVCKPT"
@@ -98,3 +99,31 @@ def content_hash(arrays: dict[str, np.ndarray]) -> str:
     """SHA-256 of the canonical array section (names sorted)."""
     ordered = {k: arrays[k] for k in sorted(arrays)}
     return hashlib.sha256(_array_section(ordered)).hexdigest()
+
+
+def meta_value(meta: dict, key: str, kind: type, path) -> typing.Any:
+    """`meta[key]`, which must be a `kind` (never a bool); else CheckpointError."""
+    value = meta.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise CheckpointError(f"{path}: metadata {key!r} is missing or not a {kind.__name__}")
+    return value
+
+
+def config_from_meta(cls: type, meta: dict, key: str, path) -> typing.Any:
+    """Dataclass `cls` built from the metadata object `meta[key]`.
+
+    A missing object, an unknown or missing field, a field of the wrong type
+    or a value the config rejects raises CheckpointError.
+    """
+    fields = meta_value(meta, key, dict, path)
+    hints = typing.get_type_hints(cls)
+    for name, value in fields.items():
+        want = hints.get(name)
+        if want is None:
+            raise CheckpointError(f"{path}: metadata {key!r} has unknown field {name!r}")
+        if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+            raise CheckpointError(f"{path}: metadata {key}.{name} is not a {want.__name__}")
+    try:
+        return cls(**fields)
+    except (TypeError, ConfigError) as e:  # a missing field, or a value out of range
+        raise CheckpointError(f"{path}: metadata {key!r} is not a valid config: {e}") from None

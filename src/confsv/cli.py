@@ -31,6 +31,7 @@ from .datapipe import (
 )
 from .errors import ConfigError, ConfsvError, DataError, NumericError
 from .scoring import (
+    ScoreCache,
     eer,
     load_embeddings,
     min_dcf,
@@ -150,16 +151,16 @@ def cmd_probe(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    meta, _ = ckpt.load_checkpoint(args.ckpt)
-    kind = meta.get("kind")
+    checkpoint = ckpt.load_checkpoint(args.ckpt)
+    kind = checkpoint[0].get("kind")
     if kind == "speaker":
-        model = load_speaker_model(args.ckpt)
+        model = load_speaker_model(args.ckpt, checkpoint)
         embed_fn = model.embed_utterance
     elif kind == "adaptation":
         if args.teacher is None:
             raise ConfigError("embedding with an adaptation checkpoint needs --teacher")
         backbone, _, _ = load_asr_model(args.teacher)
-        module = load_adaptation(args.ckpt, backbone, backbone.state_arrays())
+        module = load_adaptation(args.ckpt, backbone, backbone.state_arrays(), checkpoint)
         embed_fn = module.embed_utterance
     else:
         raise ConfigError(f"{args.ckpt}: cannot embed with checkpoint kind {kind!r}")
@@ -185,10 +186,12 @@ def _scored(args):
             picked = rng.choice(len(keys), size=args.cohort_size, replace=False)
             cohort = {keys[i]: cohort[keys[i]] for i in sorted(picked)}
 
+    cache = ScoreCache()  # the trials and the calibration trials share per-key work
+
     def chain(trial_list):
         if args.snorm:
-            return snorm_scores(store, trial_list, cohort, top_k=args.top_k)
-        return score_trials(store, trial_list)
+            return snorm_scores(store, trial_list, cohort, top_k=args.top_k, cache=cache)
+        return score_trials(store, trial_list, cache=cache)
 
     scores = chain(trials)
     if args.qmf:

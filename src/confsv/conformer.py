@@ -62,10 +62,6 @@ class EncoderConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        return cls(**d)
-
 
 # Encoder sizes used throughout: full-rate stacks and their half-depth,
 # half-rate counterparts.

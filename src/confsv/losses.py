@@ -1,8 +1,13 @@
 """Training objectives: margin softmax, CTC, and frame-level distillation.
 
-The CTC loss runs the forward algorithm in log space over the blank-extended
-label sequence; -1e30 stands in for log(0) so gradients through impossible
-states vanish cleanly instead of producing NaNs.
+The CTC loss of a batch is one autodiff op.  Its forward takes the log-softmax
+of the (B, T, V+1) logits and runs the alpha recursion in log space over the
+blank-extended label sequences of all items at once, the state axis padded to
+the longest target; its backward runs the beta recursion and returns the
+analytic gradient (softmax - state occupancy) * g / B (Graves et al., 2006).
+-1e30 stands in for log(0), so impossible and padded states carry no mass
+instead of producing NaNs.  The per-item losses are summed left to right and
+scaled by 1/B, the same float operations as a sum of per-item graphs.
 """
 
 from __future__ import annotations
@@ -84,6 +89,19 @@ def _min_ctc_frames(target: Sequence[int]) -> int:
     return len(target) + repeats
 
 
+def _check_ctc_target(target: Sequence[int], T: int, n_symbols: int) -> list[int]:
+    target = [int(t) for t in target]
+    if not target:
+        raise DataError("empty CTC target")
+    if any(t < 1 or t >= n_symbols for t in target):
+        raise IndexError(f"target symbols must lie in [1, {n_symbols - 1}]")
+    if T < _min_ctc_frames(target):
+        raise InfeasibleTargetError(
+            f"target needs >= {_min_ctc_frames(target)} frames, got {T}"
+        )
+    return target
+
+
 def ctc_loss(logits: Tensor, target: Sequence[int]) -> Tensor:
     """Negative log probability of all alignments of `target` in (T, V+1) logits.
 
@@ -92,61 +110,77 @@ def ctc_loss(logits: Tensor, target: Sequence[int]) -> Tensor:
     """
     if logits.ndim != 2:
         raise DimensionError(f"ctc_loss expects (T, V+1) logits, got {logits.shape}")
-    target = list(int(t) for t in target)
-    if not target:
-        raise DataError("empty CTC target")
-    T, n_symbols = logits.shape
-    if any(t < 1 or t >= n_symbols for t in target):
-        raise IndexError(f"target symbols must lie in [1, {n_symbols - 1}]")
-    if T < _min_ctc_frames(target):
-        raise InfeasibleTargetError(
-            f"target needs >= {_min_ctc_frames(target)} frames, got {T}"
-        )
-
-    ext = [BLANK]
-    for t in target:
-        ext.extend((t, BLANK))
-    ext_arr = np.asarray(ext)
-    S = len(ext)
-
-    logp = ad.log_softmax(logits, axis=-1)
-    # alpha over the extended sequence; only the first two states start live.
-    init = np.full(S, NEG)
-    init[: min(2, S)] = 0.0
-    alpha = ad.take(logp[0], ext_arr) + ad.tensor(init)
-
-    # skip transitions are illegal into blanks and into a repeat of the same label
-    skip_mask = np.full(S, NEG)
-    for i in range(2, S):
-        if ext[i] != BLANK and ext[i] != ext[i - 2]:
-            skip_mask[i] = 0.0
-    skip_mask_t = ad.tensor(skip_mask)
-    neg1 = ad.tensor(np.full(1, NEG))
-    neg2 = ad.tensor(np.full(2, NEG))
-
-    for t in range(1, T):
-        stay = alpha
-        step = ad.concat([neg1, alpha[: S - 1]])
-        if S > 2:
-            skip = ad.concat([neg2, alpha[: S - 2]]) + skip_mask_t
-            merged = ad.logaddexp(ad.logaddexp(stay, step), skip)
-        else:
-            merged = ad.logaddexp(stay, step)
-        alpha = merged + ad.take(logp[t], ext_arr)
-
-    total = ad.logaddexp(alpha[S - 1], alpha[S - 2]) if S >= 2 else alpha[S - 1]
-    return -total
+    return ctc_loss_batch(ad.reshape(logits, (1,) + logits.shape), [target])
 
 
 def ctc_loss_batch(logits: Tensor, targets: Sequence[Sequence[int]]) -> Tensor:
-    """Mean CTC loss over a batch of (B, T, V+1) logits."""
+    """Mean CTC loss over a batch of (B, T, V+1) logits, as one graph node.
+
+    The per-item losses are summed left to right and scaled by 1/B.
+    """
     if logits.ndim != 3 or len(targets) != logits.shape[0]:
         raise DimensionError("need (B, T, V+1) logits and one target per item")
-    losses = [ctc_loss(logits[b], targets[b]) for b in range(logits.shape[0])]
+    B, T, n_symbols = logits.shape
+    checked = [_check_ctc_target(t, T, n_symbols) for t in targets]
+
+    # blank-extended labels, padded with blanks to the longest; `live` marks
+    # each item's own states
+    S = 2 * max(len(t) for t in checked) + 1
+    ext = np.full((B, S), BLANK)
+    live = np.zeros((B, S), dtype=bool)
+    for b, t in enumerate(checked):
+        ext[b, 1 : 2 * len(t) : 2] = t
+        live[b, : 2 * len(t) + 1] = True
+    # skip transitions are illegal into blanks and into a repeat of the same label
+    skip_mask = np.full((B, S), NEG)
+    can_skip = (ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2]) & live[:, 2:]
+    skip_mask[:, 2:][can_skip] = 0.0
+    last = np.array([2 * len(t) for t in checked])
+    rows = np.arange(B)
+
+    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    emit = np.take_along_axis(logp, np.broadcast_to(ext[:, None, :], (B, T, S)), axis=-1)
+    emit = np.where(live[:, None, :], emit, NEG)
+
+    # alpha[t, b, s]: log mass of the prefixes ending in state s at frame t
+    alpha = np.empty((T, B, S))
+    init = np.full((B, S), NEG)
+    init[:, :2] = 0.0
+    alpha[0] = emit[:, 0] + init
+    neg = np.full((B, 2), NEG)  # log(0) shifted in at the sequence ends
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        step = np.concatenate([neg[:, :1], prev[:, :-1]], axis=1)
+        skip = np.concatenate([neg, prev[:, :-2]], axis=1) + skip_mask
+        alpha[t] = np.logaddexp(np.logaddexp(prev, step), skip) + emit[:, t]
+    log_total = np.logaddexp(alpha[-1, rows, last], alpha[-1, rows, last - 1])
+    losses = -log_total
     total = losses[0]
     for piece in losses[1:]:
         total = total + piece
-    return total * ad.tensor(1.0 / len(losses))
+    out = np.asarray(total * (1.0 / B))
+
+    def grad_fn(g):
+        # beta[t, b, s]: log mass of the suffixes after frame t from state s
+        beta = np.empty((T, B, S))
+        beta[-1] = NEG
+        beta[-1, rows, last] = 0.0
+        beta[-1, rows, last - 1] = 0.0
+        skip_from = np.concatenate([skip_mask[:, 2:], neg], axis=1)
+        for t in range(T - 2, -1, -1):
+            nxt = beta[t + 1] + emit[:, t + 1]
+            step = np.concatenate([nxt[:, 1:], neg[:, :1]], axis=1)
+            skip = np.concatenate([nxt[:, 2:], neg], axis=1) + skip_from
+            beta[t] = np.logaddexp(np.logaddexp(nxt, step), skip)
+        # state occupancy per frame, summed onto the symbol each state emits
+        gamma = np.exp(alpha + beta - log_total[None, :, None])
+        occupancy = np.zeros((B, T, n_symbols))
+        for b in range(B):
+            np.add.at(occupancy[b].T, ext[b][live[b]], gamma[:, b, live[b]].T)
+        return ((np.exp(logp) - occupancy) * (g / B),)
+
+    return ad._make(out, (logits,), grad_fn)
 
 
 def distill_kl_loss(student_logits: Tensor, teacher_logits: Union[Tensor, np.ndarray]) -> Tensor:

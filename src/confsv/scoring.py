@@ -8,10 +8,11 @@ minDCF sweeps every decision threshold including accept-all and reject-all.
 
 Trial lists reuse their embeddings many times, so the per-embedding work (the
 float64 copy and norm, the cohort top-k statistics, the quality features) is
-done once per key and a trial costs one 256-term dot product.  The cached
-paths run the same float operations in the same order as the one-trial
-functions `cosine_score`, `adapted_snorm` and `QmfModel.transform`, so both
-give bit-identical scores.
+done once per key and a trial costs one 256-term dot product; a `ScoreCache`
+carries that work from one trial list to the next.  The cached paths run the
+same float operations in the same order as the one-trial functions
+`cosine_score`, `adapted_snorm` and `QmfModel.transform`, so both give
+bit-identical scores.
 """
 
 from __future__ import annotations
@@ -365,10 +366,24 @@ def resolve_embedding(store: dict[str, np.ndarray], key: str) -> np.ndarray:
     return store[key].astype(np.float64)
 
 
-def _entries(store: dict[str, np.ndarray],
-             trials: TrialList) -> dict[str, tuple[np.ndarray, float]]:
+class ScoreCache:
+    """Per-key scoring work, kept across the trial lists of one store and cohort.
+
+    Pass the same cache to every `score_trials`/`snorm_scores` call over the
+    same store (and the same cohort and top_k); each key's float64 copy, norm
+    and cohort statistics are then computed once however many lists use it.
+    """
+
+    def __init__(self):
+        self.entries: dict[str, tuple[np.ndarray, float]] = {}
+        self.stats: dict[str, tuple[float, float]] = {}
+        self.cohort: Optional[np.ndarray] = None  # L2-normalised rows
+
+
+def _entries(store: dict[str, np.ndarray], trials: TrialList,
+             cache: ScoreCache) -> dict[str, tuple[np.ndarray, float]]:
     """Float64 copy and norm of every key the trials use, each computed once."""
-    out: dict[str, tuple[np.ndarray, float]] = {}
+    out = cache.entries
     for t in trials:
         for key in (t.enroll, t.test):
             if key not in out:
@@ -377,8 +392,9 @@ def _entries(store: dict[str, np.ndarray],
     return out
 
 
-def score_trials(store: dict[str, np.ndarray], trials: TrialList) -> np.ndarray:
-    entries = _entries(store, trials)
+def score_trials(store: dict[str, np.ndarray], trials: TrialList,
+                 cache: Optional[ScoreCache] = None) -> np.ndarray:
+    entries = _entries(store, trials, cache or ScoreCache())
     return np.array([_cosine(*entries[t.enroll], *entries[t.test]) for t in trials])
 
 
@@ -387,20 +403,25 @@ def snorm_scores(
     trials: TrialList,
     cohort: dict[str, np.ndarray],
     top_k: int,
+    cache: Optional[ScoreCache] = None,
 ) -> np.ndarray:
     """Adapted s-norm of every trial against a shared imposter cohort.
 
     Each key's top-k cohort statistics are computed once; a trial then costs a
     cosine score and a few float operations.
     """
+    cache = cache or ScoreCache()
     _check_cohort_size(top_k, len(cohort), len(cohort))
-    cohort_mat = np.stack([v.astype(np.float64) for v in cohort.values()])
-    norms = np.linalg.norm(cohort_mat, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise DegenerateEmbeddingError("cohort contains a zero embedding")
-    cohort_mat /= norms
-    entries = _entries(store, trials)
-    stats: dict[str, tuple[float, float]] = {}
+    if cache.cohort is None:
+        cohort_mat = np.stack([v.astype(np.float64) for v in cohort.values()])
+        norms = np.linalg.norm(cohort_mat, axis=1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise DegenerateEmbeddingError("cohort contains a zero embedding")
+        cohort_mat /= norms
+        cache.cohort = cohort_mat
+    cohort_mat = cache.cohort
+    entries = _entries(store, trials, cache)
+    stats = cache.stats
 
     def key_stats(key: str) -> tuple[float, float]:
         hit = stats.get(key)

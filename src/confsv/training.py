@@ -45,7 +45,7 @@ from .datapipe import (
     snr_estimate_db,
     speed_perturb,
 )
-from .errors import ConfigError
+from .errors import CheckpointError, ConfigError
 from .heads import SpeakerModel
 from .losses import (
     AamClassifier,
@@ -230,12 +230,12 @@ def save_speaker_checkpoint(path, model: SpeakerModel, run_cfg: RunConfig) -> No
     ckpt.save_checkpoint(path, meta, model.state_arrays())
 
 
-def load_speaker_model(path) -> SpeakerModel:
-    """The stored model, frozen."""
-    meta, arrays = ckpt.load_checkpoint(path)
+def load_speaker_model(path, checkpoint: Optional[tuple[dict, dict]] = None) -> SpeakerModel:
+    """The stored model, frozen; `checkpoint` is `path` already read, if it was."""
+    meta, arrays = checkpoint or ckpt.load_checkpoint(path)
     if meta.get("kind") != "speaker":
         raise ConfigError(f"{path}: not a speaker checkpoint")
-    model = SpeakerModel(EncoderConfig.from_dict(meta["encoder"]))
+    model = SpeakerModel(ckpt.config_from_meta(EncoderConfig, meta, "encoder", path))
     model.load_state_arrays(arrays)
     return model.set_trainable(False)
 
@@ -258,8 +258,11 @@ def load_asr_model(path) -> tuple[ConformerEncoder, CtcDecoder, dict]:
     meta, arrays = ckpt.load_checkpoint(path)
     if meta.get("kind") != "asr":
         raise ConfigError(f"{path}: not an ASR checkpoint")
-    encoder = ConformerEncoder(EncoderConfig.from_dict(meta["encoder"]))
-    decoder = CtcDecoder(encoder.cfg.dim, meta["vocab"])
+    encoder = ConformerEncoder(ckpt.config_from_meta(EncoderConfig, meta, "encoder", path))
+    vocab = ckpt.meta_value(meta, "vocab", int, path)
+    if vocab < 1:
+        raise CheckpointError(f"{path}: metadata 'vocab' must be >= 1, got {vocab}")
+    decoder = CtcDecoder(encoder.cfg.dim, vocab)
     encoder.load_state_arrays(
         {n[len("encoder."):]: a for n, a in arrays.items() if n.startswith("encoder.")}
     )

@@ -229,3 +229,58 @@ def test_ops_deterministic():
     r1 = ad.softmax(ad.tensor(x)) @ ad.tensor(x)
     r2 = ad.softmax(ad.tensor(x)) @ ad.tensor(x)
     np.testing.assert_array_equal(r1.data, r2.data)
+
+
+def scatter_conv2d_input_grad(x, weight, g, stride, padding):
+    """The strided col2im scatter that conv2d's backward used before the
+    channels-last rewrite; the bitwise reference for its input gradient."""
+    B, C, H, W = x.shape
+    Cout, _, KH, KW = weight.shape
+    Hout, Wout = g.shape[2:]
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * Hout * Wout, Cout)
+    gcols = (g2 @ weight.reshape(Cout, C * KH * KW)).reshape(B, Hout, Wout, C, KH, KW)
+    gcols = gcols.transpose(0, 3, 1, 2, 4, 5)
+    gxp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+    for i in range(KH):
+        for j in range(KW):
+            gxp[:, :, i : i + stride * Hout : stride, j : j + stride * Wout : stride] += (
+                gcols[:, :, :, :, i, j]
+            )
+    return gxp[:, :, padding : padding + H, padding : padding + W]
+
+
+class TestConvInputGradient:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("c_in", [1, 32])
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
+    def test_conv2d_matches_scatter_bitwise(self, stride, padding, c_in, kernel):
+        rng = np.random.default_rng(stride * 100 + padding * 10 + c_in + kernel[0])
+        x = ad.tensor(rng.normal(size=(3, c_in, 11, 9)), requires_grad=True)
+        w = ad.tensor(rng.normal(size=(5, c_in) + kernel), requires_grad=True)
+        out = ad.conv2d(x, w, None, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        gx = out._grad_fn(g)[0]
+        assert gx.flags.c_contiguous
+        assert np.array_equal(gx, scatter_conv2d_input_grad(x.data, w.data, g, stride, padding))
+
+    def test_conv2d_of_a_constant_input_skips_its_gradient(self):
+        rng = np.random.default_rng(3)
+        w = ad.tensor(rng.normal(size=(4, 1, 3, 3)), requires_grad=True)
+        b = ad.tensor(np.zeros(4), requires_grad=True)
+        out = ad.conv2d(ad.tensor(rng.normal(size=(2, 1, 7, 6))), w, b, stride=2)
+        gx, gw, gb = out._grad_fn(np.ones(out.shape))
+        assert gx is None and gw.shape == w.shape and gb.shape == (4,)
+
+    @pytest.mark.parametrize("c_in, groups, c_out", [(2, 1, 4), (2, 2, 2), (4, 2, 4)])
+    def test_conv1d_of_a_constant_input_skips_its_gradient(self, c_in, groups, c_out):
+        """Dense, depthwise and grouped: no input gradient, the same weight gradient."""
+        rng = np.random.default_rng(4)
+        w = ad.tensor(rng.normal(size=(c_out, c_in // groups, 3)), requires_grad=True)
+        x = rng.normal(size=(2, c_in, 8))
+        out = ad.conv1d(ad.tensor(x), w, None, stride=2, padding=1, groups=groups)
+        gx, gw = out._grad_fn(np.ones(out.shape))
+        assert gx is None
+        x_t = ad.tensor(x, requires_grad=True)
+        out_t = ad.conv1d(x_t, w, None, stride=2, padding=1, groups=groups)
+        assert np.array_equal(out_t._grad_fn(np.ones(out.shape))[1], gw)

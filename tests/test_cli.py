@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from confsv.checkpoint import load_checkpoint
+from confsv import checkpoint as ckpt
+from confsv.checkpoint import load_checkpoint, save_checkpoint
 from confsv.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from confsv.conformer import EncoderConfig
+from confsv.heads import SpeakerModel
 from confsv.scoring import save_embeddings
+from confsv.training import save_speaker_checkpoint
+
+from conftest import toy_run_config
 
 MINI_CONFIG = """
 [experiment]
@@ -184,6 +190,27 @@ class TestEmbedPipeline:
         assert code == EXIT_DATA
         assert not out.exists()
         assert "data error: " in capsys.readouterr().err
+
+    def test_speaker_checkpoint_without_encoder_exits_3(self, mini, tmp_path, capsys):
+        path = tmp_path / "bare.ckpt"
+        save_checkpoint(path, {"kind": "speaker"}, {})
+        out = tmp_path / "e.bin"
+        code = main(["embed", "--ckpt", str(path), "--manifest", str(mini["manifest"]),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert not out.exists()
+        assert "'encoder'" in capsys.readouterr().err
+
+    def test_embed_reads_the_checkpoint_once(self, mini, tmp_path, monkeypatch):
+        path = tmp_path / "speaker.ckpt"
+        model = SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7), seed=3)
+        save_speaker_checkpoint(path, model, toy_run_config())
+        reads = []
+        real = ckpt.load_checkpoint
+        monkeypatch.setattr(ckpt, "load_checkpoint", lambda p: reads.append(p) or real(p))
+        assert main(["embed", "--ckpt", str(path), "--manifest", str(mini["manifest"]),
+                     "--out", str(tmp_path / "e.bin")]) == EXIT_OK
+        assert reads == [str(path)]
 
     def test_adaptation_checkpoint_embeds_and_evaluates(self, mini, tmp_path):
         cfg = tmp_path / "adapt.cfg"

@@ -248,6 +248,40 @@ class TestCtc:
         lb = float(ctc_loss_batch(logits, [[1], [2, 3]]).data)
         assert abs(lb - 0.5 * (l0 + l1)) < 1e-12
 
+    # mixed lengths, repeats, and [1, 1, 1], which needs all T = 5 frames
+    MIXED = [[1], [2, 2], [3, 1, 2], [1, 1, 1], [2, 3, 2, 1]]
+
+    def test_mixed_batch_against_brute_force(self):
+        logits = np.random.default_rng(41).normal(size=(5, 5, 4)) * 2.0
+        expected = sum(brute_force_ctc(logits[b], t) for b, t in enumerate(self.MIXED)) / 5
+        got = float(ctc_loss_batch(ad.tensor(logits), self.MIXED).data)
+        assert abs(got - expected) < 1e-12
+
+    def test_mixed_batch_gradients(self):
+        logits = ad.tensor(np.random.default_rng(42).normal(size=(5, 5, 4)), requires_grad=True)
+        gradcheck(lambda: ctc_loss_batch(logits, self.MIXED), [logits])
+
+    def test_batch_is_one_node_summing_items_in_order(self):
+        logits = ad.tensor(np.random.default_rng(43).normal(size=(5, 5, 4)), requires_grad=True)
+        loss = ctc_loss_batch(logits, self.MIXED)
+        assert ad.topo_order(loss) == [logits, loss]
+        items = [ctc_loss(ad.tensor(logits.data[b]), t).data for b, t in enumerate(self.MIXED)]
+        total = items[0]
+        for item in items[1:]:
+            total = total + item
+        assert loss.data == total * (1.0 / 5)
+
+    def test_batch_checks_every_target(self):
+        logits = ad.tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(InfeasibleTargetError):
+            ctc_loss_batch(logits, [[1], [2, 2, 2]])
+        with pytest.raises(IndexError):
+            ctc_loss_batch(logits, [[4], [1]])
+        with pytest.raises(DataError):
+            ctc_loss_batch(logits, [[1], []])
+        with pytest.raises(DimensionError):
+            ctc_loss_batch(logits, [[1]])
+
 
 class TestDistillKl:
     def test_identical_logits_zero(self):

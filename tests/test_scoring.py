@@ -15,6 +15,7 @@ from confsv.errors import (
     TrialParseError,
 )
 from confsv.scoring import (
+    ScoreCache,
     ScoreRecord,
     Trial,
     TrialList,
@@ -416,6 +417,23 @@ class TestCachedScoring:
         for top_k in (2, 10, 25):
             got = snorm_scores(store, trials, cohort, top_k=top_k)
             assert got.tobytes() == per_trial_snorm(store, trials, cohort, top_k).tobytes()
+
+    def test_shared_cache_scores_each_list_bitwise_alike(self):
+        rng = np.random.default_rng(22)
+        store, trials = random_store_and_trials(rng, n_keys=12)
+        _, calib = random_store_and_trials(rng, n_keys=12)
+        cohort = {f"c{i}": rng.normal(size=256).astype(np.float32) for i in range(25)}
+        cache = ScoreCache()
+        for trial_list in (trials, calib):
+            got = snorm_scores(store, trial_list, cohort, top_k=10, cache=cache)
+            assert got.tobytes() == per_trial_snorm(store, trial_list, cohort, 10).tobytes()
+        assert set(cache.stats) == set(cache.entries) == set(store)
+        cache.stats = {key: (np.nan, np.nan) for key in cache.stats}  # poison: no recompute
+        assert np.isnan(snorm_scores(store, trials, cohort, top_k=10, cache=cache)).all()
+        plain = ScoreCache()
+        for trial_list in (trials, calib):
+            assert (score_trials(store, trial_list, cache=plain).tobytes()
+                    == score_trials(store, trial_list).tobytes())
 
     def test_empty_trial_list(self):
         store = {"a": np.ones(256, dtype=np.float32)}

@@ -1,13 +1,15 @@
 """Freezing and the optimizer: frozen parameters are constants to autodiff,
-loaders return frozen modules, and AdamW never applies a non-finite gradient."""
+loaders return frozen modules and reject incomplete metadata with a typed
+error, and AdamW never applies a non-finite gradient."""
 
 import numpy as np
 import pytest
 
 from confsv import autodiff as ad
+from confsv import checkpoint as ckpt
 from confsv.adaptation import SpeakerAdaptation, load_adaptation, save_adaptation
 from confsv.conformer import EncoderConfig
-from confsv.errors import NumericError
+from confsv.errors import CheckpointError, NumericError
 from confsv.heads import SpeakerModel
 from confsv.losses import AamClassifier, CtcDecoder, aam_softmax_loss
 from confsv.nn import Parameter, seed_parameters
@@ -100,6 +102,83 @@ class TestLoadersReturnFrozenModules:
         assert frozen(loaded) and frozen(loaded.backbone)
         feats = np.random.default_rng(13).normal(size=(80, 24))
         assert loaded.embed_utterance(feats).tobytes() == module.embed_utterance(feats).tobytes()
+
+
+def _rewrite_meta(path, edit):
+    meta, arrays = ckpt.load_checkpoint(path)
+    edit(meta)
+    ckpt.save_checkpoint(path, meta, arrays)
+
+
+def _set(key, value, inner=None):
+    def edit(meta):
+        (meta[inner] if inner else meta)[key] = value
+    return edit
+
+
+def _drop(key, inner=None):
+    def edit(meta):
+        del (meta[inner] if inner else meta)[key]
+    return edit
+
+
+ENCODER_META_EDITS = [
+    _drop("encoder"),
+    _set("encoder", "small"),
+    _drop("layers", "encoder"),
+    _set("layers", "1", "encoder"),
+    _set("layers", 1.0, "encoder"),
+    _set("dropout", True, "encoder"),
+    _set("width", 8, "encoder"),
+    _set("heads", 3, "encoder"),  # does not divide dim 8
+]
+
+
+class TestIncompleteMetadata:
+    """A missing or ill-typed metadata key is a CheckpointError, not a KeyError."""
+
+    @pytest.mark.parametrize("edit", ENCODER_META_EDITS)
+    def test_speaker_model(self, tmp_path, edit):
+        path = tmp_path / "speaker.ckpt"
+        save_speaker_checkpoint(path, SpeakerModel(ENCODER, seed=7), toy_run_config())
+        _rewrite_meta(path, edit)
+        with pytest.raises(CheckpointError):
+            load_speaker_model(path)
+
+    @pytest.mark.parametrize("edit", ENCODER_META_EDITS + [
+        _drop("vocab"), _set("vocab", "6"), _set("vocab", True), _set("vocab", 0),
+    ])
+    def test_asr_model(self, tmp_path, edit):
+        path = tmp_path / "asr.ckpt"
+        save_asr_checkpoint(path, SpeakerModel(ENCODER, seed=9).encoder,
+                            CtcDecoder(ENCODER.dim, 6), toy_run_config())
+        _rewrite_meta(path, edit)
+        with pytest.raises(CheckpointError):
+            load_asr_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        _drop("backbone_hash"), _set("backbone_hash", 7), _drop("config"),
+        _set("config", [1]), _drop("variant", "config"), _set("variant", "V9", "config"),
+        _set("adapted_layers", "1", "config"), _set("dropout", None, "config"),
+    ])
+    def test_adaptation(self, tmp_path, edit):
+        backbone = toy_backbone()
+        module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=12)
+        path = tmp_path / "adapt.ckpt"
+        save_adaptation(path, module, backbone.state_arrays())
+        _rewrite_meta(path, edit)
+        with pytest.raises(CheckpointError):
+            load_adaptation(path, backbone, backbone.state_arrays())
+
+    def test_already_read_checkpoint_is_not_read_again(self, tmp_path):
+        path = tmp_path / "speaker.ckpt"
+        model = SpeakerModel(ENCODER, seed=7)
+        save_speaker_checkpoint(path, model, toy_run_config())
+        checkpoint = ckpt.load_checkpoint(path)
+        path.unlink()
+        loaded = load_speaker_model(path, checkpoint)
+        feats = np.random.default_rng(8).normal(size=(80, 30))
+        assert loaded.embed_utterance(feats).tobytes() == model.embed_utterance(feats).tobytes()
 
 
 class TestAdamW:
