@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .util import ByteReader
+from .util import ByteReader, write_atomic
 
 MAGIC = b"CFSVCKPT"
 VERSION = 1
@@ -51,13 +51,10 @@ def _array_section(arrays: dict[str, np.ndarray]) -> bytes:
 
 
 def save_checkpoint(path: Union[str, Path], meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write a checkpoint through `write_atomic`: a failed save keeps the old file."""
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(meta_bytes)))
-        f.write(meta_bytes)
-        f.write(_array_section(arrays))
+    write_atomic(path, b"".join([MAGIC, struct.pack("<II", VERSION, len(meta_bytes)),
+                                 meta_bytes, _array_section(arrays)]))
 
 
 def load_checkpoint(path: Union[str, Path]) -> tuple[dict, dict[str, np.ndarray]]:

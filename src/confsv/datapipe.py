@@ -460,10 +460,17 @@ def write_wav(path: Union[str, Path], waveform: np.ndarray, fs: int = SAMPLE_RAT
 
 
 def read_wav(path: Union[str, Path]) -> np.ndarray:
-    with wave_mod.open(str(path), "rb") as f:
-        if f.getnchannels() != 1 or f.getsampwidth() != 2 or f.getframerate() != SAMPLE_RATE:
-            raise DataError(f"{path}: expected 16-bit mono {SAMPLE_RATE} Hz WAV")
-        raw = f.readframes(f.getnframes())
+    """Samples of a 16-bit mono WAV; a missing, malformed or truncated file raises DataError."""
+    try:
+        with wave_mod.open(str(path), "rb") as f:
+            if f.getnchannels() != 1 or f.getsampwidth() != 2 or f.getframerate() != SAMPLE_RATE:
+                raise DataError(f"{path}: expected 16-bit mono {SAMPLE_RATE} Hz WAV")
+            n_frames = f.getnframes()
+            raw = f.readframes(n_frames)
+    except (OSError, EOFError, wave_mod.Error) as e:
+        raise DataError(f"{path}: cannot read WAV: {e}") from None
+    if len(raw) != 2 * n_frames:
+        raise DataError(f"{path}: truncated WAV: {len(raw)} of {2 * n_frames} data bytes")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 

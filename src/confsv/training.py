@@ -4,16 +4,24 @@ ASR pretraining, speaker training (scratch, pretrained-init with a frozen
 warm-up, distillation), large-margin fine-tuning and adaptation all run in
 `_train_epochs`: shuffled batches, one backward and one AdamW step per batch
 under a cosine lr schedule, and one loss.csv row per epoch.  Each strategy
-supplies only its batch source, its loss and its schedule.
+supplies only its item builder, its loss and its schedule.
+
+A training command reads one stream of batches: a `_batch_plan` of item keys
+per batch, mapped through `util.map_batches`, which with CONFSV_THREADS > 1
+builds the next batch's items on worker threads while the current batch
+trains.  `train_speaker` keeps one stream across its frozen, full and LMFT
+phases, so a phase's first batch is built while the previous phase ends.
 
 Everything is a deterministic function of (config, seed): corpus order,
 crops, augmentation draws, dropout masks, and parameter init all derive from
-named seed streams.  Two runs of the same config produce byte-identical loss
-logs and checkpoints.
+named seed streams, and each item draws only from its own, so nothing depends
+on which thread builds it.  Two runs of the same config produce byte-identical
+loss logs and checkpoints at any worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,9 +44,9 @@ from .conformer import ConformerEncoder, EncoderConfig
 from .datapipe import (
     SPEED_FACTORS,
     ManifestEntry,
-    Utterance,
     augment_onthefly,
     crop,
+    expand_speed_labels,
     load_utterance,
     log_mel,
     read_manifest,
@@ -58,7 +66,7 @@ from .losses import (
 )
 from .nn import Module, Parameter, seed_parameters
 from .scoring import resolve_embedding
-from .util import check_finite, parallel_map, rng_for
+from .util import check_finite, map_batches, parallel_map, rng_for, write_atomic
 
 
 class AdamW:
@@ -114,38 +122,53 @@ def build_items(entries: Sequence[ManifestEntry], use_speed: bool) -> tuple[list
     """
     items = [DatasetItem(e, 1.0) for e in entries]
     speakers = sorted({e.speaker_id for e in entries})
-    labels = {s: i for i, s in enumerate(speakers)}
     if use_speed:
         for f in SPEED_FACTORS:
             items.extend(DatasetItem(e, f) for e in entries)
-            for s in speakers:
-                labels[f"{s}@sp{f}"] = len(labels)
-    return items, labels
+        speakers = expand_speed_labels(speakers)
+    return items, {s: i for i, s in enumerate(speakers)}
 
 
-def _item_utterance(manifest_path, item: DatasetItem) -> Utterance:
-    utt = load_utterance(manifest_path, item.entry)
-    if item.speed != 1.0:
-        utt = speed_perturb(utt, item.speed)
-    return utt
+def _batch_plan(cfg: RunConfig, n_items: int, epochs: range, order_stream: str, *extra):
+    """The item keys `(epoch, index, *extra)` of each batch of `epochs`.
+
+    Each epoch walks the `order_stream` permutation of its items in batches
+    of `cfg.batch_size`; the last batch of an epoch may be short.
+    """
+    for epoch in epochs:
+        order = rng_for(cfg.seed, order_stream, epoch).permutation(n_items)
+        for start in range(0, n_items, cfg.batch_size):
+            yield [(epoch, int(idx), *extra) for idx in order[start:start + cfg.batch_size]]
 
 
-def _speaker_batch(manifest_path, items, order, labels, cfg: RunConfig, epoch: int,
-                   start: int, size: int, crop_seconds: float, augment: bool):
-    feats, ys = [], []
-    for j in range(start, min(start + size, len(order))):
-        idx = int(order[j])
+def _speaker_item(manifest_path, items: Sequence[DatasetItem], labels: dict[str, int],
+                  cfg: RunConfig):
+    """Builder of one training crop from its key: log-mel (T, 80) and label id.
+
+    An item is loaded, speed-perturbed, augmented, cropped and featurised with
+    draws from its own `("item", epoch, index)` seed stream only, so it comes
+    out the same whichever thread builds it and whatever was built before.
+    """
+
+    def build(key):
+        epoch, idx, crop_seconds = key
         item = items[idx]
-        utt = _item_utterance(manifest_path, item)
+        utt = load_utterance(manifest_path, item.entry)
+        label = item.entry.speaker_id
+        if item.speed != 1.0:
+            utt = speed_perturb(utt, item.speed)
+            label = f"{label}@sp{item.speed}"
         rng = rng_for(cfg.seed, "item", epoch, idx)
-        if augment and cfg.augment_prob > 0:
+        if cfg.augment_prob > 0:
             utt = augment_onthefly(utt, cfg.augment_prob, rng)
         utt = crop(utt, crop_seconds, rng)
-        feats.append(log_mel(utt.waveform).T)
-        label_key = item.entry.speaker_id if item.speed == 1.0 else (
-            f"{item.entry.speaker_id}@sp{item.speed}"
-        )
-        ys.append(labels[label_key])
+        return log_mel(utt.waveform).T, labels[label]
+
+    return build
+
+
+def _stack_speaker_batch(built: list[tuple[np.ndarray, int]]) -> tuple[ad.Tensor, np.ndarray]:
+    feats, ys = zip(*built)
     return ad.tensor(np.stack(feats)), np.array(ys, dtype=np.int64)
 
 
@@ -153,7 +176,7 @@ def _write_loss_csv(path: Path, header: list[str], rows: list[list[float]]) -> N
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 class _TrainableSet:
@@ -178,31 +201,30 @@ class _TrainableSet:
 
 
 def _train_epochs(cfg: RunConfig, trainset: _TrainableSet, opt: AdamW, n_items: int,
-                  epochs: range, schedule: tuple[int, float, float], streams: tuple[str, str],
-                  batch_at, loss_of, step: int = 0) -> tuple[list[list[float]], int]:
+                  epochs: range, schedule: tuple[int, float, float], dropout_stream: str,
+                  batches, loss_of, step: int = 0) -> tuple[list[list[float]], int]:
     """The training loop shared by every strategy.
 
-    Each epoch draws an item order from the `streams[0]` seed stream and walks
-    it in batches: `batch_at(order, epoch, start)` builds a batch and
-    `loss_of(batch, rng)` returns the loss tensor and the extra loss.csv
-    columns, with `rng` keyed by `streams[1]` and the step.  One backward and
-    one AdamW step follow, at the `cosine_lr` of `schedule` = (epochs, warmup
-    epochs, base lr); a schedule may span several calls, joined by `step`.
-    Returns one row per epoch (the epoch number, then the mean of the loss and
-    of each extra column) and the step after the last.
+    Each epoch takes its ceil(n_items / batch size) batches from the
+    `batches` iterator, which the caller builds from a `_batch_plan` through
+    `util.map_batches` and may share across calls, so that the next batch is
+    built while this one trains.  `loss_of(batch, rng)` returns the loss
+    tensor and the extra loss.csv columns, with `rng` keyed by
+    `dropout_stream` and the step.  One backward and one AdamW step follow,
+    at the `cosine_lr` of `schedule` = (epochs, warmup epochs, base lr); a
+    schedule may span several calls, joined by `step`.  Returns one row per
+    epoch (the epoch number, then the mean of the loss and of each extra
+    column) and the step after the last.
     """
     steps_per_epoch = math.ceil(n_items / cfg.batch_size)
     schedule_epochs, warmup_epochs, base_lr = schedule
     total, warmup = steps_per_epoch * schedule_epochs, round(steps_per_epoch * warmup_epochs)
-    order_stream, dropout_stream = streams
     rows = []
     for epoch in epochs:
-        order = rng_for(cfg.seed, order_stream, epoch).permutation(n_items)
         for module in trainset.modules.values():
             module.train_mode()
         columns = []
-        for start in range(0, n_items, cfg.batch_size):
-            batch = batch_at(order, epoch, start)
+        for batch in itertools.islice(batches, steps_per_epoch):
             loss, extra = loss_of(batch, rng_for(cfg.seed, dropout_stream, step))
             value = float(check_finite(loss.data, "training loss"))
             trainset.zero_grad()
@@ -213,16 +235,6 @@ def _train_epochs(cfg: RunConfig, trainset: _TrainableSet, opt: AdamW, n_items: 
         # means over 1-D lists, one per column, keep the summation order fixed
         rows.append([epoch] + [float(np.mean(column)) for column in zip(*columns)])
     return rows, step
-
-
-def _speaker_batches(manifest_path, items, labels, cfg: RunConfig, crop_seconds: float):
-    """Batch source over `items`: cropped, augmented log-mel and label ids."""
-
-    def batch_at(order, epoch, start):
-        return _speaker_batch(manifest_path, items, order, labels, cfg, epoch, start,
-                              cfg.batch_size, crop_seconds, augment=cfg.augment_prob > 0)
-
-    return batch_at
 
 
 def save_speaker_checkpoint(path, model: SpeakerModel, run_cfg: RunConfig) -> None:
@@ -286,9 +298,11 @@ def pretrain_asr(cfg: RunConfig, manifest_path, out_dir) -> Path:
     seed_parameters(decoder, cfg.seed, scope="asr_decoder")
     n = len(entries)
 
-    def asr_batch(order, epoch, start):
-        utts = [load_utterance(manifest_path, entries[int(order[j])])
-                for j in range(start, min(start + cfg.batch_size, n))]
+    def load(key):
+        return load_utterance(manifest_path, entries[key[1]])
+
+    def asr_batch(utts):
+        # log-mel of each utterance zero-padded to the batch maximum
         max_len = max(u.n_samples for u in utts)
         feats = np.stack(
             [log_mel(np.pad(u.waveform, (0, max_len - u.n_samples))).T for u in utts]
@@ -299,11 +313,13 @@ def pretrain_asr(cfg: RunConfig, manifest_path, out_dir) -> Path:
         feats, targets = batch
         return ctc_loss_batch(decoder(encoder(feats, rng)[-1]), targets), []
 
-    rows, _ = _train_epochs(
-        cfg, _TrainableSet(encoder=encoder, decoder=decoder), AdamW(cfg.weight_decay), n,
-        range(cfg.epochs), (cfg.epochs, cfg.warmup_epochs, cfg.lr), ("asr_order", "asr_dropout"),
-        asr_batch, ctc_loss_of,
-    )
+    plan = _batch_plan(cfg, n, range(cfg.epochs), "asr_order")
+    with map_batches(load, plan) as loaded:
+        rows, _ = _train_epochs(
+            cfg, _TrainableSet(encoder=encoder, decoder=decoder), AdamW(cfg.weight_decay), n,
+            range(cfg.epochs), (cfg.epochs, cfg.warmup_epochs, cfg.lr), "asr_dropout",
+            map(asr_batch, loaded), ctc_loss_of,
+        )
     _write_loss_csv(out_dir / "asr_loss.csv", ["epoch", "loss"], rows)
     path = out_dir / "asr.ckpt"
     save_asr_checkpoint(path, encoder, decoder, cfg)
@@ -388,31 +404,37 @@ def train_speaker(
 
         return loss_of
 
-    # one step counter and one cosine schedule across the frozen and full phases
-    rows, step, epoch = [], 0, 0
-    for phase in phases:
-        trainset.set_phase(phase.scope)
-        phase_rows, step = _train_epochs(
-            cfg, trainset, opt, len(items), range(epoch, epoch + phase.epochs),
-            (cfg.epochs, cfg.warmup_epochs, cfg.lr), ("order", "dropout"),
-            _speaker_batches(manifest_path, items, labels, cfg, cfg.crop_seconds),
-            speaker_loss(cfg.aam_margin, student_decoder is not None), step,
-        )
-        rows += phase_rows
-        epoch += phase.epochs
-
+    # One batch stream for the whole command, so the first batch of a phase
+    # is built while the last one of the previous phase trains.  The frozen
+    # and full phases share the "order" stream and one cosine schedule; LMFT
+    # is a long-crop, large-margin refinement on the original (unperturbed)
+    # items, which `build_items` puts first, with its own streams and step
+    # count, and epoch numbers continue.
+    plan = _batch_plan(cfg, len(items), range(cfg.epochs), "order", cfg.crop_seconds)
+    lmft_epochs = range(cfg.epochs, cfg.epochs + cfg.lmft_epochs)
     if cfg.lmft:
-        # long-crop, large-margin refinement on the original (unperturbed) items:
-        # its own streams and step count, epoch numbers continue
-        trainset.set_phase("all")
-        originals = [DatasetItem(e, 1.0) for e in entries]
-        lmft_rows, _ = _train_epochs(
-            cfg, trainset, opt, len(originals), range(epoch, epoch + cfg.lmft_epochs),
-            (cfg.lmft_epochs, 0, cfg.lr * 0.1), ("lmft_order", "lmft_dropout"),
-            _speaker_batches(manifest_path, originals, labels, cfg, cfg.lmft_crop_seconds),
-            speaker_loss(cfg.lmft_margin, False),
-        )
-        rows += lmft_rows
+        plan = itertools.chain(plan, _batch_plan(cfg, len(entries), lmft_epochs, "lmft_order",
+                                                 cfg.lmft_crop_seconds))
+    rows, step, epoch = [], 0, 0
+    with map_batches(_speaker_item(manifest_path, items, labels, cfg), plan) as built:
+        batches = map(_stack_speaker_batch, built)
+        for phase in phases:
+            trainset.set_phase(phase.scope)
+            phase_rows, step = _train_epochs(
+                cfg, trainset, opt, len(items), range(epoch, epoch + phase.epochs),
+                (cfg.epochs, cfg.warmup_epochs, cfg.lr), "dropout", batches,
+                speaker_loss(cfg.aam_margin, student_decoder is not None), step,
+            )
+            rows += phase_rows
+            epoch += phase.epochs
+        if cfg.lmft:
+            trainset.set_phase("all")
+            lmft_rows, _ = _train_epochs(
+                cfg, trainset, opt, len(entries), lmft_epochs,
+                (cfg.lmft_epochs, 0, cfg.lr * 0.1), "lmft_dropout", batches,
+                speaker_loss(cfg.lmft_margin, False),
+            )
+            rows += lmft_rows
 
     header = ["epoch", "loss"] + (["loss_spk", "loss_distill"] if distilling else [])
     _write_loss_csv(out_dir / "loss.csv", header, rows)
@@ -443,12 +465,14 @@ def train_adaptation(cfg: RunConfig, manifest_path, backbone_ckpt, out_dir) -> P
         return aam_softmax_loss(module(mel, rng), ys, classifier, cfg.aam_scale,
                                 cfg.aam_margin), []
 
-    rows, _ = _train_epochs(
-        cfg, _TrainableSet(adaptation=module, classifier=classifier), AdamW(cfg.weight_decay),
-        len(items), range(cfg.epochs), (cfg.epochs, cfg.warmup_epochs, cfg.lr),
-        ("order", "dropout"),
-        _speaker_batches(manifest_path, items, labels, cfg, cfg.crop_seconds), aam_loss_of,
-    )
+    plan = _batch_plan(cfg, len(items), range(cfg.epochs), "order", cfg.crop_seconds)
+    with map_batches(_speaker_item(manifest_path, items, labels, cfg), plan) as built:
+        rows, _ = _train_epochs(
+            cfg, _TrainableSet(adaptation=module, classifier=classifier),
+            AdamW(cfg.weight_decay), len(items), range(cfg.epochs),
+            (cfg.epochs, cfg.warmup_epochs, cfg.lr), "dropout",
+            map(_stack_speaker_batch, built), aam_loss_of,
+        )
     _write_loss_csv(out_dir / "loss.csv", ["epoch", "loss"], rows)
     path = out_dir / "adaptation.ckpt"
     save_adaptation(path, module, backbone.state_arrays())

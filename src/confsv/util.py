@@ -14,8 +14,9 @@ import secrets
 import stat
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -49,17 +50,46 @@ def worker_count() -> int:
     return max(1, min(n, os.cpu_count() or 1))
 
 
-def parallel_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """Order-preserving map over stateless work items.
+@contextmanager
+def map_batches(fn: Callable[[T], U], batches: Iterable[Sequence[T]]) -> Iterator[Iterator[list[U]]]:
+    """Map `fn` over the items of each batch, in order, at most one batch ahead.
 
-    Runs serially unless CONFSV_THREADS asks for more workers.  Results do not
-    depend on the worker count because each item is processed independently.
+    The context yields an iterator over the batches' result lists.  It runs
+    serially unless CONFSV_THREADS asks for more workers; then one pool of
+    that many threads builds the items of batch k+1 while the caller works on
+    batch k, and no item of batch k+2 starts before the caller asks for batch
+    k+1.  Results do not depend on the worker count because each item is
+    processed independently.  A failing item raises when its batch is asked
+    for, the first failure in batch order, as it would serially.  Leaving the
+    context cancels queued items and waits for running ones, so no worker
+    outlives it.
     """
     n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    if n <= 1:
+        yield ([fn(x) for x in batch] for batch in batches)
+        return
+    pool = ThreadPoolExecutor(max_workers=n)
+
+    def ahead():
+        pending = None
+        for batch in batches:
+            submitted = [pool.submit(fn, x) for x in batch]
+            if pending is not None:
+                yield [f.result() for f in pending]
+            pending = submitted
+        if pending is not None:
+            yield [f.result() for f in pending]
+
+    try:
+        yield ahead()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def parallel_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
+    """Order-preserving map over stateless work items: one batch of `map_batches`."""
+    with map_batches(fn, [items]) as results:
+        return next(results)
 
 
 def write_atomic(path: Union[str, Path], data: bytes) -> None:

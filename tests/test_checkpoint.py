@@ -1,6 +1,7 @@
 """Checkpoint container: bit-exact round trips, validation, content hashing."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -133,3 +134,18 @@ def test_content_hash_tracks_values_not_metadata():
     assert content_hash(a) == content_hash(b)
     b["w"] = b["w"] + 1e-12
     assert content_hash(a) != content_hash(b)
+
+
+def test_failed_save_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, {"kind": "old"}, {"w": np.zeros(3)})
+    old = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"kind": "new"}, {"w": np.ones(3)})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]

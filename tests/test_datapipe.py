@@ -280,6 +280,16 @@ class TestIO:
         back = read_wav(path)
         np.testing.assert_allclose(back, wave, atol=1.0 / 32768.0)
 
+    @pytest.mark.parametrize("cut", [0, 10, 30, 44, 45, 1001, 7999])
+    def test_missing_or_truncated_wav_is_a_data_error(self, tmp_path, cut):
+        path = tmp_path / "x.wav"
+        write_wav(path, np.zeros(4000))
+        path.write_bytes(path.read_bytes()[:cut])  # the header alone is 44 bytes
+        with pytest.raises(DataError, match="x.wav"):
+            read_wav(path)
+        with pytest.raises(DataError, match="missing.wav"):
+            read_wav(tmp_path / "missing.wav")
+
     def test_corpus_manifest_round_trip(self, tmp_path):
         corpus = synth_corpus(3, 2, seed=24)
         manifest = write_corpus(corpus, tmp_path)
@@ -307,16 +317,17 @@ def test_training_batches_deterministic(tmp_path):
     """Same (seed, epoch, index) yields bit-identical batches across processes."""
     from confsv.config import RunConfig
     from confsv.conformer import EncoderConfig
-    from confsv.training import _speaker_batch, build_items
+    from confsv.training import _speaker_item, _stack_speaker_batch, build_items
+    from confsv.util import map_batches
 
     manifest = write_corpus(synth_corpus(3, 4, seed=6), tmp_path)
     entries = read_manifest(manifest)
     items, labels = build_items(entries, use_speed=True)
     cfg = RunConfig(seed=42, encoder=EncoderConfig(1, 16, 4, 32, conv_kernel=7),
                     batch_size=6, augment_prob=0.6)
-    order = np.arange(len(items))
-    a_feats, a_labels = _speaker_batch(manifest, items, order, labels, cfg, 1, 0, 6, 2.0, True)
-    b_feats, b_labels = _speaker_batch(manifest, items, order, labels, cfg, 1, 0, 6, 2.0, True)
+    keys = [(1, idx, 2.0) for idx in range(6)]
+    with map_batches(_speaker_item(manifest, items, labels, cfg), [keys, keys]) as built:
+        (a_feats, a_labels), (b_feats, b_labels) = map(_stack_speaker_batch, built)
     np.testing.assert_array_equal(a_feats.data, b_feats.data)
     np.testing.assert_array_equal(a_labels, b_labels)
 

@@ -2,6 +2,8 @@
 loaders return frozen modules and reject incomplete metadata with a typed
 error, and AdamW never applies a non-finite gradient."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from confsv.nn import Parameter, seed_parameters
 from confsv.training import (
     AdamW,
     _TrainableSet,
+    _write_loss_csv,
     load_asr_model,
     load_speaker_model,
     save_asr_checkpoint,
@@ -199,3 +202,18 @@ class TestAdamW:
         params[1].grad[0, 1] = np.inf
         with pytest.raises(NumericError):
             opt.step(named, 1e-2)
+
+
+def test_failed_loss_csv_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "loss.csv"
+    _write_loss_csv(path, ["epoch", "loss"], [[0, 1.5]])
+    assert path.read_bytes() == b"epoch,loss\n0,1.5\n"
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        _write_loss_csv(path, ["epoch", "loss"], [[0, 1.5], [1, 0.25]])
+    assert path.read_bytes() == b"epoch,loss\n0,1.5\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["loss.csv"]

@@ -2,10 +2,20 @@
 
 import os
 import stat
+import threading
+import time
 
 import numpy as np
+import pytest
 
-from confsv.util import parallel_map, rng_for, stable_seed, worker_count, write_atomic
+from confsv.util import (
+    map_batches,
+    parallel_map,
+    rng_for,
+    stable_seed,
+    worker_count,
+    write_atomic,
+)
 
 
 def test_stable_seed_is_process_independent():
@@ -32,6 +42,56 @@ def test_parallel_map_matches_serial(monkeypatch):
     assert worker_count() == 3
     threaded = parallel_map(fn, items)
     assert serial == threaded == [fn(x) for x in items]
+
+
+def _pin_threads(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("CONFSV_THREADS", str(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_map_batches_builds_at_most_one_batch_ahead(monkeypatch, n):
+    _pin_threads(monkeypatch, n)
+    batches = [[(k, i) for i in range(3 + k % 2)] for k in range(6)]
+    started = [threading.Event() for _ in batches]
+    threads = set()
+    lock = threading.Lock()
+
+    def build(key):
+        with lock:
+            threads.add(threading.get_ident())
+        started[key[0]].set()
+        return key
+
+    with map_batches(build, batches) as results:
+        for k, result in enumerate(results):
+            assert result == batches[k]
+            if n > 1 and k + 1 < len(batches):
+                assert started[k + 1].wait(timeout=10)  # built while batch k is consumed
+            time.sleep(0.02)  # time for a worker that would run further ahead
+            assert not any(e.is_set() for e in started[k + 1 + (n > 1):])
+    assert all(e.is_set() for e in started)
+    assert len(threads) <= n
+    if n == 1:
+        assert threads == {threading.get_ident()}
+
+
+def test_map_batches_raises_the_first_failure_in_batch_order_and_stops_its_workers(monkeypatch):
+    _pin_threads(monkeypatch, 2)
+
+    def build(x):
+        if x == 5:
+            time.sleep(0.05)  # item 6 fails first in time
+        if x in (5, 6):
+            raise ValueError(f"item {x}")
+        return x
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="item 5"):
+        with map_batches(build, [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]) as results:
+            assert next(results) == [0, 1, 2, 3]
+            next(results)
+    assert threading.active_count() == before
 
 
 def test_worker_count_defaults_to_serial(monkeypatch):
