@@ -5,29 +5,26 @@ pretrained initialization with a freeze-then-finetune schedule, frame-level
 CTC-logit distillation, and a frozen-backbone speaker adaptation module.
 Includes the full training recipe, scoring/calibration stack, and a
 parameter/MACs accounting subsystem.
+
+The Python API is the module classes, one path per job: `ConformerEncoder`
+(its `encode` gives per-block feature maps), then `MfaAggregator`,
+`AttentiveStatsPooling` and `EmbeddingHead`, composed as `SpeakerModel`; or
+`SpeakerAdaptation` on a frozen encoder.  Both embed one utterance with
+`embed_utterance`.  Every name re-exported below is used inside the package,
+except three one-trial references the tests compare the batched paths
+against (`cosine_score`, `adapted_snorm`, `ctc_loss`).
 """
 
 from .adaptation import (
     AdaptationConfig,
     LayerAdaptor,
     SpeakerAdaptation,
-    adaptation_forward,
-    apply_layer_adaptor,
-    build_adaptation,
     freeze_schedule,
     linear_probe,
     truncate_encoder,
 )
-from .autodiff import Tensor, backward, depthwise_conv1d, layer_norm, matmul, softmax, tensor
-from .conformer import (
-    ENCODER_PRESETS,
-    ConformerBlock,
-    ConformerEncoder,
-    EncoderConfig,
-    FeatureMap,
-    conv_subsample,
-    encoder_forward,
-)
+from .autodiff import Tensor, backward, layer_norm, matmul, softmax, tensor
+from .conformer import ENCODER_PRESETS, ConformerBlock, ConformerEncoder, EncoderConfig, FeatureMap
 from .accounting import CountReport, count_adaptation_params, count_params, estimate_macs
 from .datapipe import (
     Corpus,
@@ -41,15 +38,7 @@ from .datapipe import (
     speed_perturb,
     synth_corpus,
 )
-from .heads import (
-    AttentiveStatsPooling,
-    EmbeddingHead,
-    MfaFeature,
-    SpeakerModel,
-    attentive_stats_pool,
-    embed,
-    mfa_concat,
-)
+from .heads import AttentiveStatsPooling, EmbeddingHead, MfaAggregator, SpeakerModel
 from .losses import (
     AamClassifier,
     CtcDecoder,
@@ -67,7 +56,6 @@ from .scoring import (
     eer,
     min_dcf,
     parse_trials,
-    qmf_apply,
     qmf_fit,
 )
 

@@ -95,10 +95,6 @@ def norm_params(dim: int) -> int:
     return 2 * dim
 
 
-def matmul_macs(m: int, k: int, n: int) -> int:
-    return m * k * n
-
-
 # -- structural blocks -----------------------------------------------------------
 
 

@@ -26,7 +26,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from .autodiff import Tensor
 from .conformer import ConformerBlock, ConformerEncoder, EncoderConfig
-from .errors import CheckpointError, ConfigError, DegenerateLabelsError, DimensionError
+from .errors import CheckpointError, ConfigError, DegenerateLabelsError
 from .heads import AttentiveStatsPooling, EmbeddingHead, MfaAggregator
 from .nn import LayerNorm, Linear, Module, ModuleList, seed_parameters
 from .util import rng_for
@@ -87,18 +87,6 @@ class LayerAdaptor(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return self.lin2(ad.relu(self.norm(self.lin1(x))))
-
-
-def apply_layer_adaptor(feature_map, adaptor: LayerAdaptor) -> np.ndarray:
-    """Transform a d x T backbone map to 128 x T through one adaptor."""
-    values = np.asarray(feature_map.values if hasattr(feature_map, "values") else feature_map,
-                        dtype=np.float64)
-    if values.shape[0] != adaptor.lin1.weight.shape[0]:
-        raise DimensionError(
-            f"map dim {values.shape[0]} != adaptor input {adaptor.lin1.weight.shape[0]}"
-        )
-    out = adaptor(ad.tensor(values.T[None]))
-    return out.data[0].T
 
 
 class SpeakerAdaptation(Module):
@@ -186,16 +174,6 @@ class SpeakerAdaptation(Module):
         if was_training:
             self.train_mode()
         return out.data[0]
-
-
-def build_adaptation(backbone: ConformerEncoder, cfg: AdaptationConfig,
-                     seed: Optional[int] = 0) -> SpeakerAdaptation:
-    return SpeakerAdaptation(backbone, cfg, seed=seed)
-
-
-def adaptation_forward(features: np.ndarray, module: SpeakerAdaptation) -> np.ndarray:
-    """80 x T features -> 256-dim embedding through the frozen backbone."""
-    return module.embed_utterance(features)
 
 
 def truncate_encoder(encoder: ConformerEncoder, n: int) -> ConformerEncoder:

@@ -286,19 +286,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _make(out, (a,), grad_fn)
 
 
-def logaddexp(a: Tensor, b: Tensor) -> Tensor:
-    out = np.logaddexp(a.data, b.data)
-
-    def grad_fn(g):
-        # exp(x - out) is the softmax weight of each operand; safely 0 when
-        # x is the -inf-like sentinel.
-        ga = _unbroadcast(g * np.exp(a.data - out), a.shape)
-        gb = _unbroadcast(g * np.exp(b.data - out), b.shape)
-        return ga, gb
-
-    return _make(out, (a, b), grad_fn)
-
-
 # -- reductions ----------------------------------------------------------------
 
 
@@ -381,21 +368,6 @@ def getitem(a: Tensor, idx) -> Tensor:
         return (ga,)
 
     return _make(np.array(out, copy=True), (a,), grad_fn)
-
-
-def take(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
-    """Index-select along one axis; duplicate indices accumulate on backward."""
-    indices = np.asarray(indices)
-    out = np.take(a.data, indices, axis=axis)
-
-    def grad_fn(g):
-        ga = np.zeros_like(a.data)
-        sl = [slice(None)] * a.ndim
-        sl[axis] = indices
-        np.add.at(ga, tuple(sl), g)
-        return (ga,)
-
-    return _make(out, (a,), grad_fn)
 
 
 def take_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
@@ -536,42 +508,32 @@ def conv1d(
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
-    """1-D convolution over (B, C, T) with grouped channels.
+    """1-D convolution over (B, C, T), dense or depthwise.
 
-    weight: (C_out, C_in // groups, K).  Depthwise = groups == C_in.
-    Dense (groups = 1) convolutions run as one im2col matmul; depthwise runs
-    as a broadcast multiply-sum over the kernel axis.
+    weight: (C_out, C_in // groups, K).  Dense (groups = 1) convolutions run
+    as one im2col matmul; depthwise ones (groups = C_in = C_out) run as a
+    broadcast multiply-sum over the kernel axis.  Any other grouping raises.
     """
     B, C, T = x.shape
     Cout, Cg, K = weight.shape
-    if C % groups or Cout % groups or Cg != C // groups:
-        raise DimensionError("conv1d: channel/group mismatch")
+    depthwise = groups == C and Cout == C and Cg == 1
+    if not depthwise and (groups != 1 or Cg != C):
+        raise DimensionError(
+            f"conv1d: weight {weight.shape} with groups={groups} over {C} channels is "
+            "neither dense nor depthwise"
+        )
     Tout = conv_out_len(T, K, stride, padding)
     if Tout < 1:
         raise DimensionError(f"conv1d: kernel {K} too long for T={T}, padding={padding}")
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
     win = _windows_1d(xp, K, Tout, stride)  # (B, C, Tout, K)
 
-    depthwise = groups == C and Cg == 1
     if depthwise:
-        w = weight.data.reshape(C, K) if Cout == C else None
-        if w is None:
-            raise DimensionError("depthwise conv1d requires C_out == C_in")
-        out = (win * w[None, :, None, :]).sum(axis=-1)
-    elif groups == 1:
+        out = (win * weight.data.reshape(C, K)[None, :, None, :]).sum(axis=-1)
+    else:
         cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(B * Tout, C * K)
         wmat = weight.data.reshape(Cout, C * K).T
         out = (cols @ wmat).reshape(B, Tout, Cout).transpose(0, 2, 1)
-    else:
-        out = np.zeros((B, Cout, Tout))
-        og = Cout // groups
-        for gi in range(groups):
-            wg = weight.data[gi * og : (gi + 1) * og].reshape(og, Cg * K)
-            seg = win[:, gi * Cg : (gi + 1) * Cg]
-            cols = np.ascontiguousarray(seg.transpose(0, 2, 1, 3)).reshape(B * Tout, Cg * K)
-            out[:, gi * og : (gi + 1) * og] = (
-                (cols @ wg.T).reshape(B, Tout, og).transpose(0, 2, 1)
-            )
     if bias is not None:
         out = out + bias.data[None, :, None]
 
@@ -588,27 +550,12 @@ def conv1d(
             w = weight.data.reshape(C, K)
             gw = (win * g[:, :, :, None]).sum(axis=(0, 2)).reshape(Cout, Cg, K)
             gwin = g[:, :, :, None] * w[None, :, None, :]
-        elif groups == 1:
+        else:
             cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(B * Tout, C * K)
             g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * Tout, Cout)
             gw = (g2.T @ cols).reshape(Cout, Cg, K)
             gwin = (g2 @ weight.data.reshape(Cout, C * K)).reshape(B, Tout, C, K)
             gwin = gwin.transpose(0, 2, 1, 3)
-        else:
-            og = Cout // groups
-            gw = np.zeros_like(weight.data)
-            gwin = np.zeros(win.shape)
-            for gi in range(groups):
-                seg = win[:, gi * Cg : (gi + 1) * Cg]
-                cols = np.ascontiguousarray(seg.transpose(0, 2, 1, 3)).reshape(B * Tout, Cg * K)
-                g2 = np.ascontiguousarray(
-                    g[:, gi * og : (gi + 1) * og].transpose(0, 2, 1)
-                ).reshape(B * Tout, og)
-                gw[gi * og : (gi + 1) * og] = (g2.T @ cols).reshape(og, Cg, K)
-                part = (g2 @ weight.data[gi * og : (gi + 1) * og].reshape(og, Cg * K))
-                gwin[:, gi * Cg : (gi + 1) * Cg] = part.reshape(B, Tout, Cg, K).transpose(
-                    0, 2, 1, 3
-                )
         # no input gradient for a constant input
         grads = [_scatter_1d(gwin) if x._needs_graph() else None, gw]
         if bias is not None:
@@ -616,17 +563,6 @@ def conv1d(
         return tuple(grads)
 
     return _make(out, parents, grad_fn)
-
-
-def depthwise_conv1d(x: Tensor, kernel: Tensor, padding: int) -> Tensor:
-    """Per-channel sliding dot product over (C, T) or (B, C, T)."""
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = reshape(x, (1,) + x.shape)
-    C = x.shape[1]
-    w = reshape(kernel, (C, 1, kernel.shape[-1]))
-    out = conv1d(x, w, None, stride=1, padding=padding, groups=C)
-    return reshape(out, out.shape[1:]) if squeeze else out
 
 
 def conv2d(

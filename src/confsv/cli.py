@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -86,7 +85,7 @@ def cmd_gen_trials(args) -> int:
     entries = read_manifest(args.manifest)
     trials = make_trials(entries, args.seed, args.n_target, args.n_nontarget)
     lines = [f"{label} {a} {b}" for label, a, b in trials]
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote {len(trials)} trials to {args.out}")
     return EXIT_OK
 
@@ -145,7 +144,7 @@ def cmd_probe(args) -> int:
     accuracies = linear_probe(per_layer, labels, seed=args.seed)
     lines = ["layer,accuracy"]
     lines += [f"{i + 1},{acc:.6f}" for i, acc in enumerate(accuracies)]
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote per-layer accuracies to {args.out}")
     return EXIT_OK
 
@@ -249,7 +248,7 @@ def cmd_count(args) -> int:
         report = count_params(cfg, scope=args.scope)
     sys.stdout.write(report.to_text())
     if args.csv:
-        Path(args.csv).write_text(report.to_csv(), encoding="utf-8")
+        write_atomic(args.csv, report.to_csv().encode("utf-8"))
     return EXIT_OK
 
 

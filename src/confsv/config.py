@@ -31,6 +31,7 @@ from .adaptation import AdaptationConfig
 from .conformer import ENCODER_PRESETS, EncoderConfig
 from .datapipe import VOCAB_SIZE
 from .errors import ConfigError
+from .util import read_text
 
 STRATEGIES = ("scratch", "pretrained-init", "distill", "adapt")
 
@@ -141,7 +142,7 @@ _SCALAR_SECTIONS = {
 
 
 def load_run_config(path: Union[str, Path]) -> RunConfig:
-    sections = parse_sections(Path(path).read_text(encoding="utf-8"))
+    sections = parse_sections(read_text(path, ConfigError))
     kwargs: dict = {}
 
     for section, keys in _SCALAR_SECTIONS.items():

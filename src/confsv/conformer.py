@@ -98,15 +98,6 @@ class FeatureMap:
         return self.values.shape[1]
 
 
-def subsampled_length(n_frames: int, rate: float) -> int:
-    """Output frame count of the subsampling stack (kernel 3, stride 2, pad 1)."""
-    stages = 2 if rate == 0.25 else 1
-    n = n_frames
-    for _ in range(stages):
-        n = ad.conv_out_len(n, 3, 2, 1)
-    return n
-
-
 def sinusoid_positions(n_frames: int, dim: int) -> np.ndarray:
     """Sinusoidal embeddings for relative distances T-1 ... -(T-1), shape (2T-1, d)."""
     rel = np.arange(n_frames - 1, -n_frames, -1, dtype=np.float64)
@@ -200,12 +191,8 @@ class AttentionModule(Module):
         x = ad.reshape(x, (B, T, self.heads, self.d_head))
         return ad.transpose(x, (0, 2, 1, 3))
 
-    def attention_weights(self, x: Tensor) -> np.ndarray:
-        """Attention rows (post-softmax) for inspection; no dropout."""
-        _, attn = self._attend(self.norm(x), rng=None, want_weights=True)
-        return attn
-
-    def _attend(self, h: Tensor, rng, want_weights: bool = False):
+    def forward(self, x: Tensor, rng=None) -> Tensor:
+        h = self.norm(x)
         B, T, _ = h.shape
         q = self._split(self.q_proj(h), B, T)
         k = self._split(self.k_proj(h), B, T)
@@ -221,15 +208,9 @@ class AttentionModule(Module):
         cols = rows - rows.T + T - 1  # i - j + T - 1
         position = ad.take_pairs(pos_full, rows, cols)
         scores = (content + position) * ad.tensor(1.0 / np.sqrt(self.d_head))
-        attn = ad.softmax(scores, axis=-1)
-        weights = attn.data.copy() if want_weights else None
-        attn = self.drop_attn(attn, rng)
+        attn = self.drop_attn(ad.softmax(scores, axis=-1), rng)
         ctx = ad.matmul(attn, v)
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, self.dim))
-        return ctx, weights
-
-    def forward(self, x: Tensor, rng=None) -> Tensor:
-        ctx, _ = self._attend(self.norm(x), rng)
         return self.drop_out(self.out_proj(ctx), rng)
 
 
@@ -312,19 +293,3 @@ class ConformerEncoder(Module):
         mel = ad.tensor(features.T[None, :, :])
         maps = self.forward(mel, rng=None)
         return [FeatureMap(m.data[0].T, self.frame_shift_sec) for m in maps]
-
-
-def conv_subsample(features: np.ndarray, cfg: EncoderConfig, seed: int = 0) -> FeatureMap:
-    """Run a seeded subsampling front-end over 80 x T features."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != cfg.n_mels:
-        raise DimensionError(f"expected ({cfg.n_mels}, T) features, got {features.shape}")
-    sub = ConvSubsampling(cfg)
-    seed_parameters(sub, seed, scope="subsampling")
-    out = sub(ad.tensor(features.T[None, :, :]))
-    return FeatureMap(out.data[0].T, MEL_FRAME_SHIFT_SEC / cfg.subsample_rate)
-
-
-def encoder_forward(encoder: ConformerEncoder, features: np.ndarray) -> list[FeatureMap]:
-    """Deterministic (dropout-off) forward pass returning all block outputs."""
-    return encoder.encode(features)

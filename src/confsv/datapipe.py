@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateNoiseError, InputTooShortError
-from .util import rng_for, stable_seed
+from .util import read_text, rng_for, stable_seed, write_atomic
 
 SAMPLE_RATE = 16000
 TOKENS = "aeioumnsrz"  # toy phoneme inventory; CTC ids are 1-based, 0 = blank
@@ -494,14 +494,14 @@ def write_corpus(corpus: Corpus, out_dir: Union[str, Path]) -> Path:
         write_wav(out_dir / rel, utt.waveform)
         lines.append(f"{rel} {utt.speaker_id} {utt.tokens} {utt.duration_sec:.3f}")
     manifest = out_dir / "manifest.txt"
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
     return manifest
 
 
 def read_manifest(path: Union[str, Path]) -> list[ManifestEntry]:
     entries = []
     root = Path(path).parent
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for i, line in enumerate(read_text(path, DataError).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()

@@ -9,52 +9,19 @@ down to the fixed 256-dim speaker embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .conformer import ConformerEncoder, EncoderConfig, FeatureMap
+from .conformer import ConformerEncoder, EncoderConfig
 from .errors import DimensionError
 from .nn import BatchNorm, LayerNorm, Linear, Module, seed_parameters
 
 EMBEDDING_DIM = 256
 ASP_BOTTLENECK = 128
 VAR_FLOOR = 1e-10
-
-
-@dataclass
-class MfaFeature:
-    """Layer-concatenated, channel-normalized frame features (D x T, D = sum of dims)."""
-
-    values: np.ndarray
-    source_layer_dims: list[int]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape[0] != sum(self.source_layer_dims):
-            raise DimensionError("MFA channel count must equal the sum of source layer dims")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[1]
-
-
-def mfa_concat(maps: Sequence[FeatureMap]) -> MfaFeature:
-    """Concatenate block outputs along channels, then normalize per frame."""
-    if not maps:
-        raise DimensionError("need at least one feature map")
-    dims = [m.dim for m in maps]
-    aggregator = MfaAggregator(sum(dims))
-    seed_parameters(aggregator, 0)  # gamma 1 and beta 0 whatever the seed
-    normalized = aggregator([ad.tensor(m.values.T[None]) for m in maps])
-    return MfaFeature(normalized.data[0].T, dims)
 
 
 class AttentiveStatsPooling(Module):
@@ -102,6 +69,10 @@ class EmbeddingHead(Module):
         self.proj = Linear(pooled_dim, emb_dim)
 
     def forward(self, pooled: Tensor) -> Tensor:
+        if pooled.shape[-1] != self.proj.weight.shape[0]:
+            raise DimensionError(
+                f"pooled dim {pooled.shape[-1]} != head input {self.proj.weight.shape[0]}"
+            )
         return self.proj(self.norm(pooled))
 
 
@@ -148,29 +119,3 @@ class SpeakerModel(Module):
         if was_training:
             self.train_mode()
         return out.data[0]
-
-
-def attentive_stats_pool(feature: MfaFeature, pooling: Optional[AttentiveStatsPooling] = None,
-                         seed: int = 0) -> np.ndarray:
-    """Pool a D x T map to a 2D-length vector with a (seeded) scorer."""
-    if feature.frames < 1:
-        raise DimensionError("cannot pool zero frames")
-    if pooling is None:
-        pooling = AttentiveStatsPooling(feature.dim)
-        seed_parameters(pooling, seed, scope="asp")
-    out = pooling(ad.tensor(feature.values.T[None]))
-    return out.data[0]
-
-
-def embed(pooled: np.ndarray, head: Optional[EmbeddingHead] = None, seed: int = 0) -> np.ndarray:
-    """Project a pooled vector to the 256-dim embedding (inference mode)."""
-    pooled = np.asarray(pooled, dtype=np.float64)
-    if head is None:
-        head = EmbeddingHead(pooled.shape[-1])
-        seed_parameters(head, seed, scope="head")
-    if pooled.shape[-1] != head.proj.weight.shape[0]:
-        raise DimensionError(
-            f"pooled dim {pooled.shape[-1]} != head input {head.proj.weight.shape[0]}"
-        )
-    head.eval_mode()
-    return head(ad.tensor(pooled[None])).data[0]

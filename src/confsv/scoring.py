@@ -34,7 +34,7 @@ from .errors import (
     NumericError,
     TrialParseError,
 )
-from .util import ByteReader, write_atomic
+from .util import ByteReader, read_text, write_atomic
 
 EMB_STORE_MAGIC = b"CFSVEMB1"
 EMB_STORE_VERSION = 1
@@ -65,11 +65,9 @@ class TrialList:
 
 @dataclass
 class ScoreRecord:
-    """One trial's scores plus the quality features calibration can use."""
+    """One trial's raw score plus the quality features calibration can use."""
 
     raw: float
-    snorm: Optional[float] = None
-    calibrated: Optional[float] = None
     duration_enroll: float = 0.0
     duration_test: float = 0.0
     snr_enroll: float = 0.0
@@ -97,7 +95,7 @@ class ScoreRecord:
 def parse_trials(path: Union[str, Path]) -> TrialList:
     """Lines of "label enroll test" with label in {0, 1}, whitespace-separated."""
     trials = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for i, line in enumerate(read_text(path, DataError).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()
@@ -246,10 +244,6 @@ class QmfModel:
     def transform(self, record: ScoreRecord) -> float:
         return float(self.calibrate(record.feature_vector()[None])[0])
 
-    @property
-    def raw_score_weight(self) -> float:
-        return float(self.weights[0] / self.feat_std[0])
-
 
 def _fit_logistic(x: np.ndarray, y: np.ndarray, tol: float = 1e-8,
                   max_iters: int = 200000, lr: float = 1.0) -> tuple[np.ndarray, float]:
@@ -308,11 +302,6 @@ def qmf_fit(records: Union[Sequence[ScoreRecord], np.ndarray],
     std[std == 0] = 1.0
     w, b = _fit_logistic((x - mean) / std, labels)
     return QmfModel(w, b, mean, std)
-
-
-def qmf_apply(model: QmfModel, record: ScoreRecord) -> ScoreRecord:
-    record.calibrated = model.transform(record)
-    return record
 
 
 # -- embedding store ---------------------------------------------------------------

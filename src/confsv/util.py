@@ -124,6 +124,14 @@ def write_atomic(path: Union[str, Path], data: bytes) -> None:
         raise
 
 
+def read_text(path: Union[str, Path], error: type) -> str:
+    """The UTF-8 text of `path`; bytes that are not UTF-8 raise `error`."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text at byte {e.start}") from None
+
+
 class ByteReader:
     """Bounds-checked sequential reads over the bytes of a binary file.
 

@@ -9,9 +9,6 @@ from confsv.adaptation import (
     AdaptationConfig,
     LayerAdaptor,
     SpeakerAdaptation,
-    adaptation_forward,
-    apply_layer_adaptor,
-    build_adaptation,
     freeze_schedule,
     linear_probe,
     load_adaptation,
@@ -44,13 +41,13 @@ class TestLayerAdaptor:
     def test_projects_wide_backbone_to_128(self):
         adaptor = LayerAdaptor(512)
         seed_parameters(adaptor, 1)
-        out = apply_layer_adaptor(np.random.default_rng(2).normal(size=(512, 9)), adaptor)
-        assert out.shape == (128, 9)
+        out = adaptor(ad.tensor(np.random.default_rng(2).normal(size=(512, 9)).T[None]))
+        assert out.shape == (1, 9, 128)
 
     def test_zero_weights_zero_output(self):
         adaptor = LayerAdaptor(16)
-        out = apply_layer_adaptor(np.random.default_rng(3).normal(size=(16, 4)), adaptor)
-        np.testing.assert_array_equal(out, np.zeros((128, 4)))
+        out = adaptor(ad.tensor(np.random.default_rng(3).normal(size=(16, 4)).T[None]))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 4, 128)))
 
     def test_gradients(self):
         adaptor = LayerAdaptor(6, out_dim=5)
@@ -66,7 +63,7 @@ class TestBuildAdaptation:
     def test_trainable_count_matches_accounting_exactly(self, variant, k):
         backbone = toy_backbone()
         cfg = toy_adapt_cfg(variant=variant, extra_layers=k)
-        module = build_adaptation(backbone, cfg, seed=None)
+        module = SpeakerAdaptation(backbone, cfg, seed=None)
         expected = count_adaptation_params(cfg, backbone.cfg).total_params
         assert module.param_count() == expected
 
@@ -74,23 +71,23 @@ class TestBuildAdaptation:
         # trainable size of the 16-layer/176-dim backbone's V2 L=12 K=0 add-on
         backbone = ConformerEncoder(ENCODER_PRESETS["small"])
         cfg = AdaptationConfig("V2", 12, 0)
-        module = build_adaptation(backbone, cfg, seed=None)
+        module = SpeakerAdaptation(backbone, cfg, seed=None)
         assert module.param_count() == count_adaptation_params(cfg, backbone.cfg).total_params
         assert abs(module.param_count() / 1e6 - 2.06) / 2.06 < 0.10
 
     def test_v1_k0_has_pooling_and_head_only(self):
         backbone = toy_backbone()
-        module = build_adaptation(backbone, toy_adapt_cfg(variant="V1"), seed=0)
+        module = SpeakerAdaptation(backbone, toy_adapt_cfg(variant="V1"), seed=0)
         names = {n.split(".")[0] for n, _ in module.named_parameters()}
         assert names == {"light_in", "mfa", "pooling", "head"}  # d != light width quirk
         cfg_match = toy_adapt_cfg(variant="V1", light_dim=32)
-        module2 = build_adaptation(toy_backbone(dim=32), cfg_match, seed=0)
+        module2 = SpeakerAdaptation(toy_backbone(dim=32), cfg_match, seed=0)
         names2 = {n.split(".")[0] for n, _ in module2.named_parameters()}
         assert names2 == {"mfa", "pooling", "head"}
 
     def test_depth_exceeded(self):
         with pytest.raises(ConfigError):
-            build_adaptation(toy_backbone(layers=2), toy_adapt_cfg(adapted_layers=5))
+            SpeakerAdaptation(toy_backbone(layers=2), toy_adapt_cfg(adapted_layers=5), seed=0)
 
     def test_v3_requires_lightweight_layers(self):
         with pytest.raises(ConfigError):
@@ -99,7 +96,7 @@ class TestBuildAdaptation:
     def test_v2_v3_identical_at_k0(self):
         # with matching widths and K = 0 the two variants build the same set
         backbone = toy_backbone(dim=32)
-        v2 = build_adaptation(backbone, toy_adapt_cfg(variant="V2", light_dim=32), seed=None)
+        v2 = SpeakerAdaptation(backbone, toy_adapt_cfg(variant="V2", light_dim=32), seed=None)
         # degenerate V3 (K forced to 0) drops the lightweight branch entirely
         v3_k0 = SpeakerAdaptation(
             backbone, _degenerate_v3(light_dim=32), seed=None, _allow_degenerate_v3=True
@@ -110,7 +107,7 @@ class TestBuildAdaptation:
 
     def test_v2_v3_k0_differ_only_by_input_linear_when_widths_differ(self):
         backbone = toy_backbone(dim=32)
-        v2 = build_adaptation(backbone, toy_adapt_cfg(variant="V2", light_dim=24), seed=None)
+        v2 = SpeakerAdaptation(backbone, toy_adapt_cfg(variant="V2", light_dim=24), seed=None)
         v3_k0 = SpeakerAdaptation(
             backbone, _degenerate_v3(light_dim=24), seed=None, _allow_degenerate_v3=True
         )
@@ -133,8 +130,8 @@ class TestAdaptationForward:
         feats = np.random.default_rng(7).normal(size=(80, 20))
         backbone.eval_mode()
         before = [m.values.copy() for m in backbone.encode(feats)]
-        module = build_adaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=8)
-        adaptation_forward(feats, module)
+        module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=8)
+        module.embed_utterance(feats)
         after = [m.values for m in backbone.encode(feats)]
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
@@ -142,18 +139,18 @@ class TestAdaptationForward:
     def test_mfa_width(self):
         backbone = toy_backbone()
         cfg = toy_adapt_cfg(variant="V3", adapted_layers=2, extra_layers=2)
-        module = build_adaptation(backbone, cfg, seed=9)
+        module = SpeakerAdaptation(backbone, cfg, seed=9)
         assert module.mfa.norm.gamma.shape == (128 * 2 + cfg.light_dim * 2,)
 
     def test_embedding_length(self):
         backbone = toy_backbone()
-        module = build_adaptation(backbone, toy_adapt_cfg(), seed=10)
-        emb = adaptation_forward(np.random.default_rng(11).normal(size=(80, 16)), module)
+        module = SpeakerAdaptation(backbone, toy_adapt_cfg(), seed=10)
+        emb = module.embed_utterance(np.random.default_rng(11).normal(size=(80, 16)))
         assert emb.shape == (256,)
 
     def test_no_gradient_reaches_backbone(self):
         backbone = toy_backbone()
-        module = build_adaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=12)
+        module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=12)
         module.train_mode()
         emb = module(ad.tensor(np.random.default_rng(13).normal(size=(2, 20, 80))))
         ad.backward(ad.sum_(emb * emb))
@@ -162,7 +159,7 @@ class TestAdaptationForward:
     def test_frozen_training_never_mutates_backbone(self):
         backbone = toy_backbone()
         state_before = {n: a.copy() for n, a in backbone.state_arrays().items()}
-        module = build_adaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=14)
+        module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=14)
         clf = AamClassifier(3)
         seed_parameters(clf, 15)
         trainset = _TrainableSet(adaptation=module, classifier=clf)
@@ -285,7 +282,7 @@ class TestLinearProbe:
 class TestAdaptationCheckpoint:
     def test_round_trip_and_hash_binding(self, tmp_path):
         backbone = toy_backbone()
-        module = build_adaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=22)
+        module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=22)
         path = tmp_path / "adapt.ckpt"
         save_adaptation(path, module, backbone.state_arrays())
         restored = load_adaptation(path, backbone, backbone.state_arrays())
@@ -297,7 +294,7 @@ class TestAdaptationCheckpoint:
 
     def test_wrong_backbone_rejected(self, tmp_path):
         backbone = toy_backbone(seed=23)
-        module = build_adaptation(backbone, toy_adapt_cfg(), seed=24)
+        module = SpeakerAdaptation(backbone, toy_adapt_cfg(), seed=24)
         path = tmp_path / "adapt.ckpt"
         save_adaptation(path, module, backbone.state_arrays())
         other = toy_backbone(seed=99)

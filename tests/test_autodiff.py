@@ -92,18 +92,24 @@ class TestLayerNorm:
             ad.layer_norm(ad.tensor(np.zeros((2, 0))), ad.tensor([]), ad.tensor([]))
 
 
+def depthwise(x, kernel, padding):
+    """Depthwise conv1d of one (C, T) signal with a (C, K) kernel, as (C, T')."""
+    out = ad.conv1d(ad.tensor(x[None]), ad.tensor(kernel[:, None, :]), None,
+                    padding=padding, groups=x.shape[0])
+    return out.data[0]
+
+
 class TestDepthwiseConv:
     def test_delta_kernel_identity(self):
         x = rand((3, 8), 9)
         kernel = np.zeros((3, 5))
         kernel[:, 2] = 1.0
-        out = ad.depthwise_conv1d(ad.tensor(x), ad.tensor(kernel), padding=2)
-        np.testing.assert_allclose(out.data, x, atol=1e-15)
+        np.testing.assert_allclose(depthwise(x, kernel, padding=2), x, atol=1e-15)
 
     def test_zero_kernel(self):
         x = rand((3, 8), 10)
-        out = ad.depthwise_conv1d(ad.tensor(x), ad.tensor(np.zeros((3, 5))), padding=2)
-        np.testing.assert_array_equal(out.data, np.zeros_like(x))
+        out = depthwise(x, np.zeros((3, 5)), padding=2)
+        np.testing.assert_array_equal(out, np.zeros_like(x))
 
     def test_against_sliding_window_oracle(self):
         x, kernel = rand((3, 8), 11), rand((3, 5), 12)
@@ -113,12 +119,12 @@ class TestDepthwiseConv:
         for c in range(3):
             for t in range(8):
                 expected[c, t] = (xp[c, t : t + 5] * kernel[c]).sum()
-        out = ad.depthwise_conv1d(ad.tensor(x), ad.tensor(kernel), padding=pad)
-        assert np.abs(out.data - expected).max() < 1e-12
+        out = depthwise(x, kernel, padding=pad)
+        assert np.abs(out - expected).max() < 1e-12
 
     def test_kernel_too_long(self):
         with pytest.raises(DimensionError):
-            ad.depthwise_conv1d(ad.tensor(rand((2, 3))), ad.tensor(rand((2, 9))), padding=1)
+            depthwise(rand((2, 3)), rand((2, 9)), padding=1)
 
 
 class TestBackward:
@@ -178,7 +184,6 @@ def test_per_op_gradients(seed):
         "relu": lambda: ad.sum_(ad.relu(x) * y),
         "softmax": lambda: ad.sum_(ad.softmax(x, axis=-1) * y),
         "log_softmax": lambda: ad.sum_(ad.log_softmax(x, axis=-1) * y),
-        "logaddexp": lambda: ad.sum_(ad.logaddexp(x, y)),
         "mean": lambda: ad.mean(x * y),
         "concat": lambda: ad.sum_(ad.concat([x, y], axis=1) * 0.5),
         "transpose": lambda: ad.sum_(ad.transpose(x) @ y),
@@ -197,9 +202,6 @@ def test_per_op_gradients(seed):
     w2 = ad.tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
     x2 = ad.tensor(rng.normal(size=(1, 2, 6, 5)), requires_grad=True)
     gradcheck(lambda: ad.sum_(ad.tanh(ad.conv2d(x2, w2, None, stride=2, padding=1))), [x2, w2])
-    lt = ad.tensor(rng.normal(size=(4, 6)), requires_grad=True)
-    idx = rng.integers(0, 4, size=5)
-    gradcheck(lambda: ad.sum_(ad.take(lt, idx, axis=0) * 0.7), [lt])
     rows = np.repeat(np.arange(3)[:, None], 3, axis=1)
     cols = rows - rows.T + 2
     pp = ad.tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
@@ -272,9 +274,9 @@ class TestConvInputGradient:
         gx, gw, gb = out._grad_fn(np.ones(out.shape))
         assert gx is None and gw.shape == w.shape and gb.shape == (4,)
 
-    @pytest.mark.parametrize("c_in, groups, c_out", [(2, 1, 4), (2, 2, 2), (4, 2, 4)])
+    @pytest.mark.parametrize("c_in, groups, c_out", [(2, 1, 4), (2, 2, 2)])
     def test_conv1d_of_a_constant_input_skips_its_gradient(self, c_in, groups, c_out):
-        """Dense, depthwise and grouped: no input gradient, the same weight gradient."""
+        """Dense and depthwise: no input gradient, the same weight gradient."""
         rng = np.random.default_rng(4)
         w = ad.tensor(rng.normal(size=(c_out, c_in // groups, 3)), requires_grad=True)
         x = rng.normal(size=(2, c_in, 8))
@@ -284,3 +286,11 @@ class TestConvInputGradient:
         x_t = ad.tensor(x, requires_grad=True)
         out_t = ad.conv1d(x_t, w, None, stride=2, padding=1, groups=groups)
         assert np.array_equal(out_t._grad_fn(np.ones(out.shape))[1], gw)
+
+    @pytest.mark.parametrize("c_in, groups, c_out", [(4, 2, 4), (4, 4, 8)])
+    def test_conv1d_rejects_a_grouping_neither_dense_nor_depthwise(self, c_in, groups, c_out):
+        rng = np.random.default_rng(4)
+        w = ad.tensor(rng.normal(size=(c_out, c_in // groups, 3)), requires_grad=True)
+        with pytest.raises(DimensionError):
+            ad.conv1d(ad.tensor(rng.normal(size=(2, c_in, 8))), w, None, stride=2, padding=1,
+                      groups=groups)

@@ -1,5 +1,7 @@
 """Command-line surface: determinism, exit codes, file outputs."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -91,10 +93,25 @@ class TestGenData:
         assert main(["gen-data", "--config", str(mini["config"]), "--out", str(out)]) == EXIT_DATA
         assert not (blocker / "sub").exists()
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"[experiment]\nname = \xff\nseed = 1\n")
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_bad_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[optim]\nlearning_rate = 0.1\n", encoding="utf-8")
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+class TestGenTrials:
+    def test_manifest_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes(b"wavs/a.wav spk0 ae 1.000\nwavs/b\xff.wav spk1 ae 1.000\n")
+        code = main(["gen-trials", "--manifest", str(manifest), "--out", str(tmp_path / "t")])
+        assert code == EXIT_DATA
+        assert "not UTF-8" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -326,6 +343,14 @@ class TestScoreEvaluate:
         assert code == EXIT_OK
         assert len(out.read_text().splitlines()) == 8
 
+    def test_trials_that_are_not_utf8_exit_3(self, separated_store, tmp_path, capsys):
+        emb, trials = separated_store
+        trials.write_bytes(trials.read_bytes() + b"1 s0_u0 s0_\xff\n")
+        code = main(["score", "--embeddings", str(emb), "--trials", str(trials),
+                     "--out", str(tmp_path / "scores.txt")])
+        assert code == EXIT_DATA
+        assert "not UTF-8" in capsys.readouterr().err
+
     def test_snorm_requires_cohort(self, separated_store, tmp_path):
         emb, trials = separated_store
         code = main(["score", "--embeddings", str(emb), "--trials", str(trials),
@@ -414,3 +439,34 @@ class TestCount:
         assert main(["count", "--preset", "gigantic"]) == EXIT_CONFIG
         assert main(["count", "--layers", "2", "--dim", "10", "--heads", "3",
                      "--hidden", "16"]) == EXIT_CONFIG
+
+
+def _fail_replace(src, dst):
+    raise OSError("disk full")
+
+
+# each command with `out` as its text output
+ATOMIC_OUTPUTS = {
+    "gen-data": lambda m, out: ["gen-data", "--config", str(m["config"]),
+                                "--out", str(out.parent)],
+    "gen-trials": lambda m, out: ["gen-trials", "--manifest", str(m["manifest"]),
+                                  "--out", str(out)],
+    "probe": lambda m, out: ["probe", "--ckpt", str(m["asr_ckpt"]), "--manifest",
+                             str(m["manifest"]), "--max-utts", "16", "--out", str(out)],
+    "count": lambda m, out: ["count", "--preset", "small", "--csv", str(out)],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ATOMIC_OUTPUTS))
+def test_failed_output_rename_keeps_the_old_file_and_leaves_no_temp_file(
+    command, mini, tmp_path, monkeypatch
+):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "manifest.txt"  # the name gen-data writes its manifest to
+    out.write_bytes(b"old\n")
+    before = set(out_dir.iterdir())
+    monkeypatch.setattr(os, "replace", _fail_replace)
+    assert main(ATOMIC_OUTPUTS[command](mini, out)) == EXIT_DATA
+    assert out.read_bytes() == b"old\n"
+    assert {p for p in out_dir.iterdir() if p.name != "wavs"} == before

@@ -94,6 +94,13 @@ def test_line_outside_section_rejected(tmp_path):
         load_run_config(path)
 
 
+def test_config_that_is_not_utf8_rejected(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"[experiment]\nname = \xff\nseed = 1\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_run_config(path)
+
+
 def test_strategy_validation():
     with pytest.raises(ConfigError):
         RunConfig(strategy="finetune")

@@ -13,9 +13,6 @@ from confsv.conformer import (
     ConvSubsampling,
     EncoderConfig,
     FeedForwardModule,
-    conv_subsample,
-    encoder_forward,
-    subsampled_length,
 )
 from confsv.errors import ConfigError, DimensionError, InputTooShortError
 from confsv.nn import seed_parameters
@@ -34,28 +31,33 @@ def rand_features(n_frames, seed=0, n_mels=80):
     return np.random.default_rng(seed).normal(size=(n_mels, n_frames))
 
 
+def subsample(features, cfg, seed=0):
+    sub = ConvSubsampling(cfg)
+    seed_parameters(sub, seed, scope="subsampling")
+    return sub(ad.tensor(features.T[None]))
+
+
 class TestSubsampling:
     def test_quarter_rate_5s_input(self):
         # 5 s at a 10 ms shift is 500 frames; two stride-2 stages give 125
-        assert subsampled_length(500, 0.25) == 125
-        fm = conv_subsample(rand_features(500, 1), tiny_cfg(dim=8))
+        enc = ConformerEncoder(tiny_cfg(dim=8), seed=0)
+        fm = enc.encode(rand_features(500, 1))[0]
         assert fm.frames == 125
         assert fm.frame_shift_sec == pytest.approx(0.04)
 
     def test_half_rate_short_input(self):
-        assert subsampled_length(4, 0.5) == 2
-        fm = conv_subsample(rand_features(4, 2), tiny_cfg(subsample_rate=0.5))
-        assert fm.frames == 2
+        out = subsample(rand_features(4, 2), tiny_cfg(subsample_rate=0.5))
+        assert out.shape[1] == 2
 
     @pytest.mark.parametrize("preset", sorted(ENCODER_PRESETS))
     def test_projects_to_model_dim(self, preset):
         cfg = ENCODER_PRESETS[preset]
-        fm = conv_subsample(rand_features(16, 3), cfg)
-        assert fm.dim == cfg.dim
+        out = subsample(rand_features(16, 3), cfg)
+        assert out.shape[-1] == cfg.dim
 
     def test_too_short_raises(self):
         with pytest.raises(InputTooShortError):
-            conv_subsample(rand_features(4, 4), tiny_cfg())
+            subsample(rand_features(4, 4), tiny_cfg())
 
 
 class TestFeedForward:
@@ -83,9 +85,14 @@ class TestAttention:
     def test_weight_rows_on_simplex(self):
         attn = AttentionModule(8, 2, 0.0)
         seed_parameters(attn, 4)
+        # all-ones values and an identity output map: each output channel is
+        # the row sum of its head's attention weights
+        attn.v_proj.weight.data = np.zeros((8, 8))
+        attn.v_proj.bias.data = np.ones(8)
+        attn.out_proj.weight.data = np.eye(8)
+        attn.out_proj.bias.data = np.zeros(8)
         x = ad.tensor(np.random.default_rng(5).normal(size=(2, 6, 8)))
-        w = attn.attention_weights(x)
-        np.testing.assert_allclose(w.sum(axis=-1), np.ones((2, 2, 6)), atol=1e-9)
+        np.testing.assert_allclose(attn(x).data, np.ones((2, 6, 8)), atol=1e-9)
 
     def test_single_head_against_brute_force(self):
         attn = AttentionModule(2, 1, 0.0)
@@ -207,7 +214,7 @@ class TestEncoder:
     def test_full_small_stack_yields_16_maps(self):
         enc = ConformerEncoder(ENCODER_PRESETS["small"], seed=1)
         enc.eval_mode()
-        maps = encoder_forward(enc, rand_features(16, 25))
+        maps = enc.encode(rand_features(16, 25))
         assert len(maps) == 16
         assert all(m.dim == 176 for m in maps)
 
@@ -225,8 +232,8 @@ class TestEncoder:
         enc = ConformerEncoder(tiny_cfg(), seed=3)
         enc.eval_mode()
         feats = rand_features(20, 27)
-        a = encoder_forward(enc, feats)
-        b = encoder_forward(enc, feats)
+        a = enc.encode(feats)
+        b = enc.encode(feats)
         for ma, mb in zip(a, b):
             np.testing.assert_array_equal(ma.values, mb.values)
 
@@ -235,7 +242,7 @@ class TestEncoder:
         enc.eval_mode()
         outs = enc(ad.tensor(np.random.default_rng(28).normal(size=(2, 16, 80))))
         shapes = {tuple(m.shape) for m in outs}
-        assert shapes == {(2, subsampled_length(16, 0.25), 8)}
+        assert shapes == {(2, 4, 8)}  # 16 frames, two stride-2 stages
 
     def test_bad_feature_dim(self):
         enc = ConformerEncoder(tiny_cfg(), seed=5)

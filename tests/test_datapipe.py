@@ -305,6 +305,12 @@ class TestIO:
         with pytest.raises(DataError):
             read_manifest(bad)
 
+    def test_manifest_that_is_not_utf8_is_a_data_error(self, tmp_path):
+        bad = tmp_path / "manifest.txt"
+        bad.write_bytes(b"wavs/a.wav spk0 ae 1.000\nwavs/b\xff.wav spk1 ae 1.000\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            read_manifest(bad)
+
     def test_trials_require_two_speakers(self):
         from confsv.datapipe import ManifestEntry
 

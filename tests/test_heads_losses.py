@@ -8,16 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsv import autodiff as ad
-from confsv.conformer import ENCODER_PRESETS, FeatureMap
+from confsv.conformer import ENCODER_PRESETS
 from confsv.errors import DataError, DimensionError, InfeasibleTargetError, InputTooShortError
-from confsv.heads import (
-    AttentiveStatsPooling,
-    EmbeddingHead,
-    MfaFeature,
-    attentive_stats_pool,
-    embed,
-    mfa_concat,
-)
+from confsv.heads import AttentiveStatsPooling, EmbeddingHead, MfaAggregator
 from confsv.losses import (
     AamClassifier,
     RateMatcher,
@@ -33,53 +26,67 @@ from conftest import gradcheck
 
 
 def fmaps(dims, frames, seed=0):
+    """(1, frames, d) block outputs, one per width in `dims`."""
     rng = np.random.default_rng(seed)
-    return [FeatureMap(rng.normal(size=(d, frames)), 0.04) for d in dims]
+    return [ad.tensor(rng.normal(size=(d, frames)).T[None]) for d in dims]
+
+
+def aggregate(maps):
+    aggregator = MfaAggregator(sum(m.shape[-1] for m in maps))
+    seed_parameters(aggregator, 0)  # gamma 1 and beta 0 whatever the seed
+    return aggregator(maps).data[0]  # (T, D)
+
+
+def pool_frames(x, pool=None, seed=0):
+    """Pool a (D, T) map to a 2D-length vector."""
+    if pool is None:
+        pool = AttentiveStatsPooling(x.shape[0])
+        seed_parameters(pool, seed, scope="asp")
+    return pool(ad.tensor(x.T[None])).data[0]
 
 
 class TestMfa:
     def test_small_stack_width(self):
         cfg = ENCODER_PRESETS["small"]
-        feature = mfa_concat(fmaps([cfg.dim] * cfg.layers, 3))
-        assert feature.dim == 2816  # 16 blocks x 176 channels
+        feature = aggregate(fmaps([cfg.dim] * cfg.layers, 3))
+        assert feature.shape[-1] == 2816  # 16 blocks x 176 channels
 
     def test_single_map_is_normalized(self):
-        (m,) = fmaps([6], 4, seed=1)
-        feature = mfa_concat([m])
-        col = feature.values[:, 0]
+        feature = aggregate(fmaps([6], 4, seed=1))
+        col = feature[0]
         assert abs(col.mean()) < 1e-9
         assert abs(col.var() - 1.0) < 1e-3
 
     def test_permuting_inputs_permutes_channels(self):
         maps = fmaps([3, 3], 5, seed=2)
-        fwd = mfa_concat(maps).values
-        rev = mfa_concat(maps[::-1]).values
-        np.testing.assert_allclose(np.concatenate([fwd[3:], fwd[:3]]), rev, atol=1e-12)
+        fwd = aggregate(maps)
+        rev = aggregate(maps[::-1])
+        np.testing.assert_allclose(np.concatenate([fwd[:, 3:], fwd[:, :3]], axis=1), rev,
+                                   atol=1e-12)
 
     def test_frame_mismatch(self):
         a, = fmaps([3], 5, seed=3)
         b, = fmaps([3], 6, seed=4)
         with pytest.raises(DimensionError):
-            mfa_concat([a, b])
+            aggregate([a, b])
 
 
 class TestAttentiveStatsPooling:
     def test_identical_frames_collapse_std(self):
         frame = np.random.default_rng(5).normal(size=4)
-        feature = MfaFeature(np.tile(frame[:, None], (1, 6)), [4])
-        out = attentive_stats_pool(feature, seed=6)
+        out = pool_frames(np.tile(frame[:, None], (1, 6)), seed=6)
         np.testing.assert_allclose(out[:4], frame, atol=1e-9)
         assert np.abs(out[4:]).max() <= np.sqrt(1e-5)
 
     def test_output_length_is_twice_channels(self):
-        out = attentive_stats_pool(MfaFeature(np.random.default_rng(7).normal(size=(4, 3)), [4]))
+        out = pool_frames(np.random.default_rng(7).normal(size=(4, 3)))
         assert out.shape == (8,)
 
     def test_against_weighted_moment_oracle(self):
         pool = AttentiveStatsPooling(2, bottleneck=3)
         seed_parameters(pool, 8)
         x = np.random.default_rng(9).normal(size=(2, 2))  # (D, T)
-        out = attentive_stats_pool(MfaFeature(x, [2]), pooling=pool)
+        out = pool_frames(x, pool)
 
         # independent recomputation from the module's weights
         h = x.T  # (T, D)
@@ -98,8 +105,8 @@ class TestAttentiveStatsPooling:
         pool = AttentiveStatsPooling(3)
         seed_parameters(pool, 10)
         x = np.random.default_rng(11).normal(size=(3, 7))
-        a = attentive_stats_pool(MfaFeature(x, [3]), pooling=pool)
-        b = attentive_stats_pool(MfaFeature(x[:, ::-1], [3]), pooling=pool)
+        a = pool_frames(x, pool)
+        b = pool_frames(x[:, ::-1], pool)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_empty_frames_error(self):
@@ -112,17 +119,20 @@ class TestEmbeddingHead:
     def test_output_is_256(self):
         head = EmbeddingHead(10)
         seed_parameters(head, 12)
-        assert embed(np.random.default_rng(13).normal(size=10), head).shape == (256,)
+        head.eval_mode()
+        assert head(ad.tensor(np.random.default_rng(13).normal(size=(1, 10)))).shape == (1, 256)
 
     def test_zero_weights_zero_embedding(self):
         head = EmbeddingHead(10)  # zero-initialized by default
-        out = embed(np.random.default_rng(14).normal(size=10), head)
+        head.eval_mode()
+        out = head(ad.tensor(np.random.default_rng(14).normal(size=(1, 10)))).data[0]
         np.testing.assert_array_equal(out, np.zeros(256))
 
     def test_dim_mismatch(self):
         head = EmbeddingHead(10)
+        head.eval_mode()
         with pytest.raises(DimensionError):
-            embed(np.zeros(9), head)
+            head(ad.tensor(np.zeros((1, 9))))
 
     def test_gradients(self):
         head = EmbeddingHead(6)

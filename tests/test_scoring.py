@@ -25,7 +25,6 @@ from confsv.scoring import (
     load_embeddings,
     min_dcf,
     parse_trials,
-    qmf_apply,
     qmf_features,
     qmf_fit,
     resolve_embedding,
@@ -217,6 +216,12 @@ class TestTrialParsing:
         with pytest.raises(TrialParseError, match="line 2"):
             parse_trials(path)
 
+    def test_not_utf8_is_a_data_error(self, tmp_path):
+        path = tmp_path / "trials.txt"
+        path.write_bytes(b"1 a.wav b.wav\n0 a.wav c\xff.wav\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            parse_trials(path)
+
 
 class TestQmf:
     @staticmethod
@@ -235,7 +240,7 @@ class TestQmf:
         scores = np.concatenate([rng.normal(1.0, 0.3, 40), rng.normal(-1.0, 0.3, 40)])
         labels = np.concatenate([np.ones(40), np.zeros(40)])
         model = qmf_fit(self.records_from(scores), labels)
-        assert model.raw_score_weight > 0
+        assert model.weights[0] > 0  # the raw-score weight; feat_std > 0 keeps its sign
         grid = self.records_from(np.linspace(-2, 2, 9))
         outs = [model.transform(r) for r in grid]
         assert all(a < b for a, b in zip(outs, outs[1:]))
@@ -245,7 +250,7 @@ class TestQmf:
         scores = np.concatenate([rng.normal(0.6, 0.4, 50), rng.normal(-0.6, 0.4, 50)])
         labels = np.concatenate([np.ones(50, dtype=int), np.zeros(50, dtype=int)])
         model = qmf_fit(self.records_from(scores), labels)
-        calibrated = [qmf_apply(model, r).calibrated for r in self.records_from(scores)]
+        calibrated = [model.transform(r) for r in self.records_from(scores)]
         assert eer(calibrated, labels) == pytest.approx(eer(scores, labels), abs=1e-9)
 
     def test_quality_feature_reduces_cross_entropy(self):
@@ -466,8 +471,7 @@ class TestCachedScoring:
             for r in records
         ])
         assert from_features.calibrate(features).tobytes() == expected.tobytes()
-        assert np.array([qmf_apply(m, r).calibrated for r in records]).tobytes() \
-            == expected.tobytes()
+        assert np.array([m.transform(r) for r in records]).tobytes() == expected.tobytes()
 
     def test_qmf_features_missing_id(self):
         trials = TrialList([Trial(1, "a", "b")])
