@@ -29,7 +29,7 @@ from .conformer import ConformerBlock, ConformerEncoder, EncoderConfig
 from .errors import CheckpointError, ConfigError, DegenerateLabelsError
 from .heads import AttentiveStatsPooling, EmbeddingHead, MfaAggregator
 from .nn import LayerNorm, Linear, Module, ModuleList, seed_parameters
-from .util import rng_for
+from .util import check_finite, rng_for
 
 ADAPTOR_DIM = 128
 LIGHT_DIM = 176
@@ -140,13 +140,14 @@ class SpeakerAdaptation(Module):
         return self._backbone
 
     def backbone_taps(self, mel: Tensor) -> list[Tensor]:
-        """Frozen, dropout-free backbone forward; no gradient reaches its weights."""
+        """Frozen, dropout-free forward of the backbone's first L blocks; no
+        gradient reaches its weights."""
         was_training = self._backbone.training
         self._backbone.eval_mode()
-        maps = self._backbone(mel, rng=None)
+        maps = self._backbone(mel, rng=None, depth=self.cfg.adapted_layers)
         if was_training:
             self._backbone.train_mode()
-        return maps[: self.cfg.adapted_layers]
+        return maps
 
     def forward(self, mel: Tensor, rng=None) -> Tensor:
         taps = self.backbone_taps(mel)
@@ -219,7 +220,8 @@ def linear_probe(
     Probe: two affine maps, average pooling over frames, and an affine
     classifier, trained by full-batch gradient descent with a fixed budget.
     Affine maps commute with average pooling, so frames are pooled first;
-    the function computed is identical.
+    the function computed is identical.  A loss or logits that are not
+    finite (the descent diverged) raise `NumericError`.
     """
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
@@ -246,6 +248,7 @@ def linear_probe(
             for w, bias in weights:
                 h = ad.matmul(h, w) + bias
             loss = -ad.mean(ad.sum_(oh * ad.log_softmax(h, axis=-1), axis=-1))
+            check_finite(loss.data, f"probe loss of layer {layer_idx + 1}")
             for w, bias in weights:
                 w.grad = None
                 bias.grad = None
@@ -256,6 +259,7 @@ def linear_probe(
         h = x.data
         for w, bias in weights:
             h = h @ w.data + bias.data
+        check_finite(h, f"probe logits of layer {layer_idx + 1}")
         accuracies.append(float((h.argmax(axis=-1) == labels).mean()))
     return accuracies
 

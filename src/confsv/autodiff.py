@@ -6,8 +6,9 @@ the graph once in reverse topological order, so each node contributes exactly
 one gradient pass regardless of fan-out.
 
 Everything runs in float64.  The op set is exactly what the Conformer stack
-and its losses need: matmul, 1-D/2-D convolution (grouped/depthwise), softmax,
-layer norm, Swish/ReLU/GLU, dropout, reductions, and the indexing ops used by
+and its losses need: matmul, 1-D convolution (dense/depthwise), a fused
+channels-last 2-D convolution + bias + ReLU, softmax, layer norm,
+Swish/ReLU/GLU, dropout, reductions, and the indexing ops used by
 relative-position attention and CTC.
 """
 
@@ -539,25 +540,31 @@ def conv1d(
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
-    def _scatter_1d(gwin: np.ndarray) -> np.ndarray:
+    def _scatter_1d(tap: Callable[[int], np.ndarray]) -> np.ndarray:
+        # tap(k): the gradient reaching every window's k-th input; taps add in k order from zero
         gxp = np.zeros_like(xp)
         for k in range(K):
-            gxp[:, :, k : k + stride * Tout : stride] += gwin[:, :, :, k]
+            gxp[:, :, k : k + stride * Tout : stride] += tap(k)
         return gxp[:, :, padding : padding + T]
 
     def grad_fn(g):
         if depthwise:
             w = weight.data.reshape(C, K)
             gw = (win * g[:, :, :, None]).sum(axis=(0, 2)).reshape(Cout, Cg, K)
-            gwin = g[:, :, :, None] * w[None, :, None, :]
+
+            def tap(k):  # one tap at a time: no (B, C, T_out, K) temporary
+                return g * w[None, :, k, None]
         else:
             cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(B * Tout, C * K)
             g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * Tout, Cout)
             gw = (g2.T @ cols).reshape(Cout, Cg, K)
             gwin = (g2 @ weight.data.reshape(Cout, C * K)).reshape(B, Tout, C, K)
             gwin = gwin.transpose(0, 2, 1, 3)
+
+            def tap(k):
+                return gwin[:, :, :, k]
         # no input gradient for a constant input
-        grads = [_scatter_1d(gwin) if x._needs_graph() else None, gw]
+        grads = [_scatter_1d(tap) if x._needs_graph() else None, gw]
         if bias is not None:
             grads.append(g.sum(axis=(0, 2)))
         return tuple(grads)
@@ -565,65 +572,68 @@ def conv1d(
     return _make(out, parents, grad_fn)
 
 
-def conv2d(
+def conv2d_relu(
     x: Tensor,
     weight: Tensor,
     bias: Optional[Tensor],
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
-    """2-D convolution over (B, C, H, W); weight (C_out, C_in, KH, KW)."""
-    B, C, H, W = x.shape
+    """relu(conv2d(x) + bias), channels-last: (B, H, W, C) -> (B, Ho, Wo, C_out).
+
+    weight: (C_out, C_in, KH, KW).  The input is padded into a zeroed buffer,
+    its (KH, KW, C) windows are copied once into im2col rows, and one GEMM
+    against the tap-major weight columns gives the output, to which the bias
+    and the ReLU are applied in place.
+    """
+    B, H, W, C = x.shape
     Cout, Cin, KH, KW = weight.shape
     if Cin != C:
-        raise DimensionError("conv2d: channel mismatch")
+        raise DimensionError("conv2d_relu: channel mismatch")
     Hout = conv_out_len(H, KH, stride, padding)
     Wout = conv_out_len(W, KW, stride, padding)
     if Hout < 1 or Wout < 1:
-        raise DimensionError("conv2d: input too small for kernel")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    sB, sC, sH, sW = xp.strides
+        raise DimensionError("conv2d_relu: input too small for kernel")
+    xp = np.zeros((B, H + 2 * padding, W + 2 * padding, C))
+    xp[:, padding : padding + H, padding : padding + W] = x.data
+    sB, sH, sW, sC = xp.strides
     win = np.lib.stride_tricks.as_strided(
         xp,
-        shape=(B, C, Hout, Wout, KH, KW),
-        strides=(sB, sC, sH * stride, sW * stride, sH, sW),
+        shape=(B, Hout, Wout, KH, KW, C),
+        strides=(sB, sH * stride, sW * stride, sH, sW, sC),
         writeable=False,
     )
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        B * Hout * Wout, C * KH * KW
-    )
-    wmat = weight.data.reshape(Cout, C * KH * KW)
-    out = (cols @ wmat.T).reshape(B, Hout, Wout, Cout).transpose(0, 3, 1, 2)
+    cols = np.ascontiguousarray(win).reshape(B * Hout * Wout, KH * KW * C)
+    wtaps = weight.data.transpose(0, 2, 3, 1).reshape(Cout, KH * KW * C)
+    out = cols @ wtaps.T
     if bias is not None:
-        out = out + bias.data[None, :, None, None]
+        out += bias.data
+    np.maximum(out, 0.0, out=out)
+    out = out.reshape(B, Hout, Wout, Cout)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
-    def _col2im_2d(g2: np.ndarray) -> np.ndarray:
-        # Tap-major weight columns make each tap's gradient a contiguous (C,)
-        # run, so the col2im adds go into a channels-last buffer row by row.
-        # Every element still sums its taps in (i, j) order from zero.
-        wtaps = weight.data.transpose(0, 2, 3, 1).reshape(Cout, KH * KW * C)
-        gtaps = (g2 @ wtaps).reshape(B, Hout, Wout, KH, KW, C)
-        gxp = np.zeros((B, H + 2 * padding, W + 2 * padding, C))
-        for i in range(KH):
-            for j in range(KW):
-                gxp[:, i : i + stride * Hout : stride, j : j + stride * Wout : stride] += (
-                    gtaps[:, :, :, i, j]
-                )
-        # Copied to C order: reductions over the transposed view (such as the
-        # next op's bias sum) would add in another order and change last bits.
-        return np.ascontiguousarray(
-            gxp[:, padding : padding + H, padding : padding + W].transpose(0, 3, 1, 2)
-        )
+    def _col2im(gm: np.ndarray) -> np.ndarray:
+        # Each tap's gradient is a contiguous (C,) run; every element sums its
+        # taps in (i, j) order from zero.  One item at a time keeps its rows
+        # of both arrays in cache across the taps.
+        gtaps = (gm @ wtaps).reshape(B, Hout, Wout, KH, KW, C)
+        gxp = np.zeros_like(xp)
+        for gx_item, gt_item in zip(gxp, gtaps):
+            for i in range(KH):
+                for j in range(KW):
+                    gx_item[i : i + stride * Hout : stride, j : j + stride * Wout : stride] += (
+                        gt_item[:, :, i, j]
+                    )
+        return gxp[:, padding : padding + H, padding : padding + W]
 
     def grad_fn(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(B * Hout * Wout, Cout)
-        gw = (g2.T @ cols).reshape(Cout, C, KH, KW)
+        gm = (g * (out > 0.0)).reshape(B * Hout * Wout, Cout)
+        gw = np.ascontiguousarray((gm.T @ cols).reshape(Cout, KH, KW, C).transpose(0, 3, 1, 2))
         # no input gradient for a constant input (the log-mel into the first conv)
-        grads = [_col2im_2d(g2) if x._needs_graph() else None, gw]
+        grads = [_col2im(gm) if x._needs_graph() else None, gw]
         if bias is not None:
-            grads.append(g.sum(axis=(0, 2, 3)))
+            grads.append(gm.sum(axis=0))
         return tuple(grads)
 
     return _make(out, parents, grad_fn)

@@ -110,7 +110,10 @@ def sinusoid_positions(n_frames: int, dim: int) -> np.ndarray:
 
 
 class ConvSubsampling(Module):
-    """Stride-2 conv stages (two for 1/4 rate, one for 1/2) plus a projection to d."""
+    """Stride-2 conv + ReLU stages (two for 1/4 rate, one for 1/2) plus a projection to d.
+
+    The stages run channels-last, from the log-mel as (B, T, n_mels, 1).
+    """
 
     def __init__(self, cfg: EncoderConfig):
         super().__init__()
@@ -137,11 +140,11 @@ class ConvSubsampling(Module):
                 f"need >= {self.min_frames()} frames for rate {self.cfg.subsample_rate}, "
                 f"got {mel.shape[1]}"
             )
-        x = ad.reshape(mel, (mel.shape[0], 1, mel.shape[1], mel.shape[2]))
+        x = ad.reshape(mel, mel.shape + (1,))  # channels-last (B, T, F, 1)
         for conv in self.convs:
-            x = ad.relu(conv(x))
-        # (B, d, T', F') -> (B, T', d*F')
-        x = ad.transpose(x, (0, 2, 1, 3))
+            x = conv(x)
+        # (B, T', F', d) -> (B, T', d*F'), the (d, F') column order proj was trained on
+        x = ad.transpose(x, (0, 1, 3, 2))
         x = ad.reshape(x, (x.shape[0], x.shape[1], x.shape[2] * x.shape[3]))
         return self.proj(x)
 
@@ -276,11 +279,12 @@ class ConformerEncoder(Module):
     def frame_shift_sec(self) -> float:
         return MEL_FRAME_SHIFT_SEC / self.cfg.subsample_rate
 
-    def forward(self, mel: Tensor, rng=None) -> list[Tensor]:
-        """(B, T, n_mels) -> [h_1 ... h_L], each (B, T', d)."""
+    def forward(self, mel: Tensor, rng=None, depth: Optional[int] = None) -> list[Tensor]:
+        """(B, T, n_mels) -> [h_1 ... h_L], each (B, T', d); only the first
+        `depth` blocks run when it is given."""
         h = self.subsampling(mel)
         outputs = []
-        for block in self.blocks:
+        for block in self.blocks[:depth]:
             h = block(h, rng)
             outputs.append(h)
         return outputs

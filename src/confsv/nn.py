@@ -259,6 +259,8 @@ class Conv1d(Module):
 
 
 class Conv2d(Module):
+    """Convolution followed by ReLU, channels-last: (B, H, W, C_in) -> (B, Ho, Wo, C_out)."""
+
     def __init__(
         self, c_in: int, c_out: int, kernel: int, stride: int = 1, padding: int = 0,
         bias: bool = True,
@@ -270,7 +272,7 @@ class Conv2d(Module):
         self.stride, self.padding = stride, padding
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return ad.conv2d_relu(x, self.weight, self.bias, self.stride, self.padding)
 
 
 class Dropout(Module):

@@ -15,8 +15,8 @@ from confsv.adaptation import (
     save_adaptation,
     truncate_encoder,
 )
-from confsv.conformer import ENCODER_PRESETS, ConformerEncoder, EncoderConfig
-from confsv.errors import CheckpointError, ConfigError, DegenerateLabelsError
+from confsv.conformer import ENCODER_PRESETS, ConformerBlock, ConformerEncoder, EncoderConfig
+from confsv.errors import CheckpointError, ConfigError, DegenerateLabelsError, NumericError
 from confsv.heads import SpeakerModel
 from confsv.losses import AamClassifier, aam_softmax_loss
 from confsv.nn import seed_parameters
@@ -135,6 +135,27 @@ class TestAdaptationForward:
         after = [m.values for m in backbone.encode(feats)]
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("variant", ["V1", "V2", "V3"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_backbone_taps_run_only_the_tapped_blocks(self, variant, layers, monkeypatch):
+        backbone = toy_backbone()
+        cfg = toy_adapt_cfg(variant=variant, adapted_layers=layers,
+                            extra_layers=1 if variant == "V3" else 0)
+        module = SpeakerAdaptation(backbone, cfg, seed=17)
+        mel = ad.tensor(np.random.default_rng(18).normal(size=(2, 24, 80)))
+        backbone.eval_mode()
+        full = backbone(mel)
+        calls = []
+        block_forward = ConformerBlock.forward
+        monkeypatch.setattr(ConformerBlock, "forward",
+                            lambda self, *a, **k: calls.append(1) or block_forward(self, *a, **k))
+        backbone.train_mode()
+        taps = module.backbone_taps(mel)
+        assert len(calls) == layers and len(taps) == layers
+        for tap, ref in zip(taps, full[:layers]):
+            assert np.array_equal(tap.data, ref.data)
+        assert backbone.training
 
     def test_mfa_width(self):
         backbone = toy_backbone()
@@ -277,6 +298,14 @@ class TestLinearProbe:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabelsError):
             linear_probe([[np.zeros((3, 4))]], [0])
+
+    def test_diverging_descent_raises_instead_of_reporting_an_accuracy(self):
+        labels = [0, 1, 2, 3] * 2
+        rng = np.random.default_rng(23)
+        maps = [rng.normal(size=(10, 5)) for _ in labels]
+        with pytest.raises(NumericError, match="probe"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                linear_probe([maps], labels, lr=1e6, seed=1)
 
 
 class TestAdaptationCheckpoint:

@@ -200,8 +200,10 @@ def test_per_op_gradients(seed):
     wd = ad.tensor(rng.normal(size=(2, 1, 3)), requires_grad=True)
     gradcheck(lambda: ad.sum_(ad.tanh(ad.conv1d(xc, wd, None, padding=1, groups=2))), [xc, wd])
     w2 = ad.tensor(rng.normal(size=(2, 2, 3, 3)), requires_grad=True)
-    x2 = ad.tensor(rng.normal(size=(1, 2, 6, 5)), requires_grad=True)
-    gradcheck(lambda: ad.sum_(ad.tanh(ad.conv2d(x2, w2, None, stride=2, padding=1))), [x2, w2])
+    x2 = ad.tensor(rng.normal(size=(1, 6, 5, 2)), requires_grad=True)
+    b2 = ad.tensor(rng.normal(size=2), requires_grad=True)
+    gradcheck(lambda: ad.sum_(ad.tanh(ad.conv2d_relu(x2, w2, b2, stride=2, padding=1))),
+              [x2, w2, b2])
     rows = np.repeat(np.arange(3)[:, None], 3, axis=1)
     cols = rows - rows.T + 2
     pp = ad.tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
@@ -233,9 +235,34 @@ def test_ops_deterministic():
     np.testing.assert_array_equal(r1.data, r2.data)
 
 
+def conv2d_channels_first(x, weight, bias, stride, padding):
+    """The channels-first im2col convolution that preceded `conv2d_relu`:
+    (B, C, H, W) -> (B, C_out, Ho, Wo), before the ReLU."""
+    B, C, H, W = x.shape
+    Cout, _, KH, KW = weight.shape
+    Hout = ad.conv_out_len(H, KH, stride, padding)
+    Wout = ad.conv_out_len(W, KW, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    sB, sC, sH, sW = xp.strides
+    win = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(B, C, Hout, Wout, KH, KW),
+        strides=(sB, sC, sH * stride, sW * stride, sH, sW),
+        writeable=False,
+    )
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        B * Hout * Wout, C * KH * KW
+    )
+    out = (cols @ weight.reshape(Cout, C * KH * KW).T).reshape(B, Hout, Wout, Cout)
+    out = out.transpose(0, 3, 1, 2)
+    if bias is not None:
+        out = out + bias[None, :, None, None]
+    return out
+
+
 def scatter_conv2d_input_grad(x, weight, g, stride, padding):
-    """The strided col2im scatter that conv2d's backward used before the
-    channels-last rewrite; the bitwise reference for its input gradient."""
+    """The channels-first strided col2im scatter; the bitwise reference for
+    the input gradient.  x: (B, C, H, W), g: (B, C_out, Ho, Wo)."""
     B, C, H, W = x.shape
     Cout, _, KH, KW = weight.shape
     Hout, Wout = g.shape[2:]
@@ -251,28 +278,90 @@ def scatter_conv2d_input_grad(x, weight, g, stride, padding):
     return gxp[:, :, padding : padding + H, padding : padding + W]
 
 
+def scatter_depthwise_conv1d_input_grad(weight, g, stride, padding, T):
+    """The (B, C, T_out, K) window gradient scattered tap by tap; the bitwise
+    reference for the depthwise `conv1d` input gradient."""
+    C, _, K = weight.shape
+    B, _, Tout = g.shape
+    gwin = g[:, :, :, None] * weight.reshape(C, K)[None, :, None, :]
+    gxp = np.zeros((B, C, T + 2 * padding))
+    for k in range(K):
+        gxp[:, :, k : k + stride * Tout : stride] += gwin[:, :, :, k]
+    return gxp[:, :, padding : padding + T]
+
+
+def to_channels_first(a):
+    return a.transpose(0, 3, 1, 2)
+
+
 class TestConvInputGradient:
+    @pytest.mark.parametrize("c_in, exact", [(1, True), (32, False)])
+    def test_conv2d_relu_matches_channels_first_forward(self, c_in, exact):
+        """Bitwise at C_in = 1, where the column orders coincide; the
+        tap-major columns reorder the GEMM reduction at C_in = 32."""
+        rng = np.random.default_rng(c_in)
+        x = rng.normal(size=(3, 11, 9, c_in))
+        w = rng.normal(size=(5, c_in, 3, 3))
+        b = rng.normal(size=5)
+        out = ad.conv2d_relu(ad.tensor(x), ad.tensor(w), ad.tensor(b), stride=2, padding=1)
+        pre = conv2d_channels_first(to_channels_first(x), w, b, 2, 1)
+        ref = np.maximum(pre, 0.0).transpose(0, 2, 3, 1)
+        assert out.shape == (3, 6, 5, 5)
+        if exact:
+            assert np.array_equal(out.data, ref)
+        else:
+            assert np.abs(out.data - ref).max() <= 1e-12 * np.abs(ref).max()
+
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("c_in", [1, 32])
     @pytest.mark.parametrize("kernel", [(3, 3), (2, 3)])
     def test_conv2d_matches_scatter_bitwise(self, stride, padding, c_in, kernel):
         rng = np.random.default_rng(stride * 100 + padding * 10 + c_in + kernel[0])
-        x = ad.tensor(rng.normal(size=(3, c_in, 11, 9)), requires_grad=True)
+        x = ad.tensor(rng.normal(size=(3, 11, 9, c_in)), requires_grad=True)
         w = ad.tensor(rng.normal(size=(5, c_in) + kernel), requires_grad=True)
-        out = ad.conv2d(x, w, None, stride=stride, padding=padding)
+        out = ad.conv2d_relu(x, w, None, stride=stride, padding=padding)
         g = rng.normal(size=out.shape)
         gx = out._grad_fn(g)[0]
-        assert gx.flags.c_contiguous
-        assert np.array_equal(gx, scatter_conv2d_input_grad(x.data, w.data, g, stride, padding))
+        g_masked = to_channels_first(g * (out.data > 0.0))
+        ref = scatter_conv2d_input_grad(to_channels_first(x.data), w.data, g_masked, stride,
+                                        padding)
+        assert np.array_equal(gx, ref.transpose(0, 2, 3, 1))
+
+    def test_conv2d_relu_mask_is_the_preactivation_sign(self):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 9, 8, 3))
+        w = ad.tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        b = ad.tensor(rng.normal(size=4), requires_grad=True)
+        out = ad.conv2d_relu(ad.tensor(x), w, b, stride=2, padding=1)
+        pre = conv2d_channels_first(to_channels_first(x), w.data, b.data, 2, 1)
+        mask = (pre > 0.0).transpose(0, 2, 3, 1)
+        assert 0 < mask.sum() < mask.size
+        assert np.array_equal(out.data > 0.0, mask)
+        # with an all-ones output gradient the bias gradient counts the open units
+        _, _, gb = out._grad_fn(np.ones(out.shape))
+        assert np.array_equal(gb, mask.sum(axis=(0, 1, 2)).astype(np.float64))
 
     def test_conv2d_of_a_constant_input_skips_its_gradient(self):
         rng = np.random.default_rng(3)
         w = ad.tensor(rng.normal(size=(4, 1, 3, 3)), requires_grad=True)
         b = ad.tensor(np.zeros(4), requires_grad=True)
-        out = ad.conv2d(ad.tensor(rng.normal(size=(2, 1, 7, 6))), w, b, stride=2)
+        out = ad.conv2d_relu(ad.tensor(rng.normal(size=(2, 7, 6, 1))), w, b, stride=2)
         gx, gw, gb = out._grad_fn(np.ones(out.shape))
         assert gx is None and gw.shape == w.shape and gb.shape == (4,)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 3])
+    @pytest.mark.parametrize("kernel", [3, 7])
+    def test_depthwise_conv1d_matches_scatter_bitwise(self, stride, padding, kernel):
+        rng = np.random.default_rng(stride * 100 + padding * 10 + kernel)
+        x = ad.tensor(rng.normal(size=(3, 6, 20)), requires_grad=True)
+        w = ad.tensor(rng.normal(size=(6, 1, kernel)), requires_grad=True)
+        out = ad.conv1d(x, w, None, stride=stride, padding=padding, groups=6)
+        g = rng.normal(size=out.shape)
+        gx = out._grad_fn(g)[0]
+        ref = scatter_depthwise_conv1d_input_grad(w.data, g, stride, padding, 20)
+        assert np.array_equal(gx, ref)
 
     @pytest.mark.parametrize("c_in, groups, c_out", [(2, 1, 4), (2, 2, 2)])
     def test_conv1d_of_a_constant_input_skips_its_gradient(self, c_in, groups, c_out):

@@ -7,7 +7,7 @@ import pytest
 
 from confsv import checkpoint as ckpt
 from confsv.checkpoint import load_checkpoint, save_checkpoint
-from confsv.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from confsv.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from confsv.conformer import EncoderConfig
 from confsv.heads import SpeakerModel
 from confsv.scoring import save_embeddings
@@ -303,6 +303,19 @@ class TestProbe:
         assert len(lines) == 1 + 1  # header + one encoder layer
         acc = float(lines[1].split(",")[1])
         assert 0.0 <= acc <= 1.0
+
+    def test_probe_that_diverges_exits_4_and_writes_no_csv(self, mini, tmp_path, capsys):
+        """Eight utterances: the full-batch descent blows up to NaN logits,
+        which used to be reported as the all-class-0 accuracy."""
+        out = tmp_path / "p.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([
+                "probe", "--ckpt", str(mini["asr_ckpt"]), "--manifest", str(mini["manifest"]),
+                "--out", str(out), "--seed", "3", "--max-utts", "8",
+            ])
+        assert code == EXIT_NUMERIC
+        assert not out.exists()
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestScoreEvaluate:
