@@ -23,12 +23,14 @@ excluded):
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .adaptation import ADAPTOR_DIM, AdaptationConfig
 from .autodiff import conv_out_len
 from .conformer import EncoderConfig
+from .datapipe import VOCAB_SIZE
 from .errors import ConfigError
 from .heads import ASP_BOTTLENECK, EMBEDDING_DIM
 
@@ -83,12 +85,12 @@ def linear_params(d_in: int, d_out: int, bias: bool = True) -> int:
     return d_in * d_out + (d_out if bias else 0)
 
 
-def conv1d_params(c_in: int, c_out: int, kernel: int, groups: int = 1, bias: bool = True) -> int:
-    return c_out * (c_in // groups) * kernel + (c_out if bias else 0)
+def conv1d_params(c_in: int, c_out: int, kernel: int, groups: int = 1) -> int:
+    return c_out * (c_in // groups) * kernel + c_out
 
 
-def conv2d_params(c_in: int, c_out: int, kernel: int, bias: bool = True) -> int:
-    return c_out * c_in * kernel * kernel + (c_out if bias else 0)
+def conv2d_params(c_in: int, c_out: int, kernel: int) -> int:
+    return c_out * c_in * kernel * kernel + c_out
 
 
 def norm_params(dim: int) -> int:
@@ -145,12 +147,13 @@ def subsampling_params(cfg: EncoderConfig) -> int:
     return total
 
 
-def pooling_params(d_channels: int, bottleneck: int = ASP_BOTTLENECK) -> int:
-    return linear_params(3 * d_channels, bottleneck) + linear_params(bottleneck, d_channels)
+def pooling_params(d_channels: int) -> int:
+    return (linear_params(3 * d_channels, ASP_BOTTLENECK)
+            + linear_params(ASP_BOTTLENECK, d_channels))
 
 
-def decoder_params(d: int, vocab: int) -> int:
-    return linear_params(d, vocab + 1)
+def decoder_params(d: int) -> int:
+    return linear_params(d, VOCAB_SIZE + 1)
 
 
 # -- public counting API -----------------------------------------------------------
@@ -159,7 +162,6 @@ def decoder_params(d: int, vocab: int) -> int:
 def count_params(
     cfg: EncoderConfig,
     scope: str = "speaker",
-    vocab: int = 10,
     layers: Optional[int] = None,
 ) -> CountReport:
     """Exact parameter count for a configuration.
@@ -178,7 +180,7 @@ def count_params(
     per_block = block_params(cfg)
     report.add(f"blocks ({n_layers} x {per_block})", n_layers * per_block)
     if scope == "encoder+decoder":
-        report.add("ctc_decoder", decoder_params(cfg.dim, vocab))
+        report.add("ctc_decoder", decoder_params(cfg.dim))
     if scope == "speaker":
         d_channels = n_layers * cfg.dim
         report.add("mfa_norm", norm_params(d_channels))
@@ -226,14 +228,14 @@ def count_adaptation_params(cfg: AdaptationConfig, backbone: EncoderConfig) -> C
 
 def _frame_plan(cfg: EncoderConfig, input_seconds: float) -> tuple[int, list[tuple[int, int]], int]:
     """Mel frames, per-stage (frames, freq) outputs, and final frame count."""
-    t = int(round(input_seconds * MEL_FRAMES_PER_SECOND))
+    mel_frames = t = int(round(input_seconds * MEL_FRAMES_PER_SECOND))
     stages = []
     f = cfg.n_mels
     for _ in range(cfg.subsample_stages):
         t = conv_out_len(t, 3, 2, 1)
         f = conv_out_len(f, 3, 2, 1)
         stages.append((t, f))
-    return int(round(input_seconds * MEL_FRAMES_PER_SECOND)), stages, t
+    return mel_frames, stages, t
 
 
 def _block_conv_macs(cfg: EncoderConfig, frames: int) -> int:
@@ -255,20 +257,25 @@ def estimate_macs(
     input_seconds: float = MACS_INPUT_SECONDS,
     convention: str = "conv",
     scope: str = "speaker",
-    vocab: int = 10,
-    layers: Optional[int] = None,
 ) -> CountReport:
-    """Forward-pass MACs for one utterance under the documented conventions."""
+    """Forward-pass MACs for one utterance under the documented conventions.
+
+    An input shorter than the subsampling accepts raises ConfigError.
+    """
     if convention not in ("conv", "full"):
         raise ConfigError(f"unknown MACs convention {convention!r}")
     if scope not in ("encoder", "encoder+decoder", "speaker"):
         raise ConfigError(f"unknown scope {scope!r}")
-    n_layers = cfg.layers if layers is None else layers
-    if not 1 <= n_layers <= cfg.layers:
-        raise ConfigError(f"layer override {n_layers} out of range")
-    _, stages, frames = _frame_plan(cfg, input_seconds)
+    if not math.isfinite(input_seconds):
+        raise ConfigError(f"input length must be finite, got {input_seconds}")
+    mel_frames, stages, frames = _frame_plan(cfg, input_seconds)
+    if mel_frames < cfg.min_frames:
+        raise ConfigError(
+            f"{input_seconds:g}s is {mel_frames} mel frames; rate {cfg.subsample_rate} "
+            f"needs >= {cfg.min_frames}"
+        )
     report = CountReport(
-        f"MACs ({convention}, {scope}, {input_seconds:g}s input, {n_layers} layers, d={cfg.dim})"
+        f"MACs ({convention}, {scope}, {input_seconds:g}s input, {cfg.layers} layers, d={cfg.dim})"
     )
     c_in = 1
     sub = 0
@@ -281,12 +288,12 @@ def estimate_macs(
     per_block = (
         _block_conv_macs(cfg, frames) if convention == "conv" else _block_full_macs(cfg, frames)
     )
-    report.add(f"blocks ({n_layers} x {per_block})", macs=n_layers * per_block)
+    report.add(f"blocks ({cfg.layers} x {per_block})", macs=cfg.layers * per_block)
     if scope == "encoder+decoder":
-        dec = frames * cfg.dim * (vocab + 1) if convention == "full" else 0
+        dec = frames * cfg.dim * (VOCAB_SIZE + 1) if convention == "full" else 0
         report.add("ctc_decoder", macs=dec)
     if scope == "speaker":
-        d_channels = n_layers * cfg.dim
+        d_channels = cfg.layers * cfg.dim
         pool = frames * (3 * d_channels * ASP_BOTTLENECK + ASP_BOTTLENECK * d_channels)
         report.add("pooling", macs=pool)
         if convention == "full":

@@ -17,7 +17,7 @@ without the adaptation attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -35,6 +35,8 @@ ADAPTOR_DIM = 128
 LIGHT_DIM = 176
 LIGHT_HEADS = 4
 LIGHT_HIDDEN = 704
+PROBE_HIDDEN = (64, 64)
+PROBE_ITERS = 400
 
 
 @dataclass
@@ -210,8 +212,6 @@ def freeze_schedule(total_epochs: int, frozen_epochs: int) -> list[TrainingPhase
 def linear_probe(
     layer_maps: Sequence[Sequence[np.ndarray]],
     labels: Sequence[int],
-    hidden: tuple[int, int] = (64, 64),
-    iters: int = 400,
     lr: float = 0.5,
     seed: int = 0,
 ) -> list[float]:
@@ -234,7 +234,7 @@ def linear_probe(
         mu, sd = pooled.mean(axis=0), pooled.std(axis=0) + 1e-8
         x = ad.tensor((pooled - mu) / sd)
         rng = rng_for(seed, "probe", layer_idx)
-        dims = [pooled.shape[1], hidden[0], hidden[1]]
+        dims = [pooled.shape[1], *PROBE_HIDDEN]
         weights = []
         for i, (a, b) in enumerate(zip(dims, dims[1:] + [n_classes])):
             w = ad.tensor(rng.normal(0.0, 1.0 / np.sqrt(a), size=(a, b)), requires_grad=True)
@@ -243,7 +243,7 @@ def linear_probe(
         onehot = np.zeros((labels.size, n_classes))
         onehot[np.arange(labels.size), labels] = 1.0
         oh = ad.tensor(onehot)
-        for _ in range(iters):
+        for _ in range(PROBE_ITERS):
             h = x
             for w, bias in weights:
                 h = ad.matmul(h, w) + bias
@@ -271,16 +271,7 @@ def save_adaptation(path, module: SpeakerAdaptation, backbone_arrays: dict) -> N
     """Store only trainable arrays plus a hash binding them to the backbone."""
     meta = {
         "kind": ADAPTATION_CKPT_KIND,
-        "config": {
-            "variant": module.cfg.variant,
-            "adapted_layers": module.cfg.adapted_layers,
-            "extra_layers": module.cfg.extra_layers,
-            "light_dim": module.cfg.light_dim,
-            "light_heads": module.cfg.light_heads,
-            "light_hidden": module.cfg.light_hidden,
-            "light_kernel": module.cfg.light_kernel,
-            "dropout": module.cfg.dropout,
-        },
+        "config": asdict(module.cfg),
         "backbone_hash": ckpt.content_hash(backbone_arrays),
     }
     ckpt.save_checkpoint(path, meta, module.state_arrays())

@@ -6,10 +6,12 @@ the graph once in reverse topological order, so each node contributes exactly
 one gradient pass regardless of fan-out.
 
 Everything runs in float64.  The op set is exactly what the Conformer stack
-and its losses need: matmul, 1-D convolution (dense/depthwise), a fused
-channels-last 2-D convolution + bias + ReLU, softmax, layer norm,
-Swish/ReLU/GLU, dropout, reductions, and the indexing ops used by
-relative-position attention and CTC.
+and its losses need: elementwise add/sub/mul/div, sqrt, tanh, clip, matmul,
+1-D convolution (dense/depthwise), a fused channels-last 2-D convolution +
+bias + ReLU, softmax and log-softmax, layer norm, Swish/ReLU/GLU (sigmoid
+inside Swish and GLU), dropout, sum/mean, the shape ops (reshape, transpose,
+swapaxes, concat, getitem), and the pair indexing used by relative-position
+attention and the AAM-softmax loss.
 """
 
 from __future__ import annotations
@@ -67,22 +69,10 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     # -- graph construction -------------------------------------------------
 
     def _needs_graph(self) -> bool:
         return self.requires_grad or self._grad_fn is not None
-
-    def backward(self) -> None:
-        backward(self)
 
     # -- operator sugar ------------------------------------------------------
 
@@ -202,38 +192,11 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), grad_fn)
 
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def grad_fn(g):
-        return (g * out,)
-
-    return _make(out, (a,), grad_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-
-    def grad_fn(g):
-        return (g / a.data,)
-
-    return _make(out, (a,), grad_fn)
-
-
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
 
     def grad_fn(g):
         return (g * 0.5 / out,)
-
-    return _make(out, (a,), grad_fn)
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    out = np.power(a.data, p)
-
-    def grad_fn(g):
-        return (g * p * np.power(a.data, p - 1.0),)
 
     return _make(out, (a,), grad_fn)
 

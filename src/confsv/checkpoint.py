@@ -85,7 +85,12 @@ def load_checkpoint(path: Union[str, Path]) -> tuple[dict, dict[str, np.ndarray]
         shape = read.unpack(f"<{ndim}I", f"array {name!r} shape")
         n = math.prod(shape)
         values = read.take(8 * n, f"array {name!r} values")
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=values).reshape(shape)
+        try:
+            arr = np.frombuffer(data, dtype="<f8", count=n, offset=values).reshape(shape)
+        except ValueError:  # an empty shape whose other sizes overflow numpy's limit
+            raise CheckpointError(
+                f"{path}: array {name!r} has impossible shape {shape}"
+            ) from None
         arrays[name] = arr.astype(np.float64)
     if read.off != len(data):
         raise CheckpointError(f"{path}: trailing bytes after array table")

@@ -178,6 +178,8 @@ def _scored(args):
     if args.snorm:
         if args.cohort is None:
             raise ConfigError("--snorm needs --cohort embeddings")
+        if args.cohort_size < 0:
+            raise ConfigError(f"--cohort-size must be >= 0, got {args.cohort_size}")
         cohort = load_embeddings(args.cohort)
         if args.cohort_size and len(cohort) > args.cohort_size:
             rng = rng_for(args.cohort_seed, "cohort")
@@ -239,6 +241,8 @@ def _encoder_from_args(args) -> EncoderConfig:
 def cmd_count(args) -> int:
     cfg = _encoder_from_args(args)
     if args.variant:
+        if args.adapted_layers is None:
+            raise ConfigError("--variant needs --adapted-layers")
         acfg = AdaptationConfig(args.variant, args.adapted_layers, args.extra_layers)
         report = count_adaptation_params(acfg, cfg)
     elif args.macs:
@@ -256,12 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="confsv", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True, out=True):
-        if config:
-            sp.add_argument("--config", default=None)
+    def common(sp):
+        sp.add_argument("--config", default=None)
         sp.add_argument("--seed", type=int, default=None)
-        if out:
-            sp.add_argument("--out", required=True)
+        sp.add_argument("--out", required=True)
 
     sp = sub.add_parser("gen-data", help="synthesize a corpus and manifest")
     common(sp)

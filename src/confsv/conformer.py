@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .datapipe import N_MELS
 from .errors import ConfigError, DimensionError, InputTooShortError
 from .nn import (
     BatchNorm,
@@ -41,7 +42,7 @@ class EncoderConfig:
     subsample_rate: float = 0.25
     conv_kernel: int = 31
     dropout: float = 0.1
-    n_mels: int = 80
+    n_mels: int = N_MELS  # fixed by the features; stored in checkpoint metadata
 
     def __post_init__(self):
         if self.layers < 1 or self.dim < 1 or self.heads < 1 or self.hidden < 1:
@@ -54,10 +55,19 @@ class EncoderConfig:
             raise ConfigError(f"subsample_rate must be 1/4 or 1/2, got {self.subsample_rate}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
+        if self.n_mels != N_MELS:
+            raise ConfigError(
+                f"n_mels must be {N_MELS}, the log-mel feature size, got {self.n_mels}"
+            )
 
     @property
     def subsample_stages(self) -> int:
         return 2 if self.subsample_rate == 0.25 else 1
+
+    @property
+    def min_frames(self) -> int:
+        """Fewest mel frames the subsampling accepts."""
+        return 8 if self.subsample_stages == 2 else 4
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -128,16 +138,13 @@ class ConvSubsampling(Module):
         self.out_freq = freq
         self.proj = Linear(cfg.dim * freq, cfg.dim)
 
-    def min_frames(self) -> int:
-        return 8 if self.cfg.subsample_stages == 2 else 4
-
     def forward(self, mel: Tensor) -> Tensor:
         """(B, T, n_mels) -> (B, T', d)."""
         if mel.shape[-1] != self.cfg.n_mels:
             raise DimensionError(f"expected {self.cfg.n_mels} mel bins, got {mel.shape[-1]}")
-        if mel.shape[1] < self.min_frames():
+        if mel.shape[1] < self.cfg.min_frames:
             raise InputTooShortError(
-                f"need >= {self.min_frames()} frames for rate {self.cfg.subsample_rate}, "
+                f"need >= {self.cfg.min_frames} frames for rate {self.cfg.subsample_rate}, "
                 f"got {mel.shape[1]}"
             )
         x = ad.reshape(mel, mel.shape + (1,))  # channels-last (B, T, F, 1)
@@ -220,14 +227,14 @@ class AttentionModule(Module):
 class ConvolutionModule(Module):
     """Pointwise conv -> GLU -> depthwise conv -> batch norm -> Swish -> pointwise."""
 
-    def __init__(self, dim: int, kernel: int, dropout: float, bn_momentum: float = 0.1):
+    def __init__(self, dim: int, kernel: int, dropout: float):
         super().__init__()
         if kernel % 2 == 0:
             raise ConfigError("conv kernel must be odd for same padding")
         self.norm = LayerNorm(dim)
         self.pointwise1 = Conv1d(dim, 2 * dim, 1)
         self.depthwise = Conv1d(dim, dim, kernel, padding=(kernel - 1) // 2, groups=dim)
-        self.batch_norm = BatchNorm(dim, momentum=bn_momentum)
+        self.batch_norm = BatchNorm(dim)
         self.pointwise2 = Conv1d(dim, dim, 1)
         self.drop = Dropout(dropout)
         self.kernel = kernel

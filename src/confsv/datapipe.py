@@ -29,10 +29,13 @@ TOKENS = "aeioumnsrz"  # toy phoneme inventory; CTC ids are 1-based, 0 = blank
 TOKEN_IDS = {t: i + 1 for i, t in enumerate(TOKENS)}
 VOCAB_SIZE = len(TOKENS)
 
+N_MELS = 80
+F_MAX = 8000.0
 WINDOW_SEC = 0.020
 HOP_SEC = 0.010
 N_FFT = 512
 LOG_FLOOR = 1e-10
+RIR_SEC = 0.25
 
 MIN_UTT_SEC = 0.5
 
@@ -228,10 +231,10 @@ def synth_corpus(n_speakers: int, utts_per_speaker: int, seed: int) -> Corpus:
 # -- features -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def mel_filterbank(n_mels: int = 80, n_fft: int = N_FFT, fs: int = SAMPLE_RATE,
-                   f_max: float = 8000.0) -> np.ndarray:
-    """Triangular filters on the mel scale, area-normalized, (n_mels, n_fft//2+1)."""
+@lru_cache(maxsize=1)
+def mel_filterbank() -> np.ndarray:
+    """Triangular filters on the mel scale up to `F_MAX`, area-normalized,
+    (N_MELS, N_FFT//2+1)."""
 
     def to_mel(f):
         return 2595.0 * np.log10(1.0 + np.asarray(f) / 700.0)
@@ -239,11 +242,11 @@ def mel_filterbank(n_mels: int = 80, n_fft: int = N_FFT, fs: int = SAMPLE_RATE,
     def from_mel(m):
         return 700.0 * (10.0 ** (np.asarray(m) / 2595.0) - 1.0)
 
-    mel_pts = np.linspace(to_mel(0.0), to_mel(f_max), n_mels + 2)
+    mel_pts = np.linspace(to_mel(0.0), to_mel(F_MAX), N_MELS + 2)
     hz_pts = from_mel(mel_pts)
-    bins = np.fft.rfftfreq(n_fft, d=1.0 / fs)
-    fb = np.zeros((n_mels, bins.size))
-    for i in range(n_mels):
+    bins = np.fft.rfftfreq(N_FFT, d=1.0 / SAMPLE_RATE)
+    fb = np.zeros((N_MELS, bins.size))
+    for i in range(N_MELS):
         lo, ctr, hi = hz_pts[i], hz_pts[i + 1], hz_pts[i + 2]
         up = (bins - lo) / max(ctr - lo, 1e-9)
         down = (hi - bins) / max(hi - ctr, 1e-9)
@@ -251,34 +254,34 @@ def mel_filterbank(n_mels: int = 80, n_fft: int = N_FFT, fs: int = SAMPLE_RATE,
     return fb
 
 
-def frame_count(n_samples: int, fs: int = SAMPLE_RATE) -> int:
-    win = int(WINDOW_SEC * fs)
-    hop = int(HOP_SEC * fs)
+def frame_count(n_samples: int) -> int:
+    win = int(WINDOW_SEC * SAMPLE_RATE)
+    hop = int(HOP_SEC * SAMPLE_RATE)
     return (n_samples - win) // hop + 1
 
 
-def log_mel(waveform: np.ndarray, n_mels: int = 80, fs: int = SAMPLE_RATE) -> np.ndarray:
-    """Log mel-filterbank energies, (n_mels, T); Hamming 20 ms windows, 10 ms shift."""
+def log_mel(waveform: np.ndarray) -> np.ndarray:
+    """Log mel-filterbank energies, (N_MELS, T); Hamming 20 ms windows, 10 ms shift."""
     waveform = np.asarray(waveform, dtype=np.float64)
-    win = int(WINDOW_SEC * fs)
-    hop = int(HOP_SEC * fs)
+    win = int(WINDOW_SEC * SAMPLE_RATE)
+    hop = int(HOP_SEC * SAMPLE_RATE)
     if waveform.size < win:
         raise InputTooShortError(f"need >= {win} samples, got {waveform.size}")
-    n_frames = frame_count(waveform.size, fs)
+    n_frames = frame_count(waveform.size)
     idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
     frames = waveform[idx] * np.hamming(win)[None, :]
     spec = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1)) ** 2
-    mel = mel_filterbank(n_mels) @ spec.T
+    mel = mel_filterbank() @ spec.T
     return np.log(np.maximum(mel, LOG_FLOOR))
 
 
-def snr_estimate_db(waveform: np.ndarray, fs: int = SAMPLE_RATE) -> float:
+def snr_estimate_db(waveform: np.ndarray) -> float:
     """Energy-percentile SNR proxy: high vs low frame-energy quantiles in dB."""
-    hop = int(HOP_SEC * fs)
-    win = int(WINDOW_SEC * fs)
+    hop = int(HOP_SEC * SAMPLE_RATE)
+    win = int(WINDOW_SEC * SAMPLE_RATE)
     if waveform.size < win:
         return 0.0
-    n_frames = frame_count(waveform.size, fs)
+    n_frames = frame_count(waveform.size)
     idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
     energy = (waveform[idx] ** 2).mean(axis=1) + 1e-12
     hi, lo = np.percentile(energy, 85), np.percentile(energy, 15)
@@ -357,12 +360,11 @@ def mix_noise(utt: Utterance, noise: np.ndarray, snr_db: float) -> Utterance:
     return replace(utt, waveform=mixed * norm, norm_gain=utt.norm_gain * norm)
 
 
-def add_noise(utt: Utterance, noise_kind: str, snr_db: float,
-              rng: Optional[np.random.Generator] = None, return_info: bool = False):
+def add_noise(utt: Utterance, noise_kind: str, snr_db: float, rng: np.random.Generator,
+              return_info: bool = False):
     """Mix procedural noise of a kind at an exact SNR."""
     if np.isinf(snr_db) and snr_db > 0:
         return (utt, {"kind": noise_kind, "n_sources": 0, "norm_gain": 1.0}) if return_info else utt
-    rng = rng if rng is not None else rng_for("noise", utt.speaker_id)
     noise, n_sources = make_noise(noise_kind, utt.n_samples, rng)
     out = mix_noise(utt, noise, snr_db)
     if return_info:
@@ -379,9 +381,9 @@ def load_wav_pool(directory: Union[str, Path]) -> list[np.ndarray]:
     return [read_wav(p) for p in paths]
 
 
-def make_rir(rng: np.random.Generator, duration: float = 0.25) -> np.ndarray:
+def make_rir(rng: np.random.Generator) -> np.ndarray:
     """Synthetic exponential-decay room impulse response, direct path first."""
-    n = int(duration * SAMPLE_RATE)
+    n = int(RIR_SEC * SAMPLE_RATE)
     t = np.arange(n) / SAMPLE_RATE
     tau = rng.uniform(0.02, 0.08)
     rir = rng.standard_normal(n) * np.exp(-t / tau) * 0.3
@@ -420,10 +422,8 @@ def augment_plan(p: float, rng: np.random.Generator) -> Optional[str]:
     return AUGMENT_KINDS[int(rng.integers(0, len(AUGMENT_KINDS)))]
 
 
-def augment_onthefly(utt: Utterance, p: float = 0.6,
-                     rng: Optional[np.random.Generator] = None) -> Utterance:
+def augment_onthefly(utt: Utterance, p: float, rng: np.random.Generator) -> Utterance:
     """With probability p apply one randomly chosen augmentation, else identity."""
-    rng = rng if rng is not None else rng_for("augment", utt.speaker_id)
     kind = augment_plan(p, rng)
     if kind is None:
         return utt
@@ -449,13 +449,13 @@ def crop(utt: Utterance, seconds: float, rng: Optional[np.random.Generator] = No
 # -- corpus on disk --------------------------------------------------------------
 
 
-def write_wav(path: Union[str, Path], waveform: np.ndarray, fs: int = SAMPLE_RATE) -> None:
+def write_wav(path: Union[str, Path], waveform: np.ndarray) -> None:
     pcm = np.clip(np.asarray(waveform), -1.0, 1.0)
     pcm = np.round(pcm * 32767.0).astype("<i2")
     with wave_mod.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
-        f.setframerate(fs)
+        f.setframerate(SAMPLE_RATE)
         f.writeframes(pcm.tobytes())
 
 

@@ -32,26 +32,21 @@ class AttentiveStatsPooling(Module):
     channel per frame; softmax over frames gives per-channel weights.
     """
 
-    def __init__(self, dim: int, bottleneck: int = ASP_BOTTLENECK, global_context: bool = True):
+    def __init__(self, dim: int, bottleneck: int = ASP_BOTTLENECK):
         super().__init__()
         self.dim = dim
-        self.global_context = global_context
-        in_dim = 3 * dim if global_context else dim
-        self.score1 = Linear(in_dim, bottleneck)
+        self.score1 = Linear(3 * dim, bottleneck)
         self.score2 = Linear(bottleneck, dim)
 
     def forward(self, x: Tensor) -> Tensor:
         """(B, T, D) -> (B, 2D): weighted mean then weighted std."""
         if x.ndim != 3 or x.shape[1] < 1:
             raise DimensionError(f"pooling expects (B, T, D) with T >= 1, got {x.shape}")
-        if self.global_context:
-            mu = ad.mean(x, axis=1, keepdims=True)
-            var = ad.mean(x * x, axis=1, keepdims=True) - mu * mu
-            sd = ad.sqrt(ad.clip(var, 0.0, np.inf) + ad.tensor(VAR_FLOOR))
-            tile = ad.tensor(np.zeros((1, x.shape[1], 1)))
-            ctx = ad.concat([x, mu + tile, sd + tile], axis=-1)
-        else:
-            ctx = x
+        mu = ad.mean(x, axis=1, keepdims=True)
+        var = ad.mean(x * x, axis=1, keepdims=True) - mu * mu
+        sd = ad.sqrt(ad.clip(var, 0.0, np.inf) + ad.tensor(VAR_FLOOR))
+        tile = ad.tensor(np.zeros((1, x.shape[1], 1)))
+        ctx = ad.concat([x, mu + tile, sd + tile], axis=-1)
         scores = self.score2(ad.tanh(self.score1(ctx)))  # (B, T, D)
         alpha = ad.softmax(scores, axis=1)
         mean = ad.sum_(alpha * x, axis=1)
@@ -63,10 +58,10 @@ class AttentiveStatsPooling(Module):
 class EmbeddingHead(Module):
     """Batch norm over the pooled vector, then a linear map to 256."""
 
-    def __init__(self, pooled_dim: int, emb_dim: int = EMBEDDING_DIM):
+    def __init__(self, pooled_dim: int):
         super().__init__()
         self.norm = BatchNorm(pooled_dim)
-        self.proj = Linear(pooled_dim, emb_dim)
+        self.proj = Linear(pooled_dim, EMBEDDING_DIM)
 
     def forward(self, pooled: Tensor) -> Tensor:
         if pooled.shape[-1] != self.proj.weight.shape[0]:

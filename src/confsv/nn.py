@@ -18,6 +18,9 @@ from .autodiff import Tensor
 from .errors import DimensionError
 from .util import rng_for
 
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+
 
 class Parameter(Tensor):
     """A leaf with an init recipe, trainable unless frozen.
@@ -89,8 +92,8 @@ class Module:
             else:
                 yield from value.named_parameters(name + ".")
 
-    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
-        for name, (owner, key) in self._buffer_owners(prefix).items():
+    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
+        for name, (owner, key) in self._buffer_owners().items():
             yield name, owner._buffers[key]
 
     def parameters(self) -> list[Parameter]:
@@ -120,10 +123,6 @@ class Module:
             p.trainable = flag
         return self
 
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.grad = None
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         """All parameters and buffers keyed by qualified name."""
         state = {name: p.data for name, p in self.named_parameters()}
@@ -131,7 +130,7 @@ class Module:
             state[name] = buf
         return state
 
-    def load_state_arrays(self, state: dict[str, np.ndarray], strict: bool = True) -> None:
+    def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
         params = dict(self.named_parameters())
         buffers = self._buffer_owners()
         missing = []
@@ -148,7 +147,7 @@ class Module:
                 owner._buffers[key] = np.asarray(state[name], dtype=np.float64).copy()
             else:
                 missing.append(name)
-        if strict and missing:
+        if missing:
             raise DimensionError(f"missing arrays in state: {missing[:5]}")
 
     def _buffer_owners(self, prefix: str = "") -> dict[str, tuple["Module", str]]:
@@ -190,29 +189,26 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         super().__init__()
         self.gamma = Parameter((dim,), init="ones")
         self.beta = Parameter((dim,), init="zeros")
-        self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.gamma, self.beta, self.eps)
+        return ad.layer_norm(x, self.gamma, self.beta)
 
 
 class BatchNorm(Module):
     """Batch normalization over all axes except the last (feature) axis.
 
-    Keeps running statistics for inference; `momentum` is the fraction of the
-    fresh batch statistic blended in per step (small batches want it low).
+    Keeps running statistics for inference; `BN_MOMENTUM` is the fraction of
+    the fresh batch statistic blended in per step (small batches want it low).
     """
 
-    def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, dim: int):
         super().__init__()
         self.gamma = Parameter((dim,), init="ones")
         self.beta = Parameter((dim,), init="zeros")
-        self.eps = eps
-        self.momentum = momentum
         self.register_buffer("running_mean", np.zeros(dim))
         self.register_buffer("running_var", np.ones(dim))
 
@@ -222,18 +218,18 @@ class BatchNorm(Module):
             mu = ad.mean(x, axis=axes, keepdims=True)
             xc = x - mu
             var = ad.mean(xc * xc, axis=axes, keepdims=True)
-            m = self.momentum
+            m = BN_MOMENTUM
             self._buffers["running_mean"] = (
                 (1 - m) * self._buffers["running_mean"] + m * mu.data.reshape(-1)
             )
             self._buffers["running_var"] = (
                 (1 - m) * self._buffers["running_var"] + m * var.data.reshape(-1)
             )
-            xhat = xc / ad.sqrt(var + ad.tensor(self.eps))
+            xhat = xc / ad.sqrt(var + ad.tensor(BN_EPS))
         else:
             mu = self._buffers["running_mean"]
             var = self._buffers["running_var"]
-            xhat = (x - ad.tensor(mu)) * ad.tensor(1.0 / np.sqrt(var + self.eps))
+            xhat = (x - ad.tensor(mu)) * ad.tensor(1.0 / np.sqrt(var + BN_EPS))
         return xhat * self.gamma + self.beta
 
 
@@ -246,12 +242,11 @@ class Conv1d(Module):
         stride: int = 1,
         padding: int = 0,
         groups: int = 1,
-        bias: bool = True,
     ):
         super().__init__()
         fan = (c_in // groups) * kernel
         self.weight = Parameter((c_out, c_in // groups, kernel), fan=fan)
-        self.bias = Parameter((c_out,), fan=fan) if bias else None
+        self.bias = Parameter((c_out,), fan=fan)
         self.stride, self.padding, self.groups = stride, padding, groups
 
     def forward(self, x: Tensor) -> Tensor:
@@ -261,14 +256,11 @@ class Conv1d(Module):
 class Conv2d(Module):
     """Convolution followed by ReLU, channels-last: (B, H, W, C_in) -> (B, Ho, Wo, C_out)."""
 
-    def __init__(
-        self, c_in: int, c_out: int, kernel: int, stride: int = 1, padding: int = 0,
-        bias: bool = True,
-    ):
+    def __init__(self, c_in: int, c_out: int, kernel: int, stride: int = 1, padding: int = 0):
         super().__init__()
         fan = c_in * kernel * kernel
         self.weight = Parameter((c_out, c_in, kernel, kernel), fan=fan)
-        self.bias = Parameter((c_out,), fan=fan) if bias else None
+        self.bias = Parameter((c_out,), fan=fan)
         self.stride, self.padding = stride, padding
 
     def forward(self, x: Tensor) -> Tensor:

@@ -4,7 +4,8 @@ Score normalization is the symmetric adaptive form: the raw score is z-normed
 against each side's top-k highest imposter-cohort scores and the two z-scores
 are averaged.  Calibration is a logistic model over the raw score plus six
 quality features.  EER interpolates linearly between the bracketing ROC points;
-minDCF sweeps every decision threshold including accept-all and reject-all.
+minDCF (P_target 0.01, unit costs) sweeps every decision threshold including
+accept-all and reject-all.
 
 Trial lists reuse their embeddings many times, so the per-embedding work (the
 float64 copy and norm, the cohort top-k statistics, the quality features) is
@@ -39,6 +40,9 @@ from .util import ByteReader, read_text, write_atomic
 EMB_STORE_MAGIC = b"CFSVEMB1"
 EMB_STORE_VERSION = 1
 EMB_DIM = 256
+P_TARGET = 0.01
+QMF_TOL = 1e-8
+QMF_MAX_ITERS = 200000
 
 
 @dataclass
@@ -204,20 +208,15 @@ def eer(scores: Sequence[float], labels: Sequence[int]) -> float:
     return float(100.0 * (f1 + t * (f2 - f1)))
 
 
-def min_dcf(
-    scores: Sequence[float],
-    labels: Sequence[int],
-    p_target: float = 0.01,
-    c_miss: float = 1.0,
-    c_fa: float = 1.0,
-) -> float:
-    """Minimum normalized detection cost over all decision thresholds."""
+def min_dcf(scores: Sequence[float], labels: Sequence[int]) -> float:
+    """Minimum normalized detection cost over all decision thresholds, at
+    `P_TARGET` with unit miss and false-alarm costs."""
     tar, non, n_tar, n_non = _operating_points(scores, labels)
     # accept-all (threshold below min) and reject-all (above max) endpoints
     far = np.concatenate([non / n_non, [1.0], [0.0]])
     frr = np.concatenate([(n_tar - tar) / n_tar, [0.0], [1.0]])
-    cost = c_miss * p_target * frr + c_fa * (1.0 - p_target) * far
-    return float(cost.min() / min(c_miss * p_target, c_fa * (1.0 - p_target)))
+    cost = P_TARGET * frr + (1.0 - P_TARGET) * far
+    return float(cost.min() / min(P_TARGET, 1.0 - P_TARGET))
 
 
 # -- calibration -----------------------------------------------------------------
@@ -245,24 +244,24 @@ class QmfModel:
         return float(self.calibrate(record.feature_vector()[None])[0])
 
 
-def _fit_logistic(x: np.ndarray, y: np.ndarray, tol: float = 1e-8,
-                  max_iters: int = 200000, lr: float = 1.0) -> tuple[np.ndarray, float]:
-    """Full-batch gradient descent on mean cross-entropy to |delta loss| < tol."""
+def _fit_logistic(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Full-batch gradient descent with a unit step on mean cross-entropy, to
+    |delta loss| < `QMF_TOL` or `QMF_MAX_ITERS` steps."""
     n, d = x.shape
     w = np.zeros(d)
     b = 0.0
     prev = np.inf
-    for _ in range(max_iters):
+    for _ in range(QMF_MAX_ITERS):
         z = x @ w + b
         p = 1.0 / (1.0 + np.exp(-z))
         eps = 1e-12
         loss = -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
-        if abs(prev - loss) < tol:
+        if abs(prev - loss) < QMF_TOL:
             break
         prev = loss
         g = p - y
-        w -= lr * (x.T @ g) / n
-        b -= lr * g.mean()
+        w -= (x.T @ g) / n
+        b -= g.mean()
     return w, b
 
 

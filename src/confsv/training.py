@@ -68,14 +68,16 @@ from .nn import Module, Parameter, seed_parameters
 from .scoring import resolve_embedding
 from .util import check_finite, map_batches, parallel_map, rng_for, write_atomic
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class AdamW:
     """Adam with decoupled weight decay; state is keyed by parameter name."""
 
-    def __init__(self, weight_decay: float = 1e-7, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, weight_decay: float = 1e-7):
         self.wd = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.state: dict[str, dict] = {}
 
     def step(self, named_params: Sequence[tuple[str, Parameter]], lr: float) -> None:
@@ -92,11 +94,11 @@ class AdamW:
                                               "v": np.zeros_like(p.data), "t": 0})
             st["t"] += 1
             g = p.grad
-            st["m"] = self.beta1 * st["m"] + (1 - self.beta1) * g
-            st["v"] = self.beta2 * st["v"] + (1 - self.beta2) * g * g
-            mhat = st["m"] / (1 - self.beta1 ** st["t"])
-            vhat = st["v"] / (1 - self.beta2 ** st["t"])
-            p.data = p.data - lr * (mhat / (np.sqrt(vhat) + self.eps) + self.wd * p.data)
+            st["m"] = ADAM_BETA1 * st["m"] + (1 - ADAM_BETA1) * g
+            st["v"] = ADAM_BETA2 * st["v"] + (1 - ADAM_BETA2) * g * g
+            mhat = st["m"] / (1 - ADAM_BETA1 ** st["t"])
+            vhat = st["v"] / (1 - ADAM_BETA2 ** st["t"])
+            p.data = p.data - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS) + self.wd * p.data)
 
 
 def cosine_lr(step: int, total_steps: int, warmup_steps: int, base_lr: float) -> float:

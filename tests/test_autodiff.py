@@ -175,8 +175,6 @@ def test_per_op_gradients(seed):
         "sub": lambda: ad.sum_(x - y),
         "mul": lambda: ad.sum_(x * y),
         "div": lambda: ad.sum_(x / y),
-        "exp": lambda: ad.sum_(ad.exp(x)),
-        "log": lambda: ad.sum_(ad.log(y)),
         "sqrt": lambda: ad.sum_(ad.sqrt(y)),
         "tanh": lambda: ad.sum_(ad.tanh(x)),
         "sigmoid": lambda: ad.sum_(ad.sigmoid(x)),
@@ -188,7 +186,6 @@ def test_per_op_gradients(seed):
         "concat": lambda: ad.sum_(ad.concat([x, y], axis=1) * 0.5),
         "transpose": lambda: ad.sum_(ad.transpose(x) @ y),
         "glu": lambda: ad.sum_(ad.glu(ad.concat([x, y], axis=1), axis=1)),
-        "power": lambda: ad.sum_(ad.power(y, 1.7)),
         "clip": lambda: ad.sum_(ad.clip(x, -0.5, 0.5) * y),
     }
     for name, build in cases.items():

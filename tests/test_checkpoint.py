@@ -106,6 +106,18 @@ def test_duplicate_array_name_raises_checkpoint_error(tmp_path):
         load_checkpoint(path)
 
 
+def test_empty_array_with_oversized_shape_raises_checkpoint_error(tmp_path):
+    path = tmp_path / "x.ckpt"
+    save_checkpoint(path, {"kind": "test"}, {"z": np.zeros((0, 1, 1))})
+    data = path.read_bytes()
+    shape = np.array([0, 1, 1], dtype="<u4").tobytes()
+    assert data.count(shape) == 1
+    huge = np.array([0, 2**32 - 1, 2**32 - 1], dtype="<u4").tobytes()  # 0 elements
+    path.write_bytes(data.replace(shape, huge))
+    with pytest.raises(CheckpointError, match="impossible shape"):
+        load_checkpoint(path)
+
+
 # magic, version, metadata length, metadata, array count and the first array's
 # name, rank and shape: every byte before the first array's values
 HEADER_LEN = 8 + 4 + 4 + len(json.dumps(SMALL_META, sort_keys=True)) + 4 + 2 + 1 + 1 + 8

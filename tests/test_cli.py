@@ -129,6 +129,17 @@ class TestTrain:
         assert (out1 / "loss.csv").read_bytes() == (out2 / "loss.csv").read_bytes()
         assert (out1 / "speaker.ckpt").read_bytes() == (out2 / "speaker.ckpt").read_bytes()
 
+    def test_config_with_other_than_80_mel_bins_exits_2(self, mini, tmp_path, capsys):
+        cfg = tmp_path / "mel40.cfg"
+        cfg.write_text(MINI_CONFIG.replace("dropout = 0.1", "dropout = 0.1\nn_mels = 40"),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg), "--manifest", str(mini["manifest"]),
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "n_mels must be 80" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pretrained_init_requires_matching_encoder(self, mini, tmp_path):
         code = main([
             "train", "--config", str(mini["config"]), "--manifest", str(mini["manifest"]),
@@ -370,6 +381,14 @@ class TestScoreEvaluate:
                      "--out", str(tmp_path / "s.txt"), "--snorm"])
         assert code == EXIT_CONFIG
 
+    def test_negative_cohort_size_exits_2(self, separated_store, tmp_path, capsys):
+        emb, trials = separated_store
+        code = main(["score", "--embeddings", str(emb), "--trials", str(trials),
+                     "--out", str(tmp_path / "s.txt"), "--snorm", "--cohort", str(emb),
+                     "--cohort-size", "-1", "--top-k", "2"])
+        assert code == EXIT_CONFIG
+        assert "--cohort-size must be >= 0" in capsys.readouterr().err
+
     def test_truncated_store_exits_3(self, separated_store, tmp_path, capsys):
         emb, trials = separated_store
         emb.write_bytes(emb.read_bytes()[:-100])
@@ -447,6 +466,23 @@ class TestCount:
         rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
         parts = [int(r[2]) for r in rows[:-1]]
         assert sum(parts) == int(rows[-1][2])
+
+    def test_variant_without_adapted_layers_exits_2(self, capsys):
+        assert main(["count", "--preset", "small", "--variant", "V2"]) == EXIT_CONFIG
+        assert "--adapted-layers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset, too_short, shortest",
+                             [("small", "0.07", "0.08"), ("half_small", "0.03", "0.04")])
+    def test_macs_need_the_mel_frames_the_subsampling_accepts(self, preset, too_short,
+                                                              shortest, capsys):
+        assert main(["count", "--preset", preset, "--macs", "--seconds", too_short]) == EXIT_CONFIG
+        assert "mel frames" in capsys.readouterr().err
+        assert main(["count", "--preset", preset, "--macs", "--seconds", shortest]) == EXIT_OK
+
+    @pytest.mark.parametrize("seconds", ["-1", "nan"])
+    def test_macs_of_a_negative_or_nan_length_exit_2(self, seconds, capsys):
+        assert main(["count", "--preset", "small", "--macs", "--seconds", seconds]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""  # no report, so no negative MACs
 
     def test_invalid_config_exits_2(self):
         assert main(["count", "--preset", "gigantic"]) == EXIT_CONFIG

@@ -1,18 +1,26 @@
-"""The package re-exports only what the package itself uses.
+"""The package re-exports only what the package itself uses, and every
+option it offers is set somewhere.
 
 A name that `confsv/__init__.py` re-exports must be used, as a name or an
 attribute, somewhere in `src/confsv` outside `__init__`; its own definition
 is not a use.  A helper that only the tests call is a second code path to
 keep in step with the module path; this test keeps such helpers from growing
 back.  The allowlist holds the few unused names that stay on purpose.
+
+A parameter with a default in `src/confsv` must be passed, by keyword or by
+position, at some call in the package, the tests or the benchmark.  One that
+no call passes is a constant with a second name, and the branches behind its
+other values are code that nothing runs.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import confsv
 
 SRC = Path(confsv.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 # name -> why it stays without a caller in src/
 KEPT = {
@@ -78,3 +86,79 @@ def test_a_reexported_helper_without_a_caller_is_caught():
     ).body
     trees["__init__"].body += ast.parse("from .adaptation import build_adaptation").body
     assert unused_reexports(trees) == ["adaptation.build_adaptation"]
+
+
+def _caller_trees():
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").rglob("*.py"),
+             *(ROOT / "perfbench").rglob("*.py")]
+    return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+
+
+def _defaulted_parameters(trees):
+    """(module, callable, parameter, position) of every parameter with a default.
+
+    `__init__` goes by its class name and a method's position does not count
+    `self`; keyword-only parameters have no position.  `forward` runs through
+    `Module.__call__`, so it is not matched by name.
+    """
+    for mod, tree in trees.items():
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "forward":
+                continue
+            cls = owner.get(id(fn))
+            name = cls if cls and fn.name == "__init__" else fn.name
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            for i in range(first, len(args)):
+                yield mod, name, args[i].arg, i - (cls is not None)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield mod, name, arg.arg, None
+
+
+def _calls(trees) -> dict[str, list[tuple[float, set]]]:
+    """Called name -> (positional count, keyword names) of each call.
+
+    A `*args` call passes every position and a `**kwargs` call (keyword None)
+    every keyword.
+    """
+    calls: dict[str, list[tuple[float, set]]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                n_pos = math.inf if starred else len(node.args)
+                calls.setdefault(name, []).append((n_pos, {k.arg for k in node.keywords}))
+    return calls
+
+
+def unset_parameters(trees, caller_trees) -> list[str]:
+    calls = _calls(caller_trees)
+    return [
+        f"{mod}.{name}({param})"
+        for mod, name, param, pos in _defaulted_parameters(trees)
+        if not any(None in keys or param in keys or (pos is not None and n_pos > pos)
+                   for n_pos, keys in calls.get(name, ()))
+    ]
+
+
+def test_every_parameter_with_a_default_is_passed_somewhere():
+    assert unset_parameters(_trees(), _caller_trees()) == []
+
+
+def test_a_parameter_that_no_call_passes_is_caught():
+    trees = _trees()
+    init = next(
+        f for c in ast.walk(trees["heads"])
+        if isinstance(c, ast.ClassDef) and c.name == "AttentiveStatsPooling"
+        for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+    )
+    init.args.args.append(ast.arg("global_context", ast.Name("bool")))
+    init.args.defaults.append(ast.Constant(True))
+    assert unset_parameters(trees, _caller_trees()) == [
+        "heads.AttentiveStatsPooling(global_context)"
+    ]
