@@ -125,6 +125,8 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.max_utts is not None and args.max_utts < 1:
+        raise ConfigError(f"--max-utts must be >= 1, got {args.max_utts}")
     encoder, _, _ = load_asr_model(args.ckpt)
     encoder.eval_mode()
     entries = read_manifest(args.manifest)
@@ -171,15 +173,18 @@ def cmd_embed(args) -> int:
 
 def _scored(args):
     """Cosine or s-norm scores of the trials, then QMF calibration if asked for."""
-    store = load_embeddings(args.embeddings)
-    trials = parse_trials(args.trials)
-    if len(trials) == 0:
-        raise DataError(f"{args.trials}: no trials")
     if args.snorm:
         if args.cohort is None:
             raise ConfigError("--snorm needs --cohort embeddings")
         if args.cohort_size < 0:
             raise ConfigError(f"--cohort-size must be >= 0, got {args.cohort_size}")
+        if args.top_k < 2:
+            raise ConfigError(f"--top-k must be >= 2, got {args.top_k}")
+    store = load_embeddings(args.embeddings)
+    trials = parse_trials(args.trials)
+    if len(trials) == 0:
+        raise DataError(f"{args.trials}: no trials")
+    if args.snorm:
         cohort = load_embeddings(args.cohort)
         if args.cohort_size and len(cohort) > args.cohort_size:
             rng = rng_for(args.cohort_seed, "cohort")

@@ -127,18 +127,71 @@ class SynthSpeakerProfile:
         return gain
 
 
+_ONE_POLE_BLOCK = 64
+# Entry [m, i] of a block's filter matrix is powers[i - m]; below the diagonal
+# it indexes the zero that `_one_pole` puts at powers[_ONE_POLE_BLOCK + 1].
+_ONE_POLE_LAGS = np.arange(_ONE_POLE_BLOCK)[None, :] - np.arange(_ONE_POLE_BLOCK)[:, None]
+_ONE_POLE_LAGS[_ONE_POLE_LAGS < 0] = _ONE_POLE_BLOCK + 1
+
+
 def _one_pole(noise: np.ndarray, coeff: float) -> np.ndarray:
-    """Cheap colored noise: recursive smoothing expressed as an FIR tail."""
-    k = min(len(noise), 400)
-    kernel = coeff ** np.arange(k)
-    out = np.convolve(noise, kernel)[: len(noise)]
+    """Cheap colored noise: the 400-tap FIR `y[i] = sum_j coeff**j noise[i-j]`,
+    scaled to unit peak.
+
+    Run as the recurrence `y[i] = coeff y[i-1] + noise[i]` in blocks of 64
+    samples: one GEMM against the triangular Toeplitz matrix `coeff**(i-m)`
+    filters every block from a zero state, a scalar pass carries each block's
+    last value into the next, and `y[i] -= coeff**400 y[i-400]` cuts the tail
+    at 400 taps.
+    """
+    n, b = noise.size, _ONE_POLE_BLOCK
+    taps = min(n, 400)
+    rows = -(-n // b)
+    x = np.zeros(rows * b)
+    x[:n] = noise
+    powers = coeff ** np.arange(b + 2)
+    powers[b + 1] = 0.0
+    y = x.reshape(rows, b) @ powers[_ONE_POLE_LAGS]
+    decay, carry, carries = float(powers[b]), 0.0, []
+    for last in y[:-1, -1].tolist():
+        carry = last + decay * carry
+        carries.append(carry)
+    y[1:] += np.multiply.outer(carries, powers[1 : b + 1])
+    out = y.reshape(-1)[:n]
+    out[taps:] -= coeff ** taps * out[: n - taps]
     peak = np.abs(out).max()
     return out / peak if peak > 0 else out
 
 
+def _harmonic_sum(amps: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """`sum_h amps[h-1] * sin(h * phase)` by the Clenshaw recurrence.
+
+    From h = H down to 1, `b_h = amps[h-1] + 2cos(phase) b_{h+1} - b_{h+2}`;
+    the sum is `b_1 sin(phase)`.  One cosine and one sine per sample and H
+    multiply-adds, where the direct sum takes H sines.
+    """
+    two_cos = 2.0 * np.cos(phase)
+    b1 = np.full_like(phase, amps[-1])
+    b2 = np.zeros_like(phase)
+    tmp = np.empty_like(phase)
+    for a in amps[-2::-1]:
+        np.multiply(two_cos, b1, out=tmp)
+        tmp -= b2
+        tmp += a
+        b1, b2, tmp = tmp, b1, b2
+    return b1 * np.sin(phase)
+
+
 def synth_utterance(profile: SynthSpeakerProfile, tokens: str, seed: int,
                     min_duration: float = 1.0) -> np.ndarray:
-    """Deterministic waveform for a token string in this speaker's voice."""
+    """Deterministic waveform for a token string in this speaker's voice.
+
+    Each token is a segment of `_N_HARMONICS` harmonics of a wobbling f0,
+    shaped by the speaker's formants and the token's gesture (summed by
+    `_harmonic_sum`), plus one-pole colored noise, under a short fade in and
+    out; the segments are concatenated over a faint white floor and scaled
+    to a 0.9 peak.
+    """
     rng = rng_for("utterance", profile.seed, tokens, seed)
     durations = rng.uniform(0.14, 0.24, size=len(tokens))
     total = durations.sum()
@@ -163,7 +216,7 @@ def synth_utterance(profile: SynthSpeakerProfile, tokens: str, seed: int,
             / (h_idx ** profile.rolloff)
         )
         amps = np.where(freqs < SAMPLE_RATE / 2 - 200, amps, 0.0)
-        harm = (amps[:, None] * np.sin(h_idx[:, None] * phase[None, :])).sum(axis=0)
+        harm = _harmonic_sum(amps, phase)
         noise = _one_pole(rng.standard_normal(n), noise_coeff) * noise_gain
         seg = harm_gain * harm / (np.abs(harm).max() + 1e-12) + noise
         ramp = min(n // 8, 160)

@@ -328,6 +328,18 @@ class TestProbe:
         assert not out.exists()
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_utts", ["0", "-1", "-5"])
+    def test_max_utts_below_one_exits_2(self, mini, tmp_path, capsys, max_utts):
+        """-1 used to probe all but the last utterance and -5 to exit 3."""
+        out = tmp_path / "p.csv"
+        code = main([
+            "probe", "--ckpt", str(mini["asr_ckpt"]), "--manifest", str(mini["manifest"]),
+            "--out", str(out), "--max-utts", max_utts,
+        ])
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert "--max-utts must be >= 1" in capsys.readouterr().err
+
 
 class TestScoreEvaluate:
     @pytest.fixture()
@@ -388,6 +400,19 @@ class TestScoreEvaluate:
                      "--cohort-size", "-1", "--top-k", "2"])
         assert code == EXIT_CONFIG
         assert "--cohort-size must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    @pytest.mark.parametrize("top_k", ["1", "0", "-3"])
+    def test_snorm_top_k_below_two_exits_2_before_reading_a_store(
+            self, separated_store, tmp_path, capsys, command, top_k):
+        """A bad flag is a config error even when both stores are missing."""
+        _, trials = separated_store
+        missing = tmp_path / "missing.emb"
+        code = main([command, "--embeddings", str(missing), "--trials", str(trials),
+                     "--out", str(tmp_path / "s.txt"), "--snorm", "--cohort", str(missing),
+                     "--top-k", top_k])
+        assert code == EXIT_CONFIG
+        assert "--top-k must be >= 2" in capsys.readouterr().err
 
     def test_truncated_store_exits_3(self, separated_store, tmp_path, capsys):
         emb, trials = separated_store

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confsv import datapipe
 from confsv.datapipe import (
     SAMPLE_RATE,
     TOKENS,
@@ -348,3 +349,149 @@ def test_snr_estimate_orders_noisiness():
 def test_rir_generator_shape():
     rir = make_rir(np.random.default_rng(27))
     assert rir[0] == 1.0 and rir.size == int(0.25 * SAMPLE_RATE)
+
+
+# -- synthesis oracles ------------------------------------------------------------
+# The direct formulas `synth_utterance` and `_one_pole` used before the Clenshaw
+# harmonic sum and the blocked one-pole recurrence: a sine per harmonic and a
+# 400-tap `np.convolve`.  The fast ones must agree with them to float rounding.
+
+
+def sine_matrix_harmonic_sum(amps, phase):
+    h_idx = np.arange(1, amps.size + 1)
+    return (amps[:, None] * np.sin(h_idx[:, None] * phase[None, :])).sum(axis=0)
+
+
+def exact_argument_harmonic_sum(amps, phase):
+    """The sine matrix with `h * phase` carried exactly: `h * phase = p + e`
+    (Dekker's split), `sin(p + e) ~ sin(p) + e cos(p)`.  Over long segments
+    the rounding of `p` alone moves the plain sine matrix by ~1e-12."""
+    h_idx = np.arange(1, amps.size + 1, dtype=np.float64)[:, None]
+    big = 134217729.0 * phase
+    hi = big - (big - phase)
+    lo = phase - hi
+    p = h_idx * phase
+    e = (h_idx * hi - p) + h_idx * lo
+    return (amps[:, None] * (np.sin(p) + e * np.cos(p))).sum(axis=0)
+
+
+def direct_one_pole(noise, coeff):
+    k = min(len(noise), 400)
+    out = np.convolve(noise, coeff ** np.arange(k))[: len(noise)]
+    peak = np.abs(out).max()
+    return out / peak if peak > 0 else out
+
+
+def oracle_synth_utterance(profile, tokens, seed, min_duration=1.0):
+    rng = datapipe.rng_for("utterance", profile.seed, tokens, seed)
+    durations = rng.uniform(0.14, 0.24, size=len(tokens))
+    total = durations.sum()
+    if total < min_duration:
+        durations *= min_duration / total
+    pieces = []
+    for tok, dur in zip(tokens, durations):
+        n = int(round(dur * SAMPLE_RATE))
+        t = np.arange(n) / SAMPLE_RATE
+        _, harm_gain, noise_gain, noise_coeff = datapipe._TOKEN_GESTURES[tok]
+        f0 = profile.f0_base * (
+            1.0
+            + 0.05 * np.sin(2 * np.pi * rng.uniform(1.5, 3.5) * t + rng.uniform(0, 2 * np.pi))
+            + 0.01 * rng.standard_normal(n).cumsum() / max(n, 1)
+        )
+        phase = 2 * np.pi * np.cumsum(f0) / SAMPLE_RATE
+        amps = harmonic_amps(profile, tok, float(f0.mean()))
+        harm = sine_matrix_harmonic_sum(amps, phase)
+        noise = direct_one_pole(rng.standard_normal(n), noise_coeff) * noise_gain
+        seg = harm_gain * harm / (np.abs(harm).max() + 1e-12) + noise
+        ramp = min(n // 8, 160)
+        env = np.ones(n)
+        if ramp > 0:
+            env[:ramp] = np.linspace(0.0, 1.0, ramp)
+            env[-ramp:] = np.linspace(1.0, 0.0, ramp)
+        pieces.append(seg * env)
+    wave = np.concatenate(pieces)
+    wave = wave + 0.002 * rng.standard_normal(wave.size)
+    return 0.9 * wave / (np.abs(wave).max() + 1e-12)
+
+
+def harmonic_amps(profile, tok, f0_mean):
+    h_idx = np.arange(1, datapipe._N_HARMONICS + 1)
+    freqs = h_idx * f0_mean
+    amps = profile.formant_gain(freqs, tok) * profile.harmonic_tilt / (h_idx ** profile.rolloff)
+    return np.where(freqs < SAMPLE_RATE / 2 - 200, amps, 0.0)
+
+
+def wobbling_phase(f0_base, seconds, seed):
+    rng = np.random.default_rng(seed)
+    n = int(round(seconds * SAMPLE_RATE))
+    t = np.arange(n) / SAMPLE_RATE
+    f0 = f0_base * (1.0 + 0.05 * np.sin(2 * np.pi * 2.5 * t + rng.uniform(0, 6.28))
+                    + 0.01 * rng.standard_normal(n).cumsum() / n)
+    return f0, 2 * np.pi * np.cumsum(f0) / SAMPLE_RATE
+
+
+def peak_relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestSynthesisOracles:
+    F0S = (95.0, 140.0, 210.0, 294.0)
+
+    @pytest.mark.parametrize("f0_base", F0S)
+    @pytest.mark.parametrize("seconds", [0.01, 0.2, 1.0])
+    def test_clenshaw_matches_the_sine_matrix(self, f0_base, seconds):
+        # the token segments of the corpora and babble voices built here are
+        # under 1 s; longer ones are checked against the exact-argument oracle
+        f0, phase = wobbling_phase(f0_base, seconds, seed=int(f0_base))
+        for i, tok in enumerate(TOKENS):
+            amps = harmonic_amps(datapipe.SynthSpeakerProfile(i), tok, float(f0.mean()))
+            got = datapipe._harmonic_sum(amps, phase)
+            assert peak_relative_gap(got, sine_matrix_harmonic_sum(amps, phase)) <= 1e-12
+
+    @pytest.mark.parametrize("f0_base", F0S)
+    @pytest.mark.parametrize("seconds", [2.0, 4.0, 8.0])
+    def test_clenshaw_matches_the_exact_argument_sine_matrix_up_to_8_s(self, f0_base, seconds):
+        f0, phase = wobbling_phase(f0_base, seconds, seed=int(f0_base) + 1)
+        for i, tok in enumerate(TOKENS):
+            amps = harmonic_amps(datapipe.SynthSpeakerProfile(i), tok, float(f0.mean()))
+            got = datapipe._harmonic_sum(amps, phase)
+            assert peak_relative_gap(got, exact_argument_harmonic_sum(amps, phase)) <= 1e-12
+
+    @pytest.mark.parametrize("min_duration", [1.0, 2.3, 3.6, 8.0])
+    def test_synth_utterance_matches_the_oracle(self, min_duration):
+        for seed in range(4):
+            prof = datapipe.SynthSpeakerProfile(1000 + seed)
+            tokens = "".join(TOKENS[(3 * seed + j) % len(TOKENS)] for j in range(8 + seed))
+            got = datapipe.synth_utterance(prof, tokens, seed, min_duration=min_duration)
+            want = oracle_synth_utterance(prof, tokens, seed, min_duration=min_duration)
+            assert got.shape == want.shape
+            assert peak_relative_gap(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("coeff", [0.30, 0.90, 0.995])
+    @pytest.mark.parametrize("n", [1, 7, 399, 400, 401, 3000, 41600])
+    def test_one_pole_matches_the_direct_convolution(self, coeff, n):
+        noise = np.random.default_rng(n).standard_normal(n)
+        np.testing.assert_allclose(datapipe._one_pole(noise, coeff),
+                                   direct_one_pole(noise, coeff), rtol=0, atol=1e-12)
+
+    def test_babble_matches_the_oracle(self, monkeypatch):
+        got = make_noise("babble", 3 * SAMPLE_RATE, np.random.default_rng(11))
+        monkeypatch.setattr(datapipe, "synth_utterance", oracle_synth_utterance)
+        want = make_noise("babble", 3 * SAMPLE_RATE, np.random.default_rng(11))
+        assert got[1] == want[1]
+        assert peak_relative_gap(got[0], want[0]) <= 1e-12
+
+    @pytest.mark.parametrize("min_duration", [1.0, 2.3, 3.6])
+    def test_written_corpus_is_byte_identical_to_the_oracle(self, tmp_path, monkeypatch,
+                                                            min_duration):
+        for seed in (0, 1, 2):
+            corpus = datapipe.Corpus(3, 2, seed, min_duration=min_duration)
+            new_dir, old_dir = tmp_path / f"new{seed}", tmp_path / f"old{seed}"
+            write_corpus(corpus, new_dir)
+            with monkeypatch.context() as m:
+                m.setattr(datapipe, "synth_utterance", oracle_synth_utterance)
+                write_corpus(corpus, old_dir)
+            for i in range(len(corpus)):
+                rel = f"wavs/{corpus.utterance_id(i)}"
+                assert (new_dir / rel).read_bytes() == (old_dir / rel).read_bytes(), rel
+            assert (new_dir / "manifest.txt").read_bytes() == (old_dir / "manifest.txt").read_bytes()
