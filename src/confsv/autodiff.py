@@ -8,10 +8,11 @@ one gradient pass regardless of fan-out.
 Everything runs in float64.  The op set is exactly what the Conformer stack
 and its losses need: elementwise add/sub/mul/div, sqrt, tanh, clip, matmul,
 1-D convolution (dense/depthwise), a fused channels-last 2-D convolution +
-bias + ReLU, softmax and log-softmax, layer norm, Swish/ReLU/GLU (sigmoid
+bias + ReLU, relative-position attention from the projected heads to the
+context, softmax and log-softmax, layer norm, Swish/ReLU/GLU (sigmoid
 inside Swish and GLU), dropout, sum/mean, the shape ops (reshape, transpose,
-swapaxes, concat, getitem), and the pair indexing used by relative-position
-attention and the AAM-softmax loss.
+swapaxes, concat, getitem), and the pair indexing used by the AAM-softmax
+loss.
 """
 
 from __future__ import annotations
@@ -337,9 +338,9 @@ def getitem(a: Tensor, idx) -> Tensor:
 def take_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Gather over the last two axes: out[..., i, j] = a[..., rows[i,j], cols[i,j]].
 
-    Used by relative-position attention to fold the (T, 2T-1) score matrix into
-    (T, T).  The (rows, cols) pairs must be distinct, which lets the backward
-    pass scatter with plain fancy indexing.
+    Used by the AAM-softmax loss to pick each row's target logit.  The
+    (rows, cols) pairs must be distinct, which lets the backward pass scatter
+    with plain fancy indexing.
     """
     out = a.data[..., rows, cols]
 
@@ -436,16 +437,97 @@ def glu(a: Tensor, axis: int = -1) -> Tensor:
     return mul(half, sigmoid(gate))
 
 
+def dropout_keep(shape: tuple[int, ...], p: float,
+                 rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+    """The inverted-dropout multiplier: 0 where dropped, 1 / (1 - p) where kept.
+
+    None when rng is None (inference) or p == 0.  It takes one `rng.random`
+    draw of `shape`.
+    """
+    if rng is None or p <= 0.0:
+        return None
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
 def dropout(a: Tensor, p: float, rng: Optional[np.random.Generator]) -> Tensor:
     """Inverted dropout; identity when rng is None (inference) or p == 0."""
-    if rng is None or p <= 0.0:
+    keep = dropout_keep(a.shape, p, rng)
+    if keep is None:
         return a
-    keep = (rng.random(a.shape) >= p) / (1.0 - p)
 
     def grad_fn(g):
         return (g * keep,)
 
     return _make(a.data * keep, (a,), grad_fn)
+
+
+# -- attention -----------------------------------------------------------------
+
+
+def _skew(a: np.ndarray) -> np.ndarray:
+    """The (..., T, T) view of (..., T, 2T-1) with out[..., i, j] = a[..., i, i - j + T - 1].
+
+    Row i of the view starts at column T-1+i and walks back one column per j:
+    the relative shift of Transformer-XL as a strided view, no copy.
+    """
+    T = a.shape[-2]
+    rs, cs = a.strides[-2:]
+    return np.lib.stride_tricks.as_strided(
+        a[..., T - 1:], shape=a.shape[:-1] + (T,), strides=a.strides[:-2] + (rs + cs, -cs)
+    )
+
+
+def rel_attention(q: Tensor, k: Tensor, v: Tensor, r: Tensor, u: Tensor, v_bias: Tensor,
+                  scale: float, keep: Optional[np.ndarray]) -> Tensor:
+    """Relative-position attention context, (B, H, T, d_head).
+
+    q, k, v: (B, H, T, d_head) heads; r: (H, 2T-1, d_head) projected positions
+    for distances T-1 ... -(T-1); u, v_bias broadcast against q.  The scores
+    are ((q + u) k^T + skew((q + v_bias) r^T)) * scale, where skew folds the
+    (T, 2T-1) position scores to (T, T) by relative distance i - j.  A stable
+    softmax over keys gives the weights, `keep` (a `dropout_keep` multiplier,
+    or None) drops some, and the context is weights @ v.  The backward is
+    analytic: softmax, dropout, the three matmuls, and the skew scatter as
+    one strided assignment into a zeroed (B, H, T, 2T-1) buffer.
+    """
+    T, d_head = q.shape[-2:]
+    # the skew view reads (T, 2T-1) position scores without a bounds check
+    if k.shape != q.shape or v.shape != q.shape or r.shape[-2:] != (2 * T - 1, d_head):
+        raise DimensionError(
+            f"rel_attention: q {q.shape}, k {k.shape}, v {v.shape}, r {r.shape} do not match"
+        )
+    qu = q.data + u.data
+    qv = q.data + v_bias.data
+    scores = qu @ np.swapaxes(k.data, -1, -2)
+    scores += _skew(qv @ np.swapaxes(r.data, -1, -2))  # position scores (B, H, T, 2T-1)
+    scores *= scale
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores, out=scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    dropped = weights if keep is None else weights * keep
+    out = dropped @ v.data
+
+    def grad_fn(g):
+        gv = np.swapaxes(dropped, -1, -2) @ g
+        gw = g @ np.swapaxes(v.data, -1, -2)
+        if keep is not None:
+            gw *= keep
+        # softmax backward, in place: weights * (gw - sum(gw * weights)), then the scale
+        gw -= (gw * weights).sum(axis=-1, keepdims=True)
+        gs = np.multiply(weights, gw, out=gw)
+        gs *= scale
+        gpos = np.zeros(gs.shape[:-1] + (2 * T - 1,))
+        _skew(gpos)[...] = gs
+        # the products and sums that `matmul`'s and `add`'s backward would form,
+        # so the gradients have the same bits as the composition of those ops
+        gqu = gs @ k.data
+        gk = np.swapaxes(np.swapaxes(qu, -1, -2) @ gs, -1, -2)
+        gqv = gpos @ r.data
+        grT = _unbroadcast(np.swapaxes(qv, -1, -2) @ gpos, r.shape[:-2] + (d_head, 2 * T - 1))
+        gr = np.swapaxes(grT, -1, -2)
+        return (gqu + gqv, gk, gv, gr, _unbroadcast(gqu, u.shape), _unbroadcast(gqv, v_bias.shape))
+
+    return _make(out, (q, k, v, r, u, v_bias), grad_fn)
 
 
 # -- convolutions --------------------------------------------------------------

@@ -9,6 +9,7 @@ exposed so downstream aggregation and adaptation can tap any layer.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -108,14 +109,19 @@ class FeatureMap:
         return self.values.shape[1]
 
 
+@lru_cache(maxsize=256)
 def sinusoid_positions(n_frames: int, dim: int) -> np.ndarray:
-    """Sinusoidal embeddings for relative distances T-1 ... -(T-1), shape (2T-1, d)."""
+    """Sinusoidal embeddings for relative distances T-1 ... -(T-1), shape (2T-1, d).
+
+    Computed once per (T, d) and shared, so the array is read-only.
+    """
     rel = np.arange(n_frames - 1, -n_frames, -1, dtype=np.float64)
     inv_freq = 1.0 / (10000.0 ** (np.arange(0, dim, 2, dtype=np.float64) / dim))
     ang = rel[:, None] * inv_freq[None, :]
     pe = np.zeros((rel.size, dim))
     pe[:, 0::2] = np.sin(ang)
     pe[:, 1::2] = np.cos(ang[:, : dim // 2])
+    pe.flags.writeable = False
     return pe
 
 
@@ -178,7 +184,8 @@ class AttentionModule(Module):
 
     Scores combine a content term (q + u) . k and a position term (q + v) . r,
     where r projects the sinusoid table and u, v are learned biases shared
-    across positions.
+    across positions.  From the projected heads to the context it is one
+    `ad.rel_attention` node.
     """
 
     def __init__(self, dim: int, heads: int, dropout: float):
@@ -212,14 +219,8 @@ class AttentionModule(Module):
         r = ad.transpose(ad.reshape(r, (2 * T - 1, self.heads, self.d_head)), (1, 0, 2))
         u = ad.reshape(self.pos_bias_u, (1, self.heads, 1, self.d_head))
         vb = ad.reshape(self.pos_bias_v, (1, self.heads, 1, self.d_head))
-        content = ad.matmul(q + u, ad.swapaxes(k, -1, -2))
-        pos_full = ad.matmul(q + vb, ad.swapaxes(r, -1, -2))  # (B, H, T, 2T-1)
-        rows = np.repeat(np.arange(T)[:, None], T, axis=1)
-        cols = rows - rows.T + T - 1  # i - j + T - 1
-        position = ad.take_pairs(pos_full, rows, cols)
-        scores = (content + position) * ad.tensor(1.0 / np.sqrt(self.d_head))
-        attn = self.drop_attn(ad.softmax(scores, axis=-1), rng)
-        ctx = ad.matmul(attn, v)
+        keep = self.drop_attn.keep((B, self.heads, T, T), rng)
+        ctx = ad.rel_attention(q, k, v, r, u, vb, 1.0 / np.sqrt(self.d_head), keep)
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, self.dim))
         return self.drop_out(self.out_proj(ctx), rng)
 

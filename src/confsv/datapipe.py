@@ -313,18 +313,29 @@ def frame_count(n_samples: int) -> int:
     return (n_samples - win) // hop + 1
 
 
+_FFT_ROWS = 32  # frames per FFT block in log_mel
+
+
 def log_mel(waveform: np.ndarray) -> np.ndarray:
-    """Log mel-filterbank energies, (N_MELS, T); Hamming 20 ms windows, 10 ms shift."""
+    """Log mel-filterbank energies, (N_MELS, T); Hamming 20 ms windows, 10 ms shift.
+
+    The frames are a strided view of the waveform, and the power spectrum is
+    filled in blocks of `_FFT_ROWS` frames, so the temporaries stay small
+    whatever the utterance length.  Each frame's FFT is independent, so the
+    blocks give the same bits as one FFT over all frames.
+    """
     waveform = np.asarray(waveform, dtype=np.float64)
     win = int(WINDOW_SEC * SAMPLE_RATE)
     hop = int(HOP_SEC * SAMPLE_RATE)
     if waveform.size < win:
         raise InputTooShortError(f"need >= {win} samples, got {waveform.size}")
-    n_frames = frame_count(waveform.size)
-    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = waveform[idx] * np.hamming(win)[None, :]
-    spec = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1)) ** 2
-    mel = mel_filterbank() @ spec.T
+    frames = np.lib.stride_tricks.sliding_window_view(waveform, win)[::hop]
+    window = np.hamming(win)
+    power = np.empty((frame_count(waveform.size), N_FFT // 2 + 1))
+    for start in range(0, power.shape[0], _FFT_ROWS):
+        block = slice(start, start + _FFT_ROWS)
+        np.square(np.abs(np.fft.rfft(frames[block] * window, n=N_FFT, axis=1)), out=power[block])
+    mel = mel_filterbank() @ power.T
     return np.log(np.maximum(mel, LOG_FLOOR))
 
 
@@ -512,16 +523,25 @@ def write_wav(path: Union[str, Path], waveform: np.ndarray) -> None:
         f.writeframes(pcm.tobytes())
 
 
-def read_wav(path: Union[str, Path]) -> np.ndarray:
-    """Samples of a 16-bit mono WAV; a missing, malformed or truncated file raises DataError."""
+def _open_wav(path: Union[str, Path], read):
+    """`read(f)` on the opened 16-bit mono WAV; a missing or malformed file raises DataError."""
     try:
         with wave_mod.open(str(path), "rb") as f:
             if f.getnchannels() != 1 or f.getsampwidth() != 2 or f.getframerate() != SAMPLE_RATE:
                 raise DataError(f"{path}: expected 16-bit mono {SAMPLE_RATE} Hz WAV")
-            n_frames = f.getnframes()
-            raw = f.readframes(n_frames)
+            return read(f)
     except (OSError, EOFError, wave_mod.Error) as e:
         raise DataError(f"{path}: cannot read WAV: {e}") from None
+
+
+def wav_length(path: Union[str, Path]) -> int:
+    """The sample count a WAV's header declares; the samples are not read."""
+    return _open_wav(path, lambda f: f.getnframes())
+
+
+def read_wav(path: Union[str, Path]) -> np.ndarray:
+    """Samples of a 16-bit mono WAV; a missing, malformed or truncated file raises DataError."""
+    n_frames, raw = _open_wav(path, lambda f: (f.getnframes(), f.readframes(f.getnframes())))
     if len(raw) != 2 * n_frames:
         raise DataError(f"{path}: truncated WAV: {len(raw)} of {2 * n_frames} data bytes")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0

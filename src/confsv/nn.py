@@ -276,3 +276,8 @@ class Dropout(Module):
         if not self.training:
             return x
         return ad.dropout(x, self.p, rng)
+
+    def keep(self, shape: tuple[int, ...],
+             rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+        """The multiplier `forward` would draw for an input of `shape`; None if it draws none."""
+        return ad.dropout_keep(shape, self.p, rng) if self.training else None

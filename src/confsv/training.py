@@ -9,8 +9,10 @@ supplies only its item builder, its loss and its schedule.
 A training command reads one stream of batches: a `_batch_plan` of item keys
 per batch, mapped through `util.map_batches`, which with CONFSV_THREADS > 1
 builds the next batch's items on worker threads while the current batch
-trains.  `train_speaker` keeps one stream across its frozen, full and LMFT
-phases, so a phase's first batch is built while the previous phase ends.
+trains: for ASR pretraining, each utterance's log-mel, zero-padded to the
+batch maximum read from the WAV headers.  `train_speaker` keeps one stream
+across its frozen, full and LMFT phases, so a phase's first batch is built
+while the previous phase ends.
 
 Everything is a deterministic function of (config, seed): corpus order,
 crops, augmentation draws, dropout masks, and parameter init all derive from
@@ -52,6 +54,7 @@ from .datapipe import (
     read_manifest,
     snr_estimate_db,
     speed_perturb,
+    wav_length,
 )
 from .errors import CheckpointError, ConfigError
 from .heads import SpeakerModel
@@ -300,27 +303,30 @@ def pretrain_asr(cfg: RunConfig, manifest_path, out_dir) -> Path:
     seed_parameters(decoder, cfg.seed, scope="asr_decoder")
     n = len(entries)
 
-    def load(key):
-        return load_utterance(manifest_path, entries[key[1]])
+    root = Path(manifest_path).parent
 
-    def asr_batch(utts):
-        # log-mel of each utterance zero-padded to the batch maximum
-        max_len = max(u.n_samples for u in utts)
-        feats = np.stack(
-            [log_mel(np.pad(u.waveform, (0, max_len - u.n_samples))).T for u in utts]
-        )
-        return ad.tensor(feats), [u.token_id_seq() for u in utts]
+    def padded(keys):
+        # the batch maximum from the WAV headers, so each item can pad on its own
+        longest = max(wav_length(root / entries[idx].path) for _, idx in keys)
+        return [(epoch, idx, longest) for epoch, idx in keys]
 
-    def ctc_loss_of(batch, rng):
-        feats, targets = batch
-        return ctc_loss_batch(decoder(encoder(feats, rng)[-1]), targets), []
+    def asr_item(key):
+        # log-mel of the utterance zero-padded to its batch's maximum
+        _, idx, longest = key
+        utt = load_utterance(manifest_path, entries[idx])
+        return log_mel(np.pad(utt.waveform, (0, longest - utt.n_samples))).T, utt.token_id_seq()
 
-    plan = _batch_plan(cfg, n, range(cfg.epochs), "asr_order")
-    with map_batches(load, plan) as loaded:
+    def ctc_loss_of(items, rng):
+        feats, targets = zip(*items)
+        logits = decoder(encoder(ad.tensor(np.stack(feats)), rng)[-1])
+        return ctc_loss_batch(logits, targets), []
+
+    plan = map(padded, _batch_plan(cfg, n, range(cfg.epochs), "asr_order"))
+    with map_batches(asr_item, plan) as built:
         rows, _ = _train_epochs(
             cfg, _TrainableSet(encoder=encoder, decoder=decoder), AdamW(cfg.weight_decay), n,
             range(cfg.epochs), (cfg.epochs, cfg.warmup_epochs, cfg.lr), "asr_dropout",
-            map(asr_batch, loaded), ctc_loss_of,
+            built, ctc_loss_of,
         )
     _write_loss_csv(out_dir / "asr_loss.csv", ["epoch", "loss"], rows)
     path = out_dir / "asr.ckpt"

@@ -10,12 +10,13 @@ import os
 import threading
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from confsv import training
 from confsv.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from confsv.config import load_run_config
-from confsv.datapipe import read_manifest
+from confsv.datapipe import read_manifest, read_wav
 from confsv.errors import NumericError
 
 CONFIG = """
@@ -110,6 +111,55 @@ def test_one_and_two_threads_write_the_same_bytes(corpus, threads, tmp_path):
     # a header, then the frozen, the full and the LMFT epoch
     assert outputs[1]["train/loss.csv"].count(b"\n") == 4
     assert outputs[1] == outputs[2]
+
+
+def test_pretrain_asr_writes_the_same_bytes_at_one_and_two_threads_and_on_a_rerun(
+        corpus, threads, tmp_path):
+    outputs = []
+    for run, n in enumerate((1, 2, 2)):
+        threads(n)
+        out = tmp_path / f"run{run}"
+        assert main(_argv(corpus, "pretrain-asr", out)) == EXIT_OK
+        outputs.append({name: (out / name).read_bytes() for name in ("asr_loss.csv", "asr.ckpt")})
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_pretrain_asr_builds_its_features_on_the_workers(corpus, threads, tmp_path,
+                                                          monkeypatch):
+    """Each utterance's padded log-mel is built off the training thread."""
+    log_mel = training.log_mel
+    on_main, feats_seen = [], []
+
+    def recording_log_mel(wave):
+        on_main[-1].add(threading.current_thread() is threading.main_thread())
+        return log_mel(wave)
+
+    forward = training.ConformerEncoder.forward
+
+    def recording_forward(self, mel, *args, **kwargs):
+        feats_seen[-1].append(mel.data.copy())
+        return forward(self, mel, *args, **kwargs)
+
+    monkeypatch.setattr(training, "log_mel", recording_log_mel)
+    monkeypatch.setattr(training.ConformerEncoder, "forward", recording_forward)
+    for n in (1, 2):
+        threads(n)
+        on_main.append(set())
+        feats_seen.append([])
+        assert main(_argv(corpus, "pretrain-asr", tmp_path / f"t{n}")) == EXIT_OK
+    # serially on the main thread; with workers, never on it
+    assert on_main == [{True}, {False}]
+    assert len(feats_seen[0]) == len(feats_seen[1]) == 4
+    for a, b in zip(*feats_seen):
+        np.testing.assert_array_equal(a, b)
+    # the first batch: each utterance zero-padded to the batch maximum, then featurised
+    cfg = load_run_config(corpus["configs"]["train"])
+    entries = read_manifest(corpus["manifest"])
+    keys = next(training._batch_plan(cfg, len(entries), range(cfg.epochs), "asr_order"))
+    waves = [read_wav(corpus["manifest"].parent / entries[idx].path) for _, idx in keys]
+    longest = max(w.size for w in waves)
+    expected = np.stack([log_mel(np.pad(w, (0, longest - w.size))).T for w in waves])
+    np.testing.assert_array_equal(feats_seen[0][0], expected)
 
 
 def test_each_training_command_reads_one_stream(corpus, threads, tmp_path, monkeypatch):

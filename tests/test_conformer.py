@@ -13,6 +13,7 @@ from confsv.conformer import (
     ConvSubsampling,
     EncoderConfig,
     FeedForwardModule,
+    sinusoid_positions,
 )
 from confsv.errors import ConfigError, DimensionError, InputTooShortError
 from confsv.nn import seed_parameters
@@ -147,6 +148,102 @@ class TestAttention:
         out = attn(ad.tensor(x)).data
         out_perm = attn(ad.tensor(x[:, perm])).data
         np.testing.assert_allclose(out[:, perm], out_perm, atol=1e-12)
+
+
+def composed_attention(attn, x, rng=None):
+    """The attention as a chain of autodiff ops, the oracle of `ad.rel_attention`.
+
+    The (T, 2T-1) position scores fold to (T, T) with a `take_pairs` gather.
+    """
+    h = attn.norm(x)
+    B, T, _ = h.shape
+    q = attn._split(attn.q_proj(h), B, T)
+    k = attn._split(attn.k_proj(h), B, T)
+    v = attn._split(attn.v_proj(h), B, T)
+    r = attn.pos_proj(ad.tensor(sinusoid_positions(T, attn.dim)))
+    r = ad.transpose(ad.reshape(r, (2 * T - 1, attn.heads, attn.d_head)), (1, 0, 2))
+    u = ad.reshape(attn.pos_bias_u, (1, attn.heads, 1, attn.d_head))
+    vb = ad.reshape(attn.pos_bias_v, (1, attn.heads, 1, attn.d_head))
+    content = ad.matmul(q + u, ad.swapaxes(k, -1, -2))
+    pos_full = ad.matmul(q + vb, ad.swapaxes(r, -1, -2))  # (B, H, T, 2T-1)
+    rows = np.repeat(np.arange(T)[:, None], T, axis=1)
+    cols = rows - rows.T + T - 1  # i - j + T - 1
+    position = ad.take_pairs(pos_full, rows, cols)
+    scores = (content + position) * ad.tensor(1.0 / np.sqrt(attn.d_head))
+    weights = attn.drop_attn(ad.softmax(scores, axis=-1), rng)
+    ctx = ad.matmul(weights, v)
+    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, attn.dim))
+    return attn.drop_out(attn.out_proj(ctx), rng)
+
+
+class TestFusedAttention:
+    """`AttentionModule` runs one `ad.rel_attention` node; the composition is its oracle."""
+
+    @staticmethod
+    def _run(forward, attn, x0, train):
+        attn.train_mode() if train else attn.eval_mode()
+        rng = np.random.default_rng(17)
+        x = ad.tensor(x0, requires_grad=True)
+        for _, p in attn.named_parameters():
+            p.grad = None
+        out = forward(attn, x, rng)
+        weights = ad.tensor(np.random.default_rng(18).normal(size=out.shape))
+        ad.backward(ad.sum_(out * weights))
+        grads = {"x": x.grad}
+        grads.update({n: p.grad for n, p in attn.named_parameters()})
+        return out.data, grads, rng.bit_generator.state
+
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("B,T", [(8, 90), (3, 7), (1, 57), (2, 1)])
+    def test_matches_the_composition(self, B, T, train):
+        attn = AttentionModule(32, 4, 0.1)
+        seed_parameters(attn, 19)
+        rng = np.random.default_rng(20)
+        for bias in (attn.pos_bias_u, attn.pos_bias_v):
+            bias.data = rng.normal(size=bias.shape)
+        x0 = rng.normal(size=(B, T, 32))
+        out, grads, state = self._run(lambda a, x, r: a(x, r), attn, x0, train)
+        ref_out, ref_grads, ref_state = self._run(composed_attention, attn, x0, train)
+        np.testing.assert_array_equal(out, ref_out)
+        # dropout draws keep their order, so every later draw is unchanged
+        assert state == ref_state
+        assert grads.keys() == ref_grads.keys()
+        largest = max(np.abs(g).max() for g in ref_grads.values())
+        for name, g in ref_grads.items():
+            assert np.abs(grads[name] - g).max() <= 1e-14 * largest, name
+
+    def test_skew_view_is_the_take_pairs_gather(self):
+        T = 6
+        a = np.random.default_rng(21).normal(size=(2, 3, T, 2 * T - 1))
+        rows = np.repeat(np.arange(T)[:, None], T, axis=1)
+        np.testing.assert_array_equal(ad._skew(a), a[..., rows, rows - rows.T + T - 1])
+
+    def test_gradcheck_with_a_fixed_keep_mask(self):
+        B, H, T, dh = 2, 2, 4, 3
+        rng = np.random.default_rng(22)
+
+        def leaf(*shape):
+            return ad.tensor(rng.normal(size=shape), requires_grad=True)
+
+        q, k, v = leaf(B, H, T, dh), leaf(B, H, T, dh), leaf(B, H, T, dh)
+        r, u, vb = leaf(H, 2 * T - 1, dh), leaf(1, H, 1, dh), leaf(1, H, 1, dh)
+        keep = ad.dropout_keep((B, H, T, T), 0.3, rng)
+        assert keep is not None and (keep == 0).any()
+        weights = ad.tensor(rng.normal(size=(B, H, T, dh)))
+        gradcheck(lambda: ad.sum_(ad.rel_attention(q, k, v, r, u, vb, 0.6, keep) * weights),
+                  [q, k, v, r, u, vb])
+
+    def test_rejects_mismatched_positions(self):
+        q = ad.tensor(np.zeros((1, 2, 5, 4)))
+        with pytest.raises(DimensionError):
+            ad.rel_attention(q, q, q, ad.tensor(np.zeros((2, 5, 4))), q, q, 0.5, None)
+
+    def test_positions_are_computed_once_and_read_only(self):
+        pos = sinusoid_positions(9, 8)
+        assert sinusoid_positions(9, 8) is pos
+        assert not pos.flags.writeable
+        with pytest.raises(ValueError):
+            pos[0, 0] = 1.0
 
 
 class TestConvModule:

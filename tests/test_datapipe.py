@@ -27,6 +27,7 @@ from confsv.datapipe import (
     snr_estimate_db,
     speed_perturb,
     synth_corpus,
+    wav_length,
     write_corpus,
     write_wav,
 )
@@ -107,6 +108,16 @@ class TestLogMel:
     def test_too_short(self):
         with pytest.raises(InputTooShortError):
             log_mel(np.zeros(100))
+
+    @pytest.mark.parametrize("n_samples", [320, 321, 480, 5280, 5440, 16_000, 57_601, 96_000])
+    def test_blocked_fft_matches_one_fft_over_all_frames(self, n_samples):
+        wave = np.random.default_rng(n_samples).normal(scale=0.3, size=n_samples)
+        # the single-FFT formula: gathered frames, one rfft, then the filterbank
+        win, hop = 320, 160
+        idx = np.arange(win)[None, :] + hop * np.arange(frame_count(n_samples))[:, None]
+        spec = np.abs(np.fft.rfft(wave[idx] * np.hamming(win)[None, :], n=512, axis=1)) ** 2
+        expected = np.log(np.maximum(mel_filterbank() @ spec.T, 1e-10))
+        np.testing.assert_array_equal(log_mel(wave), expected)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
@@ -290,6 +301,16 @@ class TestIO:
             read_wav(path)
         with pytest.raises(DataError, match="missing.wav"):
             read_wav(tmp_path / "missing.wav")
+
+    def test_wav_length_reads_the_header_only(self, tmp_path):
+        path = tmp_path / "x.wav"
+        write_wav(path, np.zeros(4000))
+        assert wav_length(path) == 4000
+        path.write_bytes(path.read_bytes()[:1001])  # the header still says 4000
+        assert wav_length(path) == 4000
+        for missing in (tmp_path / "missing.wav", tmp_path):
+            with pytest.raises(DataError, match="cannot read WAV"):
+                wav_length(missing)
 
     def test_corpus_manifest_round_trip(self, tmp_path):
         corpus = synth_corpus(3, 2, seed=24)
