@@ -10,9 +10,11 @@ The Python API is the module classes, one path per job: `ConformerEncoder`
 (its `encode` gives per-block feature maps), then `MfaAggregator`,
 `AttentiveStatsPooling` and `EmbeddingHead`, composed as `SpeakerModel`; or
 `SpeakerAdaptation` on a frozen encoder.  Both embed one utterance with
-`embed_utterance`.  Every name re-exported below is used inside the package,
-except three one-trial references the tests compare the batched paths
-against (`cosine_score`, `adapted_snorm`, `ctc_loss`).
+`embed_utterance`.  Scoring takes whole trial lists: `scoring.score_trials`
+or `snorm_scores`, then `qmf_features`, `qmf_fit` and `QmfModel.calibrate`.
+Every name re-exported below is used inside the package, except `ctc_loss`,
+the one-utterance CTC that the acceptance tests check by enumerating
+alignments.
 """
 
 from .adaptation import (
@@ -48,15 +50,6 @@ from .losses import (
     ctc_loss,
     distill_kl_loss,
 )
-from .scoring import (
-    ScoreRecord,
-    TrialList,
-    adapted_snorm,
-    cosine_score,
-    eer,
-    min_dcf,
-    parse_trials,
-    qmf_fit,
-)
+from .scoring import TrialList, eer, min_dcf, parse_trials, qmf_fit
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from .datapipe import (
 )
 from .errors import ConfigError, ConfsvError, DataError, NumericError
 from .scoring import (
-    ScoreCache,
+    TrialList,
     eer,
     load_embeddings,
     min_dcf,
@@ -180,10 +180,19 @@ def _scored(args):
             raise ConfigError(f"--cohort-size must be >= 0, got {args.cohort_size}")
         if args.top_k < 2:
             raise ConfigError(f"--top-k must be >= 2, got {args.top_k}")
+    if args.qmf:
+        if args.calib_trials is None:
+            raise ConfigError("--qmf needs --calib-trials")
+        if args.manifest is None:
+            raise ConfigError("--qmf needs --manifest for quality features")
     store = load_embeddings(args.embeddings)
     trials = parse_trials(args.trials)
     if len(trials) == 0:
         raise DataError(f"{args.trials}: no trials")
+    calib = parse_trials(args.calib_trials) if args.qmf else TrialList([])
+    # one scorer call: the calibration trials go through the same normalization
+    # as the trials, and the two lists share the per-key work
+    both = TrialList(calib.trials + trials.trials)
     if args.snorm:
         cohort = load_embeddings(args.cohort)
         if args.cohort_size and len(cohort) > args.cohort_size:
@@ -191,27 +200,15 @@ def _scored(args):
             keys = sorted(cohort)
             picked = rng.choice(len(keys), size=args.cohort_size, replace=False)
             cohort = {keys[i]: cohort[keys[i]] for i in sorted(picked)}
-
-    cache = ScoreCache()  # the trials and the calibration trials share per-key work
-
-    def chain(trial_list):
-        if args.snorm:
-            return snorm_scores(store, trial_list, cohort, top_k=args.top_k, cache=cache)
-        return score_trials(store, trial_list, cache=cache)
-
-    scores = chain(trials)
-    if args.qmf:
-        if args.calib_trials is None:
-            raise ConfigError("--qmf needs --calib-trials")
-        if args.manifest is None:
-            raise ConfigError("--qmf needs --manifest for quality features")
-        entries = read_manifest(args.manifest)
-        quality = quality_features(args.manifest, entries, store)
-        calib = parse_trials(args.calib_trials)
-        # calibration scores go through the same normalization as the trials
-        model = qmf_fit(qmf_features(calib, chain(calib), quality), calib.labels)
-        scores = model.calibrate(qmf_features(trials, scores, quality))
-    return trials, scores
+        scores = snorm_scores(store, both, cohort, args.top_k)
+    else:
+        scores = score_trials(store, both)
+    if not args.qmf:
+        return trials, scores
+    quality = quality_features(args.manifest, read_manifest(args.manifest), store)
+    features = qmf_features(both, scores, quality)
+    model = qmf_fit(features[:len(calib)], calib.labels)
+    return trials, model.calibrate(features[len(calib):])
 
 
 def cmd_score(args) -> int:

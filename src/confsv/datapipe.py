@@ -7,8 +7,7 @@ is a pure function of seeds: the same (corpus seed, item index) always yields
 the same samples, which is what the reproducibility contracts lean on.
 
 Noise and room responses are procedurally generated stand-ins for the usual
-augmentation corpora; loaders accept external 16 kHz mono WAV files when real
-ones are available.
+augmentation corpora.
 """
 
 from __future__ import annotations
@@ -33,6 +32,8 @@ N_MELS = 80
 F_MAX = 8000.0
 WINDOW_SEC = 0.020
 HOP_SEC = 0.010
+WIN = int(WINDOW_SEC * SAMPLE_RATE)  # samples per analysis frame
+HOP = int(HOP_SEC * SAMPLE_RATE)
 N_FFT = 512
 LOG_FLOOR = 1e-10
 RIR_SEC = 0.25
@@ -308,9 +309,12 @@ def mel_filterbank() -> np.ndarray:
 
 
 def frame_count(n_samples: int) -> int:
-    win = int(WINDOW_SEC * SAMPLE_RATE)
-    hop = int(HOP_SEC * SAMPLE_RATE)
-    return (n_samples - win) // hop + 1
+    return (n_samples - WIN) // HOP + 1
+
+
+def _frames(waveform: np.ndarray) -> np.ndarray:
+    """The (frame_count, WIN) analysis frames, a strided view of the waveform."""
+    return np.lib.stride_tricks.sliding_window_view(waveform, WIN)[::HOP]
 
 
 _FFT_ROWS = 32  # frames per FFT block in log_mel
@@ -325,12 +329,10 @@ def log_mel(waveform: np.ndarray) -> np.ndarray:
     blocks give the same bits as one FFT over all frames.
     """
     waveform = np.asarray(waveform, dtype=np.float64)
-    win = int(WINDOW_SEC * SAMPLE_RATE)
-    hop = int(HOP_SEC * SAMPLE_RATE)
-    if waveform.size < win:
-        raise InputTooShortError(f"need >= {win} samples, got {waveform.size}")
-    frames = np.lib.stride_tricks.sliding_window_view(waveform, win)[::hop]
-    window = np.hamming(win)
+    if waveform.size < WIN:
+        raise InputTooShortError(f"need >= {WIN} samples, got {waveform.size}")
+    frames = _frames(waveform)
+    window = np.hamming(WIN)
     power = np.empty((frame_count(waveform.size), N_FFT // 2 + 1))
     for start in range(0, power.shape[0], _FFT_ROWS):
         block = slice(start, start + _FFT_ROWS)
@@ -341,13 +343,9 @@ def log_mel(waveform: np.ndarray) -> np.ndarray:
 
 def snr_estimate_db(waveform: np.ndarray) -> float:
     """Energy-percentile SNR proxy: high vs low frame-energy quantiles in dB."""
-    hop = int(HOP_SEC * SAMPLE_RATE)
-    win = int(WINDOW_SEC * SAMPLE_RATE)
-    if waveform.size < win:
+    if waveform.size < WIN:
         return 0.0
-    n_frames = frame_count(waveform.size)
-    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
-    energy = (waveform[idx] ** 2).mean(axis=1) + 1e-12
+    energy = (_frames(waveform) ** 2).mean(axis=1) + 1e-12
     hi, lo = np.percentile(energy, 85), np.percentile(energy, 15)
     return float(10.0 * np.log10(hi / lo))
 
@@ -437,14 +435,6 @@ def add_noise(utt: Utterance, noise_kind: str, snr_db: float, rng: np.random.Gen
     return out
 
 
-def load_wav_pool(directory: Union[str, Path]) -> list[np.ndarray]:
-    """External noise/RIR pool: every 16 kHz mono WAV in a directory, sorted."""
-    paths = sorted(Path(directory).glob("*.wav"))
-    if not paths:
-        raise DataError(f"{directory}: no WAV files")
-    return [read_wav(p) for p in paths]
-
-
 def make_rir(rng: np.random.Generator) -> np.ndarray:
     """Synthetic exponential-decay room impulse response, direct path first."""
     n = int(RIR_SEC * SAMPLE_RATE)
@@ -530,7 +520,7 @@ def _open_wav(path: Union[str, Path], read):
             if f.getnchannels() != 1 or f.getsampwidth() != 2 or f.getframerate() != SAMPLE_RATE:
                 raise DataError(f"{path}: expected 16-bit mono {SAMPLE_RATE} Hz WAV")
             return read(f)
-    except (OSError, EOFError, wave_mod.Error) as e:
+    except (OSError, EOFError, ValueError, wave_mod.Error) as e:  # ValueError: a NUL in the path
         raise DataError(f"{path}: cannot read WAV: {e}") from None
 
 
@@ -573,7 +563,6 @@ def write_corpus(corpus: Corpus, out_dir: Union[str, Path]) -> Path:
 
 def read_manifest(path: Union[str, Path]) -> list[ManifestEntry]:
     entries = []
-    root = Path(path).parent
     for i, line in enumerate(read_text(path, DataError).splitlines(), start=1):
         if not line.strip():
             continue

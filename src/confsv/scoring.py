@@ -7,13 +7,12 @@ quality features.  EER interpolates linearly between the bracketing ROC points;
 minDCF (P_target 0.01, unit costs) sweeps every decision threshold including
 accept-all and reject-all.
 
-Trial lists reuse their embeddings many times, so the per-embedding work (the
-float64 copy and norm, the cohort top-k statistics, the quality features) is
-done once per key and a trial costs one 256-term dot product; a `ScoreCache`
-carries that work from one trial list to the next.  The cached paths run the
-same float operations in the same order as the one-trial functions
-`cosine_score`, `adapted_snorm` and `QmfModel.transform`, so both give
-bit-identical scores.
+Each step has one batch path over a whole trial list: `score_trials` or
+`snorm_scores`, then `qmf_features` -> `qmf_fit` -> `QmfModel.calibrate`.  Trial
+lists reuse their embeddings many times, so within one call the per-embedding
+work (the float64 copy and norm, the cohort top-k statistics, the quality
+features) is done once per key and a trial costs one 256-term dot product.
+Lists that should share that work are scored in one call.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -67,35 +66,6 @@ class TrialList:
         return np.array([t.label for t in self.trials], dtype=np.int64)
 
 
-@dataclass
-class ScoreRecord:
-    """One trial's raw score plus the quality features calibration can use."""
-
-    raw: float
-    duration_enroll: float = 0.0
-    duration_test: float = 0.0
-    snr_enroll: float = 0.0
-    snr_test: float = 0.0
-    magnitude_enroll: float = 0.0
-    magnitude_test: float = 0.0
-
-    def quality_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.duration_enroll,
-                self.duration_test,
-                self.snr_enroll,
-                self.snr_test,
-                self.magnitude_enroll,
-                self.magnitude_test,
-            ]
-        )
-
-    def feature_vector(self) -> np.ndarray:
-        """[raw score, quality vector]: one row of the calibration features."""
-        return np.concatenate([[self.raw], self.quality_vector()])
-
-
 def parse_trials(path: Union[str, Path]) -> TrialList:
     """Lines of "label enroll test" with label in {0, 1}, whitespace-separated."""
     trials = []
@@ -117,18 +87,10 @@ def _cosine(e1: np.ndarray, n1: float, e2: np.ndarray, n2: float) -> float:
     return float(np.dot(e1, e2) / (n1 * n2))
 
 
-def cosine_score(e1: np.ndarray, e2: np.ndarray) -> float:
-    """Inner product of the L2-normalized embeddings, in [-1, 1]."""
-    e1 = np.asarray(e1, dtype=np.float64)
-    e2 = np.asarray(e2, dtype=np.float64)
-    return _cosine(e1, np.linalg.norm(e1), e2, np.linalg.norm(e2))
-
-
-def _check_cohort_size(top_k: int, enroll_size: int, test_size: int) -> None:
-    if top_k < 2 or enroll_size < top_k or test_size < top_k:
+def _check_cohort_size(top_k: int, size: int) -> None:
+    if top_k < 2 or size < top_k:
         raise DegenerateCohortError(
-            f"need cohorts of >= top_k >= 2 scores (top_k={top_k}, "
-            f"sizes {enroll_size}/{test_size})"
+            f"need a cohort of >= top_k >= 2 scores (top_k={top_k}, size {size})"
         )
 
 
@@ -144,19 +106,6 @@ def _snorm(raw: float, enroll_stats: tuple[float, float],
     if sigma_e == 0.0 or sigma_t == 0.0:
         raise DegenerateCohortError("zero-variance cohort")
     return 0.5 * ((raw - mu_e) / sigma_e + (raw - mu_t) / sigma_t)
-
-
-def adapted_snorm(
-    raw: float,
-    enroll_cohort_scores: Sequence[float],
-    test_cohort_scores: Sequence[float],
-    top_k: int = 700,
-) -> float:
-    """Symmetric adaptive normalization against each side's top-k cohort scores."""
-    enroll = np.asarray(enroll_cohort_scores, dtype=np.float64)
-    test = np.asarray(test_cohort_scores, dtype=np.float64)
-    _check_cohort_size(top_k, enroll.size, test.size)
-    return _snorm(raw, _top_stats(enroll, top_k), _top_stats(test, top_k))
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -240,9 +189,6 @@ class QmfModel:
         z = (features - self.feat_mean) / self.feat_std
         return np.array([float(row @ self.weights + self.bias) for row in z])
 
-    def transform(self, record: ScoreRecord) -> float:
-        return float(self.calibrate(record.feature_vector()[None])[0])
-
 
 def _fit_logistic(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     """Full-batch gradient descent with a unit step on mean cross-entropy, to
@@ -267,9 +213,9 @@ def _fit_logistic(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 
 def qmf_features(trials: TrialList, scores: np.ndarray,
                  quality: dict[str, tuple[float, float, float]]) -> np.ndarray:
-    """(n, 7) calibration features: each trial's score, then the (duration, SNR,
-    magnitude) of its enroll and test utterances, in `ScoreRecord.feature_vector`
-    order.  The per-utterance features are looked up once per key."""
+    """(n, 7) calibration features, one row per trial: its score, then the
+    enroll and test duration, the enroll and test SNR, and the enroll and test
+    embedding magnitude.  The per-utterance features are looked up once per key."""
     index = {key: i for i, key in enumerate(quality)}
     try:
         enroll = np.array([index[t.enroll] for t in trials], dtype=np.int64)
@@ -284,18 +230,10 @@ def qmf_features(trials: TrialList, scores: np.ndarray,
     return x
 
 
-def qmf_fit(records: Union[Sequence[ScoreRecord], np.ndarray],
-            labels: Sequence[int]) -> QmfModel:
-    """Fit the calibration model on labelled trials with quality features.
-
-    `records` is a list of ScoreRecords or the (n, 7) matrix of `qmf_features`.
-    """
+def qmf_fit(x: np.ndarray, labels: Sequence[int]) -> QmfModel:
+    """Fit the calibration model on the (n, 7) `qmf_features` of labelled trials."""
     labels = np.asarray(labels, dtype=np.float64)
     _check_two_classes(labels.astype(np.int64))
-    if isinstance(records, np.ndarray):
-        x = records
-    else:
-        x = np.stack([r.feature_vector() for r in records])
     mean = x.mean(axis=0)
     std = x.std(axis=0)
     std[std == 0] = 1.0
@@ -354,24 +292,10 @@ def resolve_embedding(store: dict[str, np.ndarray], key: str) -> np.ndarray:
     return store[key].astype(np.float64)
 
 
-class ScoreCache:
-    """Per-key scoring work, kept across the trial lists of one store and cohort.
-
-    Pass the same cache to every `score_trials`/`snorm_scores` call over the
-    same store (and the same cohort and top_k); each key's float64 copy, norm
-    and cohort statistics are then computed once however many lists use it.
-    """
-
-    def __init__(self):
-        self.entries: dict[str, tuple[np.ndarray, float]] = {}
-        self.stats: dict[str, tuple[float, float]] = {}
-        self.cohort: Optional[np.ndarray] = None  # L2-normalised rows
-
-
-def _entries(store: dict[str, np.ndarray], trials: TrialList,
-             cache: ScoreCache) -> dict[str, tuple[np.ndarray, float]]:
+def _entries(store: dict[str, np.ndarray],
+             trials: TrialList) -> dict[str, tuple[np.ndarray, float]]:
     """Float64 copy and norm of every key the trials use, each computed once."""
-    out = cache.entries
+    out: dict[str, tuple[np.ndarray, float]] = {}
     for t in trials:
         for key in (t.enroll, t.test):
             if key not in out:
@@ -380,47 +304,32 @@ def _entries(store: dict[str, np.ndarray], trials: TrialList,
     return out
 
 
-def score_trials(store: dict[str, np.ndarray], trials: TrialList,
-                 cache: Optional[ScoreCache] = None) -> np.ndarray:
-    entries = _entries(store, trials, cache or ScoreCache())
-    return np.array([_cosine(*entries[t.enroll], *entries[t.test]) for t in trials])
+def _cosines(entries: dict[str, tuple[np.ndarray, float]], trials: TrialList) -> list[float]:
+    return [_cosine(*entries[t.enroll], *entries[t.test]) for t in trials]
 
 
-def snorm_scores(
-    store: dict[str, np.ndarray],
-    trials: TrialList,
-    cohort: dict[str, np.ndarray],
-    top_k: int,
-    cache: Optional[ScoreCache] = None,
-) -> np.ndarray:
+def score_trials(store: dict[str, np.ndarray], trials: TrialList) -> np.ndarray:
+    return np.array(_cosines(_entries(store, trials), trials))
+
+
+def snorm_scores(store: dict[str, np.ndarray], trials: TrialList,
+                 cohort: dict[str, np.ndarray], top_k: int) -> np.ndarray:
     """Adapted s-norm of every trial against a shared imposter cohort.
 
     Each key's top-k cohort statistics are computed once; a trial then costs a
     cosine score and a few float operations.
     """
-    cache = cache or ScoreCache()
-    _check_cohort_size(top_k, len(cohort), len(cohort))
-    if cache.cohort is None:
-        cohort_mat = np.stack([v.astype(np.float64) for v in cohort.values()])
-        norms = np.linalg.norm(cohort_mat, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise DegenerateEmbeddingError("cohort contains a zero embedding")
-        cohort_mat /= norms
-        cache.cohort = cohort_mat
-    cohort_mat = cache.cohort
-    entries = _entries(store, trials, cache)
-    stats = cache.stats
-
-    def key_stats(key: str) -> tuple[float, float]:
-        hit = stats.get(key)
-        if hit is None:
-            vec, norm = entries[key]
-            hit = stats[key] = _top_stats(cohort_mat @ (vec / norm), top_k)
-        return hit
-
-    return np.array([_snorm(_cosine(*entries[t.enroll], *entries[t.test]),
-                            key_stats(t.enroll), key_stats(t.test))
-                     for t in trials])
+    _check_cohort_size(top_k, len(cohort))
+    cohort_mat = np.stack([v.astype(np.float64) for v in cohort.values()])
+    norms = np.linalg.norm(cohort_mat, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise DegenerateEmbeddingError("cohort contains a zero embedding")
+    cohort_mat /= norms
+    entries = _entries(store, trials)
+    raw = _cosines(entries, trials)  # a zero embedding raises here, before it is normed
+    stats = {key: _top_stats(cohort_mat @ (vec / norm), top_k)
+             for key, (vec, norm) in entries.items()}
+    return np.array([_snorm(s, stats[t.enroll], stats[t.test]) for s, t in zip(raw, trials)])
 
 
 def write_score_file(path: Union[str, Path], trials: TrialList, scores: np.ndarray) -> None:

@@ -4,13 +4,17 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confsv import checkpoint as ckpt
 from confsv.checkpoint import load_checkpoint, save_checkpoint
 from confsv.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from confsv.conformer import EncoderConfig
+from confsv.datapipe import read_manifest
+from confsv.errors import DataError
 from confsv.heads import SpeakerModel
-from confsv.scoring import save_embeddings
+from confsv.scoring import parse_trials, save_embeddings
 from confsv.training import save_speaker_checkpoint
 
 from conftest import toy_run_config
@@ -467,6 +471,34 @@ class TestQmfCli:
             "--qmf", "--calib-trials", str(calib), "--manifest", str(mini["manifest"]),
         ]) == EXIT_OK
 
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    @pytest.mark.parametrize("present, missing", [("--manifest", "--calib-trials"),
+                                                  ("--calib-trials", "--manifest")])
+    def test_qmf_without_an_input_exits_2_before_reading_a_store(
+            self, tmp_path, capsys, command, present, missing):
+        """A missing --qmf input is a config error even when both stores are missing."""
+        store = tmp_path / "missing.emb"
+        trials = tmp_path / "t.txt"
+        trials.write_text("1 a a\n0 a b\n", encoding="utf-8")
+        code = main([command, "--embeddings", str(store), "--trials", str(trials),
+                     "--out", str(tmp_path / "s.txt"), "--snorm", "--cohort", str(store),
+                     "--qmf", present, str(trials)])
+        assert code == EXIT_CONFIG
+        assert f"--qmf needs {missing}" in capsys.readouterr().err
+
+    def test_manifest_path_with_a_nul_byte_exits_3(self, tmp_path, capsys):
+        emb = tmp_path / "emb.bin"
+        rng = np.random.default_rng(0)
+        save_embeddings(emb, {k: rng.normal(size=256).astype(np.float32) for k in "ab"})
+        trials = tmp_path / "t.txt"
+        trials.write_text("1 a a\n0 a b\n", encoding="utf-8")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("a\x00.wav spk0 ae 1.000\n", encoding="utf-8")
+        assert main(["score", "--embeddings", str(emb), "--trials", str(trials),
+                     "--out", str(tmp_path / "s.txt"), "--qmf", "--calib-trials", str(trials),
+                     "--manifest", str(manifest)]) == EXIT_DATA
+        assert "cannot read WAV" in capsys.readouterr().err
+
     def test_qmf_needs_calibration_inputs(self, tmp_path):
         emb = tmp_path / "emb.bin"
         rng = np.random.default_rng(0)
@@ -475,6 +507,76 @@ class TestQmfCli:
         trials.write_text("1 a a\n0 a b\n", encoding="utf-8")
         assert main(["evaluate", "--embeddings", str(emb), "--trials", str(trials),
                      "--qmf"]) == EXIT_CONFIG
+
+
+FUZZ_KEYS = st.sampled_from(["a.wav", "b.wav", "spk0", "ae", "c.wav"])
+TRIAL_LINES = st.tuples(st.sampled_from(["0", "1"]), FUZZ_KEYS, FUZZ_KEYS).map(" ".join)
+MANIFEST_LINES = st.tuples(FUZZ_KEYS, st.sampled_from(["spk0", "spk1"]), st.just("ae"),
+                           st.sampled_from(["1.000", "0.5", "nan", "-inf", "1e999"])).map(" ".join)
+# fields and separators that break a line, or split it where str.splitlines does
+JUNK_LINES = st.lists(st.sampled_from(["2", "-1", "01", "1_0", "a.wav", "\t", "\r", "\x00",
+                                       "\x0c", "\x85", "\u2028", "\u00e9"]),
+                      max_size=5).map(" ".join)
+
+
+def fuzzed(good_lines):
+    """Arbitrary bytes, or lines that are mostly well formed with a few bytes overwritten."""
+    text = st.lists(st.one_of(good_lines, good_lines, good_lines, JUNK_LINES), max_size=8).map(
+        lambda lines: "\n".join(lines).encode("utf-8"))
+    edits = st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)), max_size=2)
+
+    def overwrite(args):
+        data, edits = bytearray(args[0]), args[1]
+        for offset, value in edits:
+            if offset < len(data):
+                data[offset] = value
+        return bytes(data)
+
+    return st.one_of(st.binary(max_size=300), st.tuples(text, edits).map(overwrite))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(0)
+    save_embeddings(root / "emb.bin", {k: rng.normal(size=256).astype(np.float32)
+                                       for k in ("a.wav", "b.wav", "spk0", "ae")})
+    return root
+
+
+class TestParserFuzz:
+    """Arbitrary bytes as a trial list or a manifest: the parser returns or
+    raises a DataError, and the command exits 0, or 3 when the parser raises,
+    never with a traceback."""
+
+    @staticmethod
+    def parses_or_exits_3(parse, path, argv):
+        try:
+            parse(path)
+            parsed = True
+        except DataError:
+            parsed = False
+        code = main(argv)
+        assert code in (EXIT_OK, EXIT_DATA)
+        assert parsed or code == EXIT_DATA
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=fuzzed(TRIAL_LINES))
+    def test_trial_list(self, fuzz_dir, data):
+        path = fuzz_dir / "trials.txt"
+        path.write_bytes(data)
+        self.parses_or_exits_3(parse_trials, path, [
+            "score", "--embeddings", str(fuzz_dir / "emb.bin"), "--trials", str(path),
+            "--out", str(fuzz_dir / "scores.txt")])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=fuzzed(MANIFEST_LINES))
+    def test_manifest(self, fuzz_dir, data):
+        path = fuzz_dir / "manifest.txt"
+        path.write_bytes(data)
+        self.parses_or_exits_3(read_manifest, path, [
+            "gen-trials", "--manifest", str(path), "--out", str(fuzz_dir / "t.txt"),
+            "--n-target", "2", "--n-nontarget", "2"])
 
 
 class TestCount:

@@ -185,26 +185,6 @@ class TestAddNoise:
         with pytest.raises(DegenerateNoiseError):
             mix_noise(make_utt(seed=30), np.zeros(1000), 10.0)
 
-    def test_external_wav_pool_mixes_at_exact_snr(self, tmp_path):
-        from confsv.datapipe import load_wav_pool, mix_noise
-
-        rng = np.random.default_rng(31)
-        for i in range(2):
-            write_wav(tmp_path / f"n{i}.wav", rng.uniform(-0.5, 0.5, 8000))
-        pool = load_wav_pool(tmp_path)
-        assert len(pool) == 2
-        utt = make_utt(seconds=1.0, seed=32)
-        out = mix_noise(utt, pool[0], 12.0)
-        noise = out.waveform / out.norm_gain - utt.waveform
-        measured = 10 * np.log10(np.mean(utt.waveform**2) / np.mean(noise**2))
-        assert abs(measured - 12.0) < 1e-6
-
-    def test_empty_pool_rejected(self, tmp_path):
-        from confsv.datapipe import load_wav_pool
-
-        with pytest.raises(DataError):
-            load_wav_pool(tmp_path)
-
 
 class TestReverb:
     def test_unit_impulse_identity(self):
@@ -365,6 +345,27 @@ def test_snr_estimate_orders_noisiness():
     clean = synth_corpus(2, 1, seed=25).utterance(0)
     noisy = add_noise(clean, "ambient", 0.0, np.random.default_rng(26))
     assert snr_estimate_db(clean.waveform) > snr_estimate_db(noisy.waveform)
+
+
+def index_gather_snr_db(waveform):
+    """`snr_estimate_db` as it framed the waveform before the shared strided view:
+    an index-array gather of every 20 ms frame."""
+    win, hop = int(0.020 * SAMPLE_RATE), int(0.010 * SAMPLE_RATE)
+    if waveform.size < win:
+        return 0.0
+    n_frames = (waveform.size - win) // hop + 1
+    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
+    energy = (waveform[idx] ** 2).mean(axis=1) + 1e-12
+    hi, lo = np.percentile(energy, 85), np.percentile(energy, 15)
+    return float(10.0 * np.log10(hi / lo))
+
+
+@pytest.mark.parametrize("n", [100, 319, 320, 321, 479, 480, 481, 16000, 37123, 57600, 96001])
+def test_snr_estimate_equals_the_index_gather(n):
+    rng = np.random.default_rng(n)
+    envelope = 0.1 + np.abs(np.sin(2 * np.pi * 3.0 * np.arange(n) / SAMPLE_RATE))
+    wave = envelope * rng.standard_normal(n)
+    assert snr_estimate_db(wave) == index_gather_snr_db(wave)
 
 
 def test_rir_generator_shape():

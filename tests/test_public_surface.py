@@ -5,7 +5,7 @@ A name that `confsv/__init__.py` re-exports must be used, as a name or an
 attribute, somewhere in `src/confsv` outside `__init__`; its own definition
 is not a use.  A helper that only the tests call is a second code path to
 keep in step with the module path; this test keeps such helpers from growing
-back.  The allowlist holds the few unused names that stay on purpose.
+back.  The allowlist holds the one unused name that stays on purpose.
 
 A parameter with a default in `src/confsv` must be passed, by keyword or by
 position, at some call in the package, the tests or the benchmark.  One that
@@ -24,8 +24,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # name -> why it stays without a caller in src/
 KEPT = {
-    "cosine_score": "one-trial reference that score_trials is tested against",
-    "adapted_snorm": "one-trial reference that snorm_scores is tested against",
     "ctc_loss": "one-utterance CTC that acceptance criterion 6 checks by enumeration",
 }
 

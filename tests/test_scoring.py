@@ -1,8 +1,16 @@
-"""Metrics against brute-force oracles, normalization, calibration, stores."""
+"""Metrics against brute-force oracles, normalization, calibration, stores.
+
+The batch scorers are checked bit for bit against one-trial reference
+formulas that live only here: `cosine_score`, `adapted_snorm` and a
+row-by-row calibration.
+"""
 
 import numpy as np
 import pytest
 
+from confsv import scoring
+from confsv.cli import _scored, build_parser
+from confsv.datapipe import read_manifest, write_wav
 from confsv.errors import (
     ConfsvError,
     DataError,
@@ -15,12 +23,8 @@ from confsv.errors import (
     TrialParseError,
 )
 from confsv.scoring import (
-    ScoreCache,
-    ScoreRecord,
     Trial,
     TrialList,
-    adapted_snorm,
-    cosine_score,
     eer,
     load_embeddings,
     min_dcf,
@@ -33,6 +37,30 @@ from confsv.scoring import (
     snorm_scores,
     write_score_file,
 )
+from confsv.training import quality_features
+
+
+def cosine_score(e1, e2):
+    """Inner product of the L2-normalized embeddings, one trial at a time."""
+    e1 = np.asarray(e1, dtype=np.float64)
+    e2 = np.asarray(e2, dtype=np.float64)
+    n1, n2 = np.linalg.norm(e1), np.linalg.norm(e2)
+    if n1 == 0.0 or n2 == 0.0:
+        raise DegenerateEmbeddingError("cannot cosine-score a zero embedding")
+    return float(np.dot(e1, e2) / (n1 * n2))
+
+
+def adapted_snorm(raw, enroll_cohort_scores, test_cohort_scores, top_k):
+    """Symmetric adaptive normalization of one raw score against each side's
+    top-k cohort scores."""
+    sides = [np.asarray(c, dtype=np.float64) for c in (enroll_cohort_scores, test_cohort_scores)]
+    if top_k < 2 or min(c.size for c in sides) < top_k:
+        raise DegenerateCohortError(f"need cohorts of >= top_k = {top_k} >= 2 scores")
+    tops = [np.sort(c)[-top_k:] for c in sides]
+    (mu_e, sigma_e), (mu_t, sigma_t) = [(float(t.mean()), float(t.std())) for t in tops]
+    if sigma_e == 0.0 or sigma_t == 0.0:
+        raise DegenerateCohortError("zero-variance cohort")
+    return 0.5 * ((raw - mu_e) / sigma_e + (raw - mu_t) / sigma_t)
 
 
 def brute_force_eer(scores, labels):
@@ -225,32 +253,32 @@ class TestTrialParsing:
 
 class TestQmf:
     @staticmethod
-    def records_from(scores, durations=None):
+    def rows_from(scores, durations=None):
+        """(n, 7) features in `qmf_features` column order: score, enroll and test
+        duration, enroll and test SNR, enroll and test magnitude."""
         n = len(scores)
         durations = durations if durations is not None else np.full(n, 2.0)
-        return [
-            ScoreRecord(raw=float(s), duration_enroll=float(d), duration_test=2.0,
-                        snr_enroll=10.0, snr_test=10.0,
-                        magnitude_enroll=1.0, magnitude_test=1.0)
-            for s, d in zip(scores, durations)
-        ]
+        rows = np.empty((n, 7))
+        rows[:, 0] = scores
+        rows[:, 1] = durations
+        rows[:, 2:] = [2.0, 10.0, 10.0, 1.0, 1.0]
+        return rows
 
     def test_monotone_in_raw_score(self):
         rng = np.random.default_rng(9)
         scores = np.concatenate([rng.normal(1.0, 0.3, 40), rng.normal(-1.0, 0.3, 40)])
         labels = np.concatenate([np.ones(40), np.zeros(40)])
-        model = qmf_fit(self.records_from(scores), labels)
+        model = qmf_fit(self.rows_from(scores), labels)
         assert model.weights[0] > 0  # the raw-score weight; feat_std > 0 keeps its sign
-        grid = self.records_from(np.linspace(-2, 2, 9))
-        outs = [model.transform(r) for r in grid]
+        outs = model.calibrate(self.rows_from(np.linspace(-2, 2, 9)))
         assert all(a < b for a, b in zip(outs, outs[1:]))
 
     def test_monotone_calibration_preserves_eer(self):
         rng = np.random.default_rng(10)
         scores = np.concatenate([rng.normal(0.6, 0.4, 50), rng.normal(-0.6, 0.4, 50)])
         labels = np.concatenate([np.ones(50, dtype=int), np.zeros(50, dtype=int)])
-        model = qmf_fit(self.records_from(scores), labels)
-        calibrated = [model.transform(r) for r in self.records_from(scores)]
+        model = qmf_fit(self.rows_from(scores), labels)
+        calibrated = model.calibrate(self.rows_from(scores))
         assert eer(calibrated, labels) == pytest.approx(eer(scores, labels), abs=1e-9)
 
     def test_quality_feature_reduces_cross_entropy(self):
@@ -262,41 +290,34 @@ class TestQmf:
         scores = np.where(labels == 1, 1.0, -1.0) * np.where(flip, -1.0, 1.0)
         scores = scores + rng.normal(0, 0.2, n)
         durations = np.where(flip, 0.5, 3.0)  # duration exposes the flipped trials
-        records = self.records_from(scores, durations)
-        full = qmf_fit(records, labels)
+        rows = self.rows_from(scores, durations)
+        full = qmf_fit(rows, labels)
 
         def cross_entropy(weights, bias, x):
             z = x @ weights + bias
             p = 1 / (1 + np.exp(-z))
             return -np.mean(labels * np.log(p + 1e-12) + (1 - labels) * np.log(1 - p + 1e-12))
 
-        x_full = np.stack([
-            (np.concatenate([[r.raw], r.quality_vector()]) - full.feat_mean) / full.feat_std
-            for r in records
-        ])
-        ce_full = cross_entropy(full.weights, full.bias, x_full)
+        ce_full = cross_entropy(full.weights, full.bias, (rows - full.feat_mean) / full.feat_std)
 
-        score_only = [ScoreRecord(raw=r.raw) for r in records]
+        score_only = np.zeros_like(rows)  # every quality feature 0
+        score_only[:, 0] = rows[:, 0]
         so_model = qmf_fit(score_only, labels)
-        x_so = np.stack([
-            (np.concatenate([[r.raw], r.quality_vector()]) - so_model.feat_mean)
-            / so_model.feat_std
-            for r in score_only
-        ])
+        x_so = (score_only - so_model.feat_mean) / so_model.feat_std
         ce_so = cross_entropy(so_model.weights, so_model.bias, x_so)
         assert ce_full < ce_so
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabelsError):
-            qmf_fit(self.records_from([0.1, 0.2]), [1, 1])
+            qmf_fit(self.rows_from([0.1, 0.2]), [1, 1])
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
         scores = rng.normal(size=60)
         labels = (rng.random(60) < 0.5).astype(int)
         labels[:2] = [0, 1]
-        m1 = qmf_fit(self.records_from(scores), labels)
-        m2 = qmf_fit(self.records_from(scores), labels)
+        m1 = qmf_fit(self.rows_from(scores), labels)
+        m2 = qmf_fit(self.rows_from(scores), labels)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         assert m1.bias == m2.bias
 
@@ -336,7 +357,7 @@ class TestEmbeddingStore:
         assert float(lines[0].split()[2]) == pytest.approx(raw[0], abs=0)
 
 
-# -- the cached scoring path against the one-trial functions ---------------------
+# -- the batch scorers against the one-trial oracles ------------------------------
 
 
 def quadratic_eer(scores, labels):
@@ -423,22 +444,48 @@ class TestCachedScoring:
             got = snorm_scores(store, trials, cohort, top_k=top_k)
             assert got.tobytes() == per_trial_snorm(store, trials, cohort, top_k).tobytes()
 
-    def test_shared_cache_scores_each_list_bitwise_alike(self):
+    def test_scored_computes_each_keys_cohort_stats_once(self, tmp_path, monkeypatch):
+        """`score --snorm --qmf` scores the calibration trials and the trials in
+        one call: each key's top-k statistics are computed once across both
+        lists, and the calibrated scores equal the per-trial oracle's bitwise."""
         rng = np.random.default_rng(22)
         store, trials = random_store_and_trials(rng, n_keys=12)
         _, calib = random_store_and_trials(rng, n_keys=12)
         cohort = {f"c{i}": rng.normal(size=256).astype(np.float32) for i in range(25)}
-        cache = ScoreCache()
-        for trial_list in (trials, calib):
-            got = snorm_scores(store, trial_list, cohort, top_k=10, cache=cache)
-            assert got.tobytes() == per_trial_snorm(store, trial_list, cohort, 10).tobytes()
-        assert set(cache.stats) == set(cache.entries) == set(store)
-        cache.stats = {key: (np.nan, np.nan) for key in cache.stats}  # poison: no recompute
-        assert np.isnan(snorm_scores(store, trials, cohort, top_k=10, cache=cache)).all()
-        plain = ScoreCache()
-        for trial_list in (trials, calib):
-            assert (score_trials(store, trial_list, cache=plain).tobytes()
-                    == score_trials(store, trial_list).tobytes())
+        paths = {name: tmp_path / name for name in ("emb", "cohort", "trials", "calib",
+                                                    "manifest")}
+        save_embeddings(paths["emb"], store)
+        save_embeddings(paths["cohort"], cohort)
+        for name, trial_list in (("trials", trials), ("calib", calib)):
+            paths[name].write_text("".join(f"{t.label} {t.enroll} {t.test}\n"
+                                           for t in trial_list), encoding="utf-8")
+        for i, key in enumerate(store):
+            write_wav(tmp_path / key, 0.3 * rng.standard_normal(8000 + 400 * i))
+        paths["manifest"].write_text("".join(f"{key} spk{i % 3} ae 0.500\n"
+                                             for i, key in enumerate(store)), encoding="utf-8")
+        calls = []
+
+        def counted_top_stats(cohort_scores, top_k):
+            calls.append(top_k)
+            return top_stats(cohort_scores, top_k)
+
+        top_stats = scoring._top_stats
+        monkeypatch.setattr(scoring, "_top_stats", counted_top_stats)
+        args = build_parser().parse_args([
+            "score", "--embeddings", str(paths["emb"]), "--trials", str(paths["trials"]),
+            "--snorm", "--cohort", str(paths["cohort"]), "--cohort-size", "0", "--top-k", "10",
+            "--qmf", "--calib-trials", str(paths["calib"]), "--manifest", str(paths["manifest"]),
+            "--out", str(tmp_path / "scores.txt")])
+        _, got = _scored(args)
+        keys = {key for trial_list in (trials, calib) for t in trial_list
+                for key in (t.enroll, t.test)}
+        assert calls == [10] * len(keys)
+        quality = quality_features(paths["manifest"], read_manifest(paths["manifest"]), store)
+        model = qmf_fit(qmf_features(calib, per_trial_snorm(store, calib, cohort, 10), quality),
+                        calib.labels)
+        expected = model.calibrate(
+            qmf_features(trials, per_trial_snorm(store, trials, cohort, 10), quality))
+        assert got.tobytes() == expected.tobytes()
 
     def test_empty_trial_list(self):
         store = {"a": np.ones(256, dtype=np.float32)}
@@ -446,32 +493,24 @@ class TestCachedScoring:
         assert score_trials(store, TrialList([])).shape == (0,)
         assert snorm_scores(store, TrialList([]), cohort, top_k=2).shape == (0,)
 
-    def test_qmf_features_bitwise_equal_score_records(self):
+    def test_qmf_features_and_calibration_bitwise_equal_per_trial_rows(self):
         rng = np.random.default_rng(22)
         store, trials = random_store_and_trials(rng, n_trials=120)
         quality = {k: (float(rng.uniform(1, 4)), float(rng.normal(15, 5)),
                        float(rng.uniform(5, 20))) for k in store}
         scores = score_trials(store, trials)
-        records = [
-            ScoreRecord(raw=float(s), duration_enroll=quality[t.enroll][0],
-                        duration_test=quality[t.test][0], snr_enroll=quality[t.enroll][1],
-                        snr_test=quality[t.test][1], magnitude_enroll=quality[t.enroll][2],
-                        magnitude_test=quality[t.test][2])
+        rows = np.array([  # score, then (enroll, test) duration, SNR and magnitude
+            [s, quality[t.enroll][0], quality[t.test][0], quality[t.enroll][1],
+             quality[t.test][1], quality[t.enroll][2], quality[t.test][2]]
             for t, s in zip(trials, scores)
-        ]
-        labels = trials.labels
-        features = qmf_features(trials, scores, quality)
-        from_records, from_features = qmf_fit(records, labels), qmf_fit(features, labels)
-        assert from_features.weights.tobytes() == from_records.weights.tobytes()
-        assert from_features.bias == from_records.bias
-        m = from_records
-        expected = np.array([  # one record at a time, as QmfModel.transform computes it
-            float((np.concatenate([[r.raw], r.quality_vector()]) - m.feat_mean) / m.feat_std
-                  @ m.weights + m.bias)
-            for r in records
         ])
-        assert from_features.calibrate(features).tobytes() == expected.tobytes()
-        assert np.array([m.transform(r) for r in records]).tobytes() == expected.tobytes()
+        features = qmf_features(trials, scores, quality)
+        assert features.tobytes() == rows.tobytes()
+        m = qmf_fit(features, trials.labels)
+        expected = np.array([  # one row at a time
+            float((row - m.feat_mean) / m.feat_std @ m.weights + m.bias) for row in rows
+        ])
+        assert m.calibrate(features).tobytes() == expected.tobytes()
 
     def test_qmf_features_missing_id(self):
         trials = TrialList([Trial(1, "a", "b")])
@@ -512,7 +551,7 @@ class TestCachedScoring:
 
 
 class TestCachedScoringErrors:
-    """The cached path raises the same typed error as the one-trial functions."""
+    """The batch path raises the same typed error as the one-trial oracles."""
 
     @staticmethod
     def setup_store():
