@@ -21,7 +21,6 @@ from .adaptation import (
     AdaptationConfig,
     LayerAdaptor,
     SpeakerAdaptation,
-    freeze_schedule,
     linear_probe,
     truncate_encoder,
 )

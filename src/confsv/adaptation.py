@@ -103,15 +103,13 @@ class SpeakerAdaptation(Module):
     """
 
     def __init__(self, backbone: ConformerEncoder, cfg: AdaptationConfig,
-                 seed: Optional[int] = None, _allow_degenerate_v3: bool = False):
+                 seed: Optional[int] = None):
         super().__init__()
         bcfg = backbone.cfg
         if not 1 <= cfg.adapted_layers <= bcfg.layers:
             raise ConfigError(
                 f"adapted_layers {cfg.adapted_layers} must lie in [1, {bcfg.layers}]"
             )
-        if cfg.variant == "V3" and cfg.extra_layers == 0 and not _allow_degenerate_v3:
-            raise ConfigError("V3 requires at least one lightweight layer")
         self.cfg = cfg
         self._backbone = backbone.set_trainable(False)  # underscore: not a submodule
         self._backbone_dim = bcfg.dim
@@ -120,9 +118,8 @@ class SpeakerAdaptation(Module):
             self.adaptors = ModuleList(
                 [LayerAdaptor(bcfg.dim) for _ in range(cfg.adapted_layers)]
             )
-        if cfg.variant == "V3":
-            if cfg.extra_layers > 0:
-                self.light_in = Linear(bcfg.dim * cfg.adapted_layers, cfg.light_dim)
+        if cfg.variant == "V3":  # K >= 1, which AdaptationConfig checks
+            self.light_in = Linear(bcfg.dim * cfg.adapted_layers, cfg.light_dim)
         elif bcfg.dim != cfg.light_dim:
             self.light_in = Linear(bcfg.dim, cfg.light_dim)
         if cfg.extra_layers > 0:
@@ -187,26 +184,6 @@ def truncate_encoder(encoder: ConformerEncoder, n: int) -> ConformerEncoder:
     out = ConformerEncoder(cfg)
     out.load_state_arrays(encoder.state_arrays())  # the extra blocks' arrays are ignored
     return out
-
-
-@dataclass
-class TrainingPhase:
-    epochs: int
-    scope: str  # "head_only" | "all"
-
-
-def freeze_schedule(total_epochs: int, frozen_epochs: int) -> list[TrainingPhase]:
-    """Head-only warm phase, then full fine-tuning for the remaining epochs."""
-    if frozen_epochs < 0:
-        raise ConfigError("frozen_epochs must be >= 0")
-    if frozen_epochs > total_epochs:
-        raise ConfigError("frozen_epochs cannot exceed total epochs")
-    phases = []
-    if frozen_epochs > 0:
-        phases.append(TrainingPhase(frozen_epochs, "head_only"))
-    if total_epochs - frozen_epochs > 0:
-        phases.append(TrainingPhase(total_epochs - frozen_epochs, "all"))
-    return phases
 
 
 def linear_probe(

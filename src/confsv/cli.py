@@ -99,7 +99,7 @@ def cmd_pretrain_asr(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    if args.init is not None and cfg.strategy == "scratch":
+    if args.init is not None:
         cfg = replace(cfg, strategy="pretrained-init")
     path = train_speaker(cfg, args.manifest, args.out, init_ckpt=args.init)
     print(f"checkpoint {path}")
@@ -117,8 +117,6 @@ def cmd_distill(args) -> int:
 
 def cmd_adapt(args) -> int:
     cfg = replace(_load_config(args), strategy="adapt")
-    if cfg.adaptation is None:
-        raise ConfigError("adapt needs an [adaptation] section in the config")
     path = train_adaptation(cfg, args.manifest, args.teacher, args.out)
     print(f"checkpoint {path}")
     return EXIT_OK

@@ -18,12 +18,16 @@ Example file::
     batch_size = 32
     epochs = 5
 
-Unknown sections or keys are configuration errors, so typos fail fast.
+A key takes the type of the dataclass field it sets.  Unknown sections or
+keys and numbers that are not finite are configuration errors, so typos fail
+fast.  The command, not the file, picks the strategy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -84,16 +88,48 @@ class RunConfig:
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
+# file section -> the RunConfig fields it holds; `encoder` and `adaptation` have
+# sections of their own, and the command, not the file, picks the strategy
+_SECTIONS = {
+    "experiment": ("name", "seed", "vocab"),
+    "data": ("n_speakers", "utts_per_speaker", "crop_seconds", "augment_prob", "speed_perturb"),
+    "optim": ("lr", "weight_decay", "batch_size", "epochs", "warmup_epochs"),
+    "loss": ("aam_scale", "aam_margin", "alpha"),
+    "schedule": ("frozen_epochs", "truncate_layers", "lmft", "lmft_margin",
+                 "lmft_crop_seconds", "lmft_epochs"),
+}
 
-def _convert(raw: str, kind):
+
+def _convert(raw: str, kind: type):
+    """`raw` as a field of annotated type `kind`; `Optional[X]` converts as `X`."""
+    kind = next((arg for arg in typing.get_args(kind) if arg is not type(None)), kind)
     if kind is bool:
         if raw.lower() not in _BOOL:
             raise ConfigError(f"expected a boolean, got {raw!r}")
         return _BOOL[raw.lower()]
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"expected {kind.__name__}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _values(section: str, raw: dict[str, str], types: dict[str, type]) -> dict:
+    """The keys of one file section, converted to their field types."""
+    unknown = sorted(set(raw) - set(types))
+    if unknown:
+        raise ConfigError(f"unknown keys {unknown} in section [{section}]")
+    return {key: _convert(text, types[key]) for key, text in raw.items()}
+
+
+def _build(cls: type, section: str, values: dict):
+    """`cls` built from a section's values, each field without a default set."""
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    if not set(required) <= set(values):
+        raise ConfigError(f"[{section}] needs at least {required}")
+    return cls(**values)
 
 
 def parse_sections(text: str) -> dict[str, dict[str, str]]:
@@ -114,69 +150,26 @@ def parse_sections(text: str) -> dict[str, dict[str, str]]:
     return sections
 
 
-_ENCODER_KEYS = {
-    "layers": int, "dim": int, "heads": int, "hidden": int,
-    "subsample_rate": float, "conv_kernel": int, "dropout": float, "n_mels": int,
-}
-_ADAPT_KEYS = {
-    "variant": str, "adapted_layers": int, "extra_layers": int,
-    "light_dim": int, "light_heads": int, "light_hidden": int,
-    "light_kernel": int, "dropout": float,
-}
-_SCALAR_SECTIONS = {
-    "experiment": {"name": str, "seed": int, "strategy": str, "vocab": int},
-    "data": {
-        "n_speakers": int, "utts_per_speaker": int, "crop_seconds": float,
-        "augment_prob": float, "speed_perturb": bool,
-    },
-    "optim": {
-        "lr": float, "weight_decay": float, "batch_size": int,
-        "epochs": int, "warmup_epochs": float,
-    },
-    "loss": {"aam_scale": float, "aam_margin": float, "alpha": float},
-    "schedule": {
-        "frozen_epochs": int, "truncate_layers": int, "lmft": bool,
-        "lmft_margin": float, "lmft_crop_seconds": float, "lmft_epochs": int,
-    },
-}
-
-
 def load_run_config(path: Union[str, Path]) -> RunConfig:
     sections = parse_sections(read_text(path, ConfigError))
+    run_types = typing.get_type_hints(RunConfig)
     kwargs: dict = {}
-
-    for section, keys in _SCALAR_SECTIONS.items():
-        for key, raw in sections.pop(section, {}).items():
-            if key not in keys:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            kwargs[key] = _convert(raw, keys[key])
+    for section, names in _SECTIONS.items():
+        kwargs.update(_values(section, sections.pop(section, {}),
+                              {name: run_types[name] for name in names}))
 
     enc_section = sections.pop("encoder", {})
-    if "preset" in enc_section:
-        preset = enc_section.pop("preset")
-        if preset not in ENCODER_PRESETS:
-            raise ConfigError(f"unknown encoder preset {preset!r}")
-        base = ENCODER_PRESETS[preset].to_dict()
-    else:
-        base = {}
-    for key, raw in enc_section.items():
-        if key not in _ENCODER_KEYS:
-            raise ConfigError(f"unknown key {key!r} in section [encoder]")
-        base[key] = _convert(raw, _ENCODER_KEYS[key])
-    if base:
-        required = {"layers", "dim", "heads", "hidden"}
-        if not required.issubset(base):
-            raise ConfigError(f"[encoder] needs at least {sorted(required)}")
-        kwargs["encoder"] = EncoderConfig(**base)
+    preset = enc_section.pop("preset", None)
+    if preset is not None and preset not in ENCODER_PRESETS:
+        raise ConfigError(f"unknown encoder preset {preset!r}")
+    values = ENCODER_PRESETS[preset].to_dict() if preset is not None else {}
+    values.update(_values("encoder", enc_section, typing.get_type_hints(EncoderConfig)))
+    if values:
+        kwargs["encoder"] = _build(EncoderConfig, "encoder", values)
 
-    adapt_section = sections.pop("adaptation", None)
-    if adapt_section is not None:
-        unknown = set(adapt_section) - set(_ADAPT_KEYS)
-        if unknown:
-            raise ConfigError(f"unknown keys {sorted(unknown)} in section [adaptation]")
-        kwargs["adaptation"] = AdaptationConfig(
-            **{k: _convert(v, _ADAPT_KEYS[k]) for k, v in adapt_section.items()}
-        )
+    if "adaptation" in sections:
+        kwargs["adaptation"] = _build(AdaptationConfig, "adaptation", _values(
+            "adaptation", sections.pop("adaptation"), typing.get_type_hints(AdaptationConfig)))
 
     if sections:
         raise ConfigError(f"unknown config sections: {sorted(sections)}")

@@ -12,6 +12,7 @@ augmentation corpora.
 
 from __future__ import annotations
 
+import math
 import wave as wave_mod
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -542,7 +543,6 @@ class ManifestEntry:
     path: str
     speaker_id: str
     tokens: str
-    duration_sec: float
 
 
 def write_corpus(corpus: Corpus, out_dir: Union[str, Path]) -> Path:
@@ -562,6 +562,8 @@ def write_corpus(corpus: Corpus, out_dir: Union[str, Path]) -> Path:
 
 
 def read_manifest(path: Union[str, Path]) -> list[ManifestEntry]:
+    """The entries of a manifest.  The duration column must be a finite,
+    non-negative number; the audio's own length is read from its WAV."""
     entries = []
     for i, line in enumerate(read_text(path, DataError).splitlines(), start=1):
         if not line.strip():
@@ -570,10 +572,12 @@ def read_manifest(path: Union[str, Path]) -> list[ManifestEntry]:
         if len(parts) != 4:
             raise DataError(f"{path}: line {i}: expected 4 fields, got {len(parts)}")
         try:
-            duration = float(parts[3])
+            valid = 0 <= float(parts[3]) < math.inf  # false for nan too
         except ValueError:
-            raise DataError(f"{path}: line {i}: bad duration {parts[3]!r}") from None
-        entries.append(ManifestEntry(parts[0], parts[1], parts[2], duration))
+            valid = False
+        if not valid:
+            raise DataError(f"{path}: line {i}: bad duration {parts[3]!r}")
+        entries.append(ManifestEntry(parts[0], parts[1], parts[2]))
     if not entries:
         raise DataError(f"{path}: empty manifest")
     return entries

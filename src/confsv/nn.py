@@ -99,11 +99,6 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
 
-    def param_count(self, trainable_only: bool = False) -> int:
-        return sum(
-            p.size for _, p in self.named_parameters() if p.trainable or not trainable_only
-        )
-
     def modules(self) -> Iterator["Module"]:
         yield self
         for _, value in self._members(""):

@@ -1,18 +1,21 @@
 """Training for every strategy through one loop, plus embedding extraction.
 
-ASR pretraining, speaker training (scratch, pretrained-init with a frozen
-warm-up, distillation), large-margin fine-tuning and adaptation all run in
-`_train_epochs`: shuffled batches, one backward and one AdamW step per batch
-under a cosine lr schedule, and one loss.csv row per epoch.  Each strategy
-supplies only its item builder, its loss and its schedule.
+ASR pretraining, speaker training (scratch, pretrained-init, distillation),
+large-margin fine-tuning and adaptation all run in `_train_epochs`: shuffled
+batches, one backward and one AdamW step per batch under a cosine lr
+schedule, and one loss.csv row per epoch.  Each strategy supplies only its
+item builder, its loss and its schedule.  Pretrained-init freezes the
+encoder by epoch range: `train_speaker` runs epochs `range(frozen_epochs)`
+with the encoder frozen, then `range(frozen_epochs, epochs)` with it
+trainable, as two calls on one schedule; the other strategies freeze nothing.
 
 A training command reads one stream of batches: a `_batch_plan` of item keys
 per batch, mapped through `util.map_batches`, which with CONFSV_THREADS > 1
 builds the next batch's items on worker threads while the current batch
 trains: for ASR pretraining, each utterance's log-mel, zero-padded to the
 batch maximum read from the WAV headers.  `train_speaker` keeps one stream
-across its frozen, full and LMFT phases, so a phase's first batch is built
-while the previous phase ends.
+across its frozen, trainable and LMFT epochs, so the first batch of each
+range is built while the previous range ends.
 
 Everything is a deterministic function of (config, seed): corpus order,
 crops, augmentation draws, dropout masks, and parameter init all derive from
@@ -36,8 +39,6 @@ from . import checkpoint as ckpt
 from .adaptation import (
     AdaptationConfig,
     SpeakerAdaptation,
-    TrainingPhase,
-    freeze_schedule,
     save_adaptation,
     truncate_encoder,
 )
@@ -196,10 +197,6 @@ class _TrainableSet:
             out.extend((f"{prefix}.{n}", p) for n, p in module.named_parameters())
         return out
 
-    def set_phase(self, scope: str) -> None:
-        """head_only freezes the encoder; all trains everything."""
-        self.modules["model"].encoder.set_trainable(scope != "head_only")
-
     def zero_grad(self) -> None:
         for _, p in self.named_parameters():
             p.grad = None
@@ -337,14 +334,6 @@ def pretrain_asr(cfg: RunConfig, manifest_path, out_dir) -> Path:
 # -- speaker training -----------------------------------------------------------------
 
 
-def _teacher_logits(teacher_encoder: ConformerEncoder, teacher_decoder: CtcDecoder,
-                    mel: ad.Tensor) -> np.ndarray:
-    teacher_encoder.eval_mode()
-    teacher_decoder.eval_mode()
-    maps = teacher_encoder(mel, rng=None)
-    return teacher_decoder(maps[-1]).data
-
-
 def train_speaker(
     cfg: RunConfig,
     manifest_path,
@@ -380,17 +369,21 @@ def train_speaker(
             elif cfg.encoder.subsample_rate != teacher_encoder.cfg.subsample_rate:
                 raise ConfigError("unsupported student/teacher subsampling combination")
 
-    phases = [TrainingPhase(cfg.epochs, "all")]
+    frozen = 0  # epochs that train only the heads, with the encoder frozen
     if cfg.strategy == "pretrained-init":
         if init_ckpt is None:
             raise ConfigError("pretrained-init requires an encoder checkpoint")
+        if cfg.frozen_epochs < 0:
+            raise ConfigError("frozen_epochs must be >= 0")
+        if cfg.frozen_epochs > cfg.epochs:
+            raise ConfigError("frozen_epochs cannot exceed total epochs")
+        frozen = cfg.frozen_epochs
         encoder, _, _ = load_asr_model(init_ckpt)
         if cfg.truncate_layers is not None:
             encoder = truncate_encoder(encoder, cfg.truncate_layers)
         if encoder.cfg != cfg.encoder:
             raise ConfigError("run encoder config must match the checkpoint encoder")
         model.encoder.load_state_arrays(encoder.state_arrays())
-        phases = freeze_schedule(cfg.epochs, cfg.frozen_epochs)
 
     trainset = _TrainableSet(model=model, classifier=classifier,
                              student_decoder=student_decoder, rate_match=rate_match)
@@ -406,37 +399,36 @@ def train_speaker(
             if not with_kl:
                 return l_spk, ([float(l_spk.data), 0.0] if distilling else [])
             frames = maps[-1] if rate_match is None else rate_match(maps[-1])
-            l_kl = distill_kl_loss(student_decoder(frames),
-                                   _teacher_logits(teacher_encoder, teacher_decoder, mel))
+            # the loaded teacher is frozen and in eval mode: no dropout, no graph
+            teacher = teacher_decoder(teacher_encoder(mel, rng=None)[-1]).data
+            l_kl = distill_kl_loss(student_decoder(frames), teacher)
             return combined_loss(l_spk, l_kl, cfg.alpha), [float(l_spk.data), float(l_kl.data)]
 
         return loss_of
 
-    # One batch stream for the whole command, so the first batch of a phase
-    # is built while the last one of the previous phase trains.  The frozen
-    # and full phases share the "order" stream and one cosine schedule; LMFT
-    # is a long-crop, large-margin refinement on the original (unperturbed)
-    # items, which `build_items` puts first, with its own streams and step
-    # count, and epoch numbers continue.
+    # One batch stream for the whole command, so the first batch of a range
+    # of epochs is built while the last one of the previous range trains.  The
+    # frozen epochs and the rest share the "order" stream and one cosine schedule;
+    # LMFT is a long-crop, large-margin refinement of the whole model on the
+    # original (unperturbed) items, which `build_items` puts first, with its
+    # own streams and step count, and epoch numbers continue.
     plan = _batch_plan(cfg, len(items), range(cfg.epochs), "order", cfg.crop_seconds)
     lmft_epochs = range(cfg.epochs, cfg.epochs + cfg.lmft_epochs)
     if cfg.lmft:
         plan = itertools.chain(plan, _batch_plan(cfg, len(entries), lmft_epochs, "lmft_order",
                                                  cfg.lmft_crop_seconds))
-    rows, step, epoch = [], 0, 0
+    rows, step = [], 0
     with map_batches(_speaker_item(manifest_path, items, labels, cfg), plan) as built:
         batches = map(_stack_speaker_batch, built)
-        for phase in phases:
-            trainset.set_phase(phase.scope)
-            phase_rows, step = _train_epochs(
-                cfg, trainset, opt, len(items), range(epoch, epoch + phase.epochs),
+        for epochs, trainable in ((range(frozen), False), (range(frozen, cfg.epochs), True)):
+            model.encoder.set_trainable(trainable)
+            part_rows, step = _train_epochs(
+                cfg, trainset, opt, len(items), epochs,
                 (cfg.epochs, cfg.warmup_epochs, cfg.lr), "dropout", batches,
                 speaker_loss(cfg.aam_margin, student_decoder is not None), step,
             )
-            rows += phase_rows
-            epoch += phase.epochs
+            rows += part_rows
         if cfg.lmft:
-            trainset.set_phase("all")
             lmft_rows, _ = _train_epochs(
                 cfg, trainset, opt, len(entries), lmft_epochs,
                 (cfg.lmft_epochs, 0, cfg.lr * 0.1), "lmft_dropout", batches,

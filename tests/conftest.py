@@ -71,6 +71,12 @@ def gradcheck(build_loss, tensors, rtol: float = 1e-4, atol: float = 1e-8,
             )
 
 
+def param_count(module, trainable_only: bool = False) -> int:
+    """Size of `module`'s parameters, counted from the instantiated arrays: the
+    oracle for the analytic counts of `confsv.accounting`."""
+    return sum(p.size for p in module.parameters() if p.trainable or not trainable_only)
+
+
 # Toy encoder shared by the pipeline tests: 2 blocks, d=32, quarter-rate.
 TOY_ENCODER = dict(layers=2, dim=32, heads=4, hidden=64, subsample_rate=0.25,
                    conv_kernel=15, dropout=0.1)

@@ -14,6 +14,8 @@ from confsv.conformer import ENCODER_PRESETS, ConformerEncoder, EncoderConfig
 from confsv.errors import ConfigError
 from confsv.heads import SpeakerModel
 
+from conftest import param_count
+
 # Published model sizes (millions of parameters) for the six encoder stacks,
 # full-model speaker scope.
 SPEAKER_SIZES_M = {
@@ -132,17 +134,17 @@ class TestLiveTallies:
     ])
     def test_speaker_model_tally(self, cfg):
         model = SpeakerModel(cfg)
-        assert model.param_count() == count_params(cfg, scope="speaker").total_params
+        assert param_count(model) == count_params(cfg, scope="speaker").total_params
 
     def test_encoder_tally(self):
         cfg = EncoderConfig(2, 16, 4, 32, 0.25, conv_kernel=7)
         enc = ConformerEncoder(cfg)
-        assert enc.param_count() == count_params(cfg, scope="encoder").total_params
+        assert param_count(enc) == count_params(cfg, scope="encoder").total_params
 
     def test_small_preset_tally(self):
         cfg = ENCODER_PRESETS["small"]
         model = SpeakerModel(cfg)
-        assert model.param_count() == count_params(cfg, scope="speaker").total_params
+        assert param_count(model) == count_params(cfg, scope="speaker").total_params
 
     @pytest.mark.parametrize("variant,k", [("V1", 2), ("V2", 0), ("V3", 1)])
     def test_adaptation_tally(self, variant, k):
@@ -150,7 +152,7 @@ class TestLiveTallies:
         cfg = AdaptationConfig(variant, 2, k, light_dim=24, light_heads=4,
                                light_hidden=32, light_kernel=7)
         module = SpeakerAdaptation(backbone, cfg, seed=None)
-        assert module.param_count() == count_adaptation_params(cfg, backbone.cfg).total_params
+        assert param_count(module) == count_adaptation_params(cfg, backbone.cfg).total_params
 
 
 class TestMacs:

@@ -15,7 +15,7 @@ from confsv.datapipe import read_manifest
 from confsv.errors import DataError
 from confsv.heads import SpeakerModel
 from confsv.scoring import parse_trials, save_embeddings
-from confsv.training import save_speaker_checkpoint
+from confsv.training import load_asr_model, load_speaker_model, save_speaker_checkpoint
 
 from conftest import toy_run_config
 
@@ -117,6 +117,19 @@ class TestGenTrials:
         assert code == EXIT_DATA
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("duration", ["nan", "-inf", "1e999", "-1"])
+    def test_manifest_duration_that_is_not_finite_and_non_negative_exits_3(
+            self, tmp_path, capsys, duration):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"wavs/a.wav spk0 ae 1.000\nwavs/b.wav spk1 ae {duration}\n",
+                            encoding="utf-8")
+        with pytest.raises(DataError, match="line 2: bad duration"):
+            read_manifest(manifest)
+        out = tmp_path / "t"
+        assert main(["gen-trials", "--manifest", str(manifest), "--out", str(out)]) == EXIT_DATA
+        assert "bad duration" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_loss_decreases_and_is_reproducible(self, mini, tmp_path):
@@ -143,6 +156,51 @@ class TestTrain:
         assert code == EXIT_CONFIG
         assert "n_mels must be 80" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_strategy_key_exits_2(self, mini, tmp_path, capsys):
+        """The command picks the strategy; `train --init` under a file that said
+        `strategy = adapt` used to train from scratch and exit 0."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(V3_ADAPT_CONFIG.replace("seed = 5", "seed = 5\nstrategy = adapt"),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg), "--manifest", str(mini["manifest"]),
+                     "--out", str(out), "--init", str(mini["asr_ckpt"])])
+        assert code == EXIT_CONFIG
+        assert "strategy" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("optim", "lr", "nan"), ("optim", "warmup_epochs", "inf"),
+        ("data", "crop_seconds", "nan"), ("schedule", "lmft_crop_seconds", "inf"),
+    ])
+    def test_non_finite_config_number_exits_2(self, mini, tmp_path, capsys, section, key, value):
+        """lr = nan used to train to a NaN checkpoint; the others ended in a traceback."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINI_CONFIG + f"\n[{section}]\n{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(cfg), "--manifest", str(mini["manifest"]),
+                     "--out", str(out), "--init", str(mini["asr_ckpt"]), "--lmft"])
+        assert code == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "speaker.ckpt").exists()
+
+    @pytest.mark.parametrize("frozen_epochs, kept", [(2, True), (1, False)])
+    def test_init_keeps_the_asr_encoder_through_its_frozen_epochs(self, mini, tmp_path,
+                                                                  frozen_epochs, kept):
+        """With every epoch frozen, the trained encoder's parameters are the ASR
+        encoder's, bit for bit (batch-norm running statistics still update)."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINI_CONFIG + f"\n[schedule]\nfrozen_epochs = {frozen_epochs}\n",
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--manifest", str(mini["manifest"]),
+                     "--out", str(out), "--init", str(mini["asr_ckpt"])]) == EXIT_OK
+        trained = dict(load_speaker_model(out / "speaker.ckpt").encoder.named_parameters())
+        asr = dict(load_asr_model(mini["asr_ckpt"])[0].named_parameters())
+        assert trained.keys() == asr.keys()
+        same = [trained[n].data.tobytes() == p.data.tobytes() for n, p in asr.items()]
+        assert all(same) if kept else not all(same)
 
     def test_pretrained_init_requires_matching_encoder(self, mini, tmp_path):
         code = main([

@@ -316,7 +316,7 @@ class TestIO:
     def test_trials_require_two_speakers(self):
         from confsv.datapipe import ManifestEntry
 
-        single = [ManifestEntry(f"u{i}.wav", "spk0", "ae", 1.0) for i in range(4)]
+        single = [ManifestEntry(f"u{i}.wav", "spk0", "ae") for i in range(4)]
         with pytest.raises(DataError):
             make_trials(single, 0, 2, 2)
 

@@ -1,6 +1,7 @@
 """Freezing and the optimizer: frozen parameters are constants to autodiff,
-loaders return frozen modules and reject incomplete metadata with a typed
-error, and AdamW never applies a non-finite gradient."""
+pretrained-init freezes the encoder over its first epochs, loaders return
+frozen modules and reject incomplete metadata with a typed error, and AdamW
+never applies a non-finite gradient."""
 
 import os
 
@@ -9,9 +10,11 @@ import pytest
 
 from confsv import autodiff as ad
 from confsv import checkpoint as ckpt
+from confsv import training
 from confsv.adaptation import SpeakerAdaptation, load_adaptation, save_adaptation
 from confsv.conformer import EncoderConfig
-from confsv.errors import CheckpointError, NumericError
+from confsv.datapipe import synth_corpus, write_corpus
+from confsv.errors import CheckpointError, ConfigError, NumericError
 from confsv.heads import SpeakerModel
 from confsv.losses import AamClassifier, CtcDecoder, aam_softmax_loss
 from confsv.nn import Parameter, seed_parameters
@@ -23,9 +26,10 @@ from confsv.training import (
     load_speaker_model,
     save_asr_checkpoint,
     save_speaker_checkpoint,
+    train_speaker,
 )
 
-from conftest import toy_run_config
+from conftest import param_count, toy_run_config
 from test_adaptation import toy_adapt_cfg, toy_backbone
 
 ENCODER = EncoderConfig(1, 8, 2, 16, conv_kernel=5, dropout=0.1)
@@ -53,8 +57,8 @@ class TestFrozenParameters:
         mel = ad.tensor(np.random.default_rng(5).normal(size=(2, 16, 80)))
         encoder_ids = {id(p) for p in model.encoder.parameters()}
 
-        def head_grads(scope):
-            trainset.set_phase(scope)
+        def head_grads(encoder_trainable):
+            model.encoder.set_trainable(encoder_trainable)
             trainset.zero_grad()
             loss = aam_softmax_loss(model(mel, np.random.default_rng(6)), [0, 1], clf, 8.0, 0.1)
             nodes = {id(node) for node in ad.topo_order(loss)}
@@ -63,15 +67,96 @@ class TestFrozenParameters:
                      if not n.startswith("model.encoder.")}
             return grads, nodes
 
-        frozen_grads, frozen_nodes = head_grads("head_only")
+        frozen_grads, frozen_nodes = head_grads(False)
         assert all(p.grad is None for p in model.encoder.parameters())
         assert not encoder_ids & frozen_nodes
-        full_grads, full_nodes = head_grads("all")
+        full_grads, full_nodes = head_grads(True)
         assert all(p.grad is not None for p in model.encoder.parameters())
         assert encoder_ids <= full_nodes
         assert frozen_grads.keys() == full_grads.keys()
         for name, grad in frozen_grads.items():
             assert grad.tobytes() == full_grads[name].tobytes(), name
+
+    def test_frozen_encoder_stays_fixed(self):
+        model = SpeakerModel(EncoderConfig(1, 8, 2, 16, conv_kernel=5, dropout=0.0), seed=19)
+        clf = AamClassifier(2)
+        seed_parameters(clf, 20)
+        trainset = _TrainableSet(model=model, classifier=clf)
+        model.encoder.set_trainable(False)
+        enc_before = {n: a.copy() for n, a in model.encoder.state_arrays().items()}
+        opt = AdamW()
+        model.train_mode()
+        for step in range(2):
+            mel = ad.tensor(np.random.default_rng(step).normal(size=(2, 16, 80)))
+            loss = aam_softmax_loss(model(mel, np.random.default_rng(step)), [0, 1], clf, 8.0, 0.1)
+            trainset.zero_grad()
+            ad.backward(loss)
+            opt.step(trainset.named_parameters(), 1e-3)
+        for name, p in model.encoder.named_parameters():
+            np.testing.assert_array_equal(p.data, enc_before[name])
+        model.encoder.set_trainable(True)
+        mel = ad.tensor(np.random.default_rng(9).normal(size=(2, 16, 80)))
+        loss = aam_softmax_loss(model(mel, np.random.default_rng(9)), [0, 1], clf, 8.0, 0.1)
+        trainset.zero_grad()
+        ad.backward(loss)
+        opt.step(trainset.named_parameters(), 1e-3)
+        changed = any(
+            not np.array_equal(p.data, enc_before[n]) for n, p in model.encoder.named_parameters()
+        )
+        assert changed
+
+
+@pytest.fixture(scope="module")
+def tiny_init(tmp_path_factory):
+    """A 2 x 3 corpus and a seeded (untrained) ASR checkpoint with the ENCODER."""
+    root = tmp_path_factory.mktemp("tiny_init")
+    manifest = write_corpus(synth_corpus(2, 3, seed=31), root / "data")
+    encoder = SpeakerModel(ENCODER, seed=32).encoder
+    decoder = CtcDecoder(ENCODER.dim, 6)
+    seed_parameters(decoder, 33)
+    asr = root / "asr.ckpt"
+    save_asr_checkpoint(asr, encoder, decoder, toy_run_config())
+    return manifest, asr
+
+
+class TestFrozenEpochs:
+    """`train_speaker` freezes the encoder over `range(frozen_epochs)` under
+    pretrained-init, and over no epoch for the other strategies."""
+
+    @staticmethod
+    def ranges(tiny_init, tmp_path, monkeypatch, strategy, epochs, frozen_epochs):
+        """(epoch count, encoder trainable) of each non-empty `_train_epochs` call."""
+        calls = []
+        real = training._train_epochs
+
+        def spy(cfg, trainset, opt, n_items, epoch_range, *rest):
+            flags = {p.trainable for p in trainset.modules["model"].encoder.parameters()}
+            if len(epoch_range):
+                calls.append((len(epoch_range), flags == {True}))
+            return real(cfg, trainset, opt, n_items, epoch_range, *rest)
+
+        monkeypatch.setattr(training, "_train_epochs", spy)
+        manifest, asr = tiny_init
+        cfg = toy_run_config(encoder=ENCODER, strategy=strategy, epochs=epochs,
+                             frozen_epochs=frozen_epochs, batch_size=6, crop_seconds=0.5)
+        train_speaker(cfg, manifest, tmp_path, init_ckpt=str(asr))
+        return calls
+
+    @pytest.mark.parametrize("strategy, epochs, frozen_epochs, expected", [
+        ("pretrained-init", 5, 2, [(2, False), (3, True)]),
+        ("pretrained-init", 4, 0, [(4, True)]),
+        ("scratch", 4, 2, [(4, True)]),
+    ])
+    def test_frozen_then_trainable(self, tiny_init, tmp_path, monkeypatch, strategy, epochs,
+                                   frozen_epochs, expected):
+        assert self.ranges(tiny_init, tmp_path, monkeypatch, strategy, epochs,
+                           frozen_epochs) == expected
+
+    @pytest.mark.parametrize("frozen_epochs", [-1, 5])
+    def test_out_of_range_rejected(self, tiny_init, tmp_path, monkeypatch, frozen_epochs):
+        with pytest.raises(ConfigError, match="frozen_epochs"):
+            self.ranges(tiny_init, tmp_path, monkeypatch, "pretrained-init", 4, frozen_epochs)
+        assert not (tmp_path / "speaker.ckpt").exists()
 
 
 class TestLoadersReturnFrozenModules:
@@ -80,7 +165,7 @@ class TestLoadersReturnFrozenModules:
         path = tmp_path / "speaker.ckpt"
         save_speaker_checkpoint(path, model, toy_run_config())
         loaded = load_speaker_model(path)
-        assert frozen(loaded) and loaded.param_count(trainable_only=True) == 0
+        assert frozen(loaded) and param_count(loaded, trainable_only=True) == 0
         feats = np.random.default_rng(8).normal(size=(80, 30))
         assert loaded.embed_utterance(feats).tobytes() == model.embed_utterance(feats).tobytes()
 
