@@ -7,17 +7,17 @@ one gradient pass regardless of fan-out.
 
 Everything runs in float64.  The op set is exactly what the Conformer stack
 and its losses need: elementwise add/sub/mul/div, sqrt, tanh, clip, matmul,
-1-D convolution (dense/depthwise), a fused channels-last 2-D convolution +
-bias + ReLU, relative-position attention from the projected heads to the
-context, softmax and log-softmax, layer norm, Swish/ReLU/GLU (sigmoid
-inside Swish and GLU), dropout, sum/mean, the shape ops (reshape, transpose,
-swapaxes, concat, getitem), and the pair indexing used by the AAM-softmax
+channels-last 1-D convolution (dense/depthwise), a fused channels-last 2-D
+convolution + bias + ReLU, relative-position attention from the projected
+heads to the context, softmax and log-softmax, layer norm, Swish/ReLU/GLU
+(sigmoid inside Swish and GLU), dropout, sum/mean, the shape ops (reshape,
+transpose, concat, getitem), and the pair indexing used by the AAM-softmax
 loss.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -109,21 +109,6 @@ class Tensor:
 
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
 
 
 def _wrap(x) -> Tensor:
@@ -303,15 +288,6 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return _make(out, (a,), grad_fn)
 
 
-def swapaxes(a: Tensor, ax1: int, ax2: int) -> Tensor:
-    out = np.swapaxes(a.data, ax1, ax2)
-
-    def grad_fn(g):
-        return (np.swapaxes(g, ax1, ax2),)
-
-    return _make(out, (a,), grad_fn)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     out = np.concatenate([t.data for t in tensors], axis=axis)
@@ -423,17 +399,13 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _make(out, (a, gamma, beta), grad_fn)
 
 
-def glu(a: Tensor, axis: int = -1) -> Tensor:
-    """Gated linear unit: split `axis` in half, gate the first half with the second."""
-    n = a.shape[axis]
+def glu(a: Tensor) -> Tensor:
+    """Gated linear unit: split the last axis in half, gate the first half with the second."""
+    n = a.shape[-1]
     if n % 2 != 0:
         raise DimensionError(f"glu: axis length {n} is odd")
-    sl_a = [slice(None)] * a.ndim
-    sl_b = [slice(None)] * a.ndim
-    sl_a[axis] = slice(0, n // 2)
-    sl_b[axis] = slice(n // 2, n)
-    half = getitem(a, tuple(sl_a))
-    gate = getitem(a, tuple(sl_b))
+    half = getitem(a, (..., slice(0, n // 2)))
+    gate = getitem(a, (..., slice(n // 2, n)))
     return mul(half, sigmoid(gate))
 
 
@@ -538,14 +510,6 @@ def conv_out_len(n: int, kernel: int, stride: int, padding: int) -> int:
     return (n + 2 * padding - kernel) // stride + 1
 
 
-def _windows_1d(xp: np.ndarray, winlen: int, n_out: int, stride: int) -> np.ndarray:
-    """Read-only strided view (..., n_out, winlen) over the last axis."""
-    sB = xp.strides
-    shape = xp.shape[:-1] + (n_out, winlen)
-    strides = sB[:-1] + (sB[-1] * stride, sB[-1])
-    return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides, writeable=False)
-
-
 def conv1d(
     x: Tensor,
     weight: Tensor,
@@ -554,13 +518,15 @@ def conv1d(
     padding: int = 0,
     groups: int = 1,
 ) -> Tensor:
-    """1-D convolution over (B, C, T), dense or depthwise.
+    """1-D convolution, channels-last: (B, T, C) -> (B, T_out, C_out), dense or depthwise.
 
-    weight: (C_out, C_in // groups, K).  Dense (groups = 1) convolutions run
-    as one im2col matmul; depthwise ones (groups = C_in = C_out) run as a
-    broadcast multiply-sum over the kernel axis.  Any other grouping raises.
+    weight: (C_out, C_in // groups, K).  The windows are a strided
+    (B, T_out, C, K) view of the padded input, kernel axis last.  Dense
+    (groups = 1) convolutions run as one im2col matmul; depthwise ones
+    (groups = C_in = C_out) run as a multiply-sum over the kernel axis.  Any
+    other grouping raises.
     """
-    B, C, T = x.shape
+    B, T, C = x.shape
     Cout, Cg, K = weight.shape
     depthwise = groups == C and Cout == C and Cg == 1
     if not depthwise and (groups != 1 or Cg != C):
@@ -571,47 +537,41 @@ def conv1d(
     Tout = conv_out_len(T, K, stride, padding)
     if Tout < 1:
         raise DimensionError(f"conv1d: kernel {K} too long for T={T}, padding={padding}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding)))
-    win = _windows_1d(xp, K, Tout, stride)  # (B, C, Tout, K)
+    xp = np.pad(x.data, ((0, 0), (padding, padding), (0, 0)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, K, axis=1)[:, ::stride]  # (B, Tout, C, K)
 
     if depthwise:
-        out = (win * weight.data.reshape(C, K)[None, :, None, :]).sum(axis=-1)
+        # kernel axis innermost, so each output sums its K products in one run
+        out = np.multiply(win, weight.data.reshape(C, K), order="C").sum(axis=-1)
     else:
-        cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(B * Tout, C * K)
-        wmat = weight.data.reshape(Cout, C * K).T
-        out = (cols @ wmat).reshape(B, Tout, Cout).transpose(0, 2, 1)
+        cols = np.ascontiguousarray(win).reshape(B * Tout, C * K)
+        out = (cols @ weight.data.reshape(Cout, C * K).T).reshape(B, Tout, Cout)
     if bias is not None:
-        out = out + bias.data[None, :, None]
+        out = out + bias.data
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
-    def _scatter_1d(tap: Callable[[int], np.ndarray]) -> np.ndarray:
-        # tap(k): the gradient reaching every window's k-th input; taps add in k order from zero
+    def _scatter_1d(taps: Iterator[np.ndarray]) -> np.ndarray:
+        # tap k: the gradient reaching every window's k-th input; taps add in k order from zero
         gxp = np.zeros_like(xp)
-        for k in range(K):
-            gxp[:, :, k : k + stride * Tout : stride] += tap(k)
-        return gxp[:, :, padding : padding + T]
+        for k, tap in enumerate(taps):
+            gxp[:, k : k + stride * Tout : stride] += tap
+        return gxp[:, padding : padding + T]
 
     def grad_fn(g):
         if depthwise:
             w = weight.data.reshape(C, K)
-            gw = (win * g[:, :, :, None]).sum(axis=(0, 2)).reshape(Cout, Cg, K)
-
-            def tap(k):  # one tap at a time: no (B, C, T_out, K) temporary
-                return g * w[None, :, k, None]
+            gw = (win * g[..., None]).sum(axis=(0, 1)).reshape(Cout, Cg, K)
+            taps = (g * w[:, k] for k in range(K))  # one at a time: no (B, T_out, C, K) temporary
         else:
-            cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(B * Tout, C * K)
-            g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * Tout, Cout)
+            g2 = g.reshape(B * Tout, Cout)
             gw = (g2.T @ cols).reshape(Cout, Cg, K)
             gwin = (g2 @ weight.data.reshape(Cout, C * K)).reshape(B, Tout, C, K)
-            gwin = gwin.transpose(0, 2, 1, 3)
-
-            def tap(k):
-                return gwin[:, :, :, k]
+            taps = (gwin[..., k] for k in range(K))
         # no input gradient for a constant input
-        grads = [_scatter_1d(tap) if x._needs_graph() else None, gw]
+        grads = [_scatter_1d(taps) if x._needs_graph() else None, gw]
         if bias is not None:
-            grads.append(g.sum(axis=(0, 2)))
+            grads.append(g.sum(axis=(0, 1)))
         return tuple(grads)
 
     return _make(out, parents, grad_fn)

@@ -33,11 +33,28 @@ from typing import Optional, Union
 
 from .adaptation import AdaptationConfig
 from .conformer import ENCODER_PRESETS, EncoderConfig
-from .datapipe import VOCAB_SIZE
+from .datapipe import MIN_UTT_SEC, VOCAB_SIZE
 from .errors import ConfigError
 from .util import read_text
 
 STRATEGIES = ("scratch", "pretrained-init", "distill", "adapt")
+
+
+# RunConfig field -> [lowest, highest) of its values
+_RANGES = {
+    "vocab": (VOCAB_SIZE, math.inf),
+    "crop_seconds": (MIN_UTT_SEC, math.inf),
+    "lmft_crop_seconds": (MIN_UTT_SEC, math.inf),
+    "epochs": (1, math.inf),
+    "batch_size": (1, math.inf),
+    "lr": (0, math.inf),
+    "weight_decay": (0, math.inf),
+    "warmup_epochs": (0, math.inf),
+    "lmft_epochs": (0, math.inf),
+    "alpha": (0, math.inf),
+    "aam_margin": (0, math.pi / 2),
+    "lmft_margin": (0, math.pi / 2),
+}
 
 
 @dataclass
@@ -82,8 +99,12 @@ class RunConfig:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.strategy == "adapt" and self.adaptation is None:
             raise ConfigError("adapt strategy needs an [adaptation] section")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
+        for name, (lo, hi) in _RANGES.items():
+            value = getattr(self, name)
+            if not lo <= value < hi:  # a NaN fails too
+                raise ConfigError(f"{name} must be in [{lo}, {hi}), got {value}")
+        if not self.aam_scale > 0:
+            raise ConfigError(f"aam_scale must be positive, got {self.aam_scale}")
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}

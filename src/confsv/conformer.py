@@ -244,14 +244,10 @@ class ConvolutionModule(Module):
         if x.shape[1] < 1:
             raise DimensionError("convolution module needs T >= 1")
         h = self.norm(x)
-        h = ad.swapaxes(h, 1, 2)  # (B, d, T)
-        h = ad.glu(self.pointwise1(h), axis=1)
+        h = ad.glu(self.pointwise1(h))
         h = self.depthwise(h)
-        h = ad.swapaxes(h, 1, 2)
         h = ad.swish(self.batch_norm(h))
-        h = ad.swapaxes(h, 1, 2)
-        h = self.pointwise2(h)
-        return self.drop(ad.swapaxes(h, 1, 2), rng)
+        return self.drop(self.pointwise2(h), rng)
 
 
 class ConformerBlock(Module):

@@ -222,8 +222,7 @@ class RateMatcher(Module):
         """(B, T, d) -> (B, floor((T - 1) / 2) + 1, d); preserves channels."""
         if frames.shape[1] < 3:
             raise InputTooShortError(f"rate matching needs T >= 3, got {frames.shape[1]}")
-        out = self.conv(ad.swapaxes(frames, 1, 2))
-        return ad.swapaxes(out, 1, 2)
+        return self.conv(frames)
 
 
 class CtcDecoder(Module):

@@ -229,6 +229,8 @@ class BatchNorm(Module):
 
 
 class Conv1d(Module):
+    """Dense or depthwise convolution, channels-last: (B, T, C_in) -> (B, T_out, C_out)."""
+
     def __init__(
         self,
         c_in: int,

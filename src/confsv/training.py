@@ -160,15 +160,14 @@ def _speaker_item(manifest_path, items: Sequence[DatasetItem], labels: dict[str,
         epoch, idx, crop_seconds = key
         item = items[idx]
         utt = load_utterance(manifest_path, item.entry)
-        label = item.entry.speaker_id
         if item.speed != 1.0:
             utt = speed_perturb(utt, item.speed)
-            label = f"{label}@sp{item.speed}"
+        label = labels[utt.speaker_id]
         rng = rng_for(cfg.seed, "item", epoch, idx)
         if cfg.augment_prob > 0:
             utt = augment_onthefly(utt, cfg.augment_prob, rng)
         utt = crop(utt, crop_seconds, rng)
-        return log_mel(utt.waveform).T, labels[label]
+        return log_mel(utt.waveform).T, label
 
     return build
 

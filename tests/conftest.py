@@ -77,6 +77,28 @@ def param_count(module, trainable_only: bool = False) -> int:
     return sum(p.size for p in module.parameters() if p.trainable or not trainable_only)
 
 
+def conv1d_channels_first(x: np.ndarray, weight: np.ndarray, bias, stride: int, padding: int,
+                          groups: int) -> np.ndarray:
+    """A dense or depthwise 1-D convolution over channels-first (B, C, T) in numpy.
+
+    It forms the products and sums of the channels-first `autodiff.conv1d`
+    that the channels-last op replaced: an im2col GEMM with (C, K) columns, or
+    a multiply-sum over a contiguous kernel axis.  The bitwise oracle of the
+    channels-last forward.
+    """
+    B, C, _ = x.shape
+    Cout, _, K = weight.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, K, axis=2)[:, :, ::stride]
+    Tout = win.shape[2]
+    if groups > 1:
+        out = (win * weight.reshape(C, K)[None, :, None, :]).sum(axis=-1)
+    else:
+        cols = np.ascontiguousarray(win.transpose(0, 2, 1, 3)).reshape(B * Tout, C * K)
+        out = (cols @ weight.reshape(Cout, C * K).T).reshape(B, Tout, Cout).transpose(0, 2, 1)
+    return out if bias is None else out + bias[None, :, None]
+
+
 # Toy encoder shared by the pipeline tests: 2 blocks, d=32, quarter-rate.
 TOY_ENCODER = dict(layers=2, dim=32, heads=4, hidden=64, subsample_rate=0.25,
                    conv_kernel=15, dropout=0.1)

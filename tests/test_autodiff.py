@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from confsv import autodiff as ad
 from confsv.errors import ContractError, DimensionError
 
-from conftest import gradcheck
+from conftest import conv1d_channels_first, gradcheck
 
 
 def rand(shape, seed=0, scale=1.0):
@@ -93,38 +93,38 @@ class TestLayerNorm:
 
 
 def depthwise(x, kernel, padding):
-    """Depthwise conv1d of one (C, T) signal with a (C, K) kernel, as (C, T')."""
+    """Depthwise conv1d of one (T, C) signal with a (C, K) kernel, as (T', C)."""
     out = ad.conv1d(ad.tensor(x[None]), ad.tensor(kernel[:, None, :]), None,
-                    padding=padding, groups=x.shape[0])
+                    padding=padding, groups=x.shape[1])
     return out.data[0]
 
 
 class TestDepthwiseConv:
     def test_delta_kernel_identity(self):
-        x = rand((3, 8), 9)
+        x = rand((3, 8), 9).T
         kernel = np.zeros((3, 5))
         kernel[:, 2] = 1.0
         np.testing.assert_allclose(depthwise(x, kernel, padding=2), x, atol=1e-15)
 
     def test_zero_kernel(self):
-        x = rand((3, 8), 10)
+        x = rand((3, 8), 10).T
         out = depthwise(x, np.zeros((3, 5)), padding=2)
         np.testing.assert_array_equal(out, np.zeros_like(x))
 
     def test_against_sliding_window_oracle(self):
-        x, kernel = rand((3, 8), 11), rand((3, 5), 12)
+        x, kernel = rand((3, 8), 11).T, rand((3, 5), 12)
         pad = 2
-        xp = np.pad(x, ((0, 0), (pad, pad)))
+        xp = np.pad(x, ((pad, pad), (0, 0)))
         expected = np.zeros_like(x)
         for c in range(3):
             for t in range(8):
-                expected[c, t] = (xp[c, t : t + 5] * kernel[c]).sum()
+                expected[t, c] = (xp[t : t + 5, c] * kernel[c]).sum()
         out = depthwise(x, kernel, padding=pad)
         assert np.abs(out - expected).max() < 1e-12
 
     def test_kernel_too_long(self):
         with pytest.raises(DimensionError):
-            depthwise(rand((2, 3)), rand((2, 9)), padding=1)
+            depthwise(rand((3, 2)), rand((2, 9)), padding=1)
 
 
 class TestBackward:
@@ -185,14 +185,14 @@ def test_per_op_gradients(seed):
         "mean": lambda: ad.mean(x * y),
         "concat": lambda: ad.sum_(ad.concat([x, y], axis=1) * 0.5),
         "transpose": lambda: ad.sum_(ad.transpose(x) @ y),
-        "glu": lambda: ad.sum_(ad.glu(ad.concat([x, y], axis=1), axis=1)),
+        "glu": lambda: ad.sum_(ad.glu(ad.concat([x, y], axis=1))),
         "clip": lambda: ad.sum_(ad.clip(x, -0.5, 0.5) * y),
     }
     for name, build in cases.items():
         gradcheck(build, [x, y], rtol=1e-4)
 
     w = ad.tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
-    xc = ad.tensor(rng.normal(size=(2, 2, 7)), requires_grad=True)
+    xc = ad.tensor(rng.normal(size=(2, 7, 2)), requires_grad=True)
     gradcheck(lambda: ad.sum_(ad.tanh(ad.conv1d(xc, w, None, stride=2, padding=1))), [xc, w])
     wd = ad.tensor(rng.normal(size=(2, 1, 3)), requires_grad=True)
     gradcheck(lambda: ad.sum_(ad.tanh(ad.conv1d(xc, wd, None, padding=1, groups=2))), [xc, wd])
@@ -276,15 +276,15 @@ def scatter_conv2d_input_grad(x, weight, g, stride, padding):
 
 
 def scatter_depthwise_conv1d_input_grad(weight, g, stride, padding, T):
-    """The (B, C, T_out, K) window gradient scattered tap by tap; the bitwise
+    """The (B, T_out, C, K) window gradient scattered tap by tap; the bitwise
     reference for the depthwise `conv1d` input gradient."""
     C, _, K = weight.shape
-    B, _, Tout = g.shape
-    gwin = g[:, :, :, None] * weight.reshape(C, K)[None, :, None, :]
-    gxp = np.zeros((B, C, T + 2 * padding))
+    B, Tout, _ = g.shape
+    gwin = g[:, :, :, None] * weight.reshape(C, K)
+    gxp = np.zeros((B, T + 2 * padding, C))
     for k in range(K):
-        gxp[:, :, k : k + stride * Tout : stride] += gwin[:, :, :, k]
-    return gxp[:, :, padding : padding + T]
+        gxp[:, k : k + stride * Tout : stride] += gwin[:, :, :, k]
+    return gxp[:, padding : padding + T]
 
 
 def to_channels_first(a):
@@ -352,7 +352,7 @@ class TestConvInputGradient:
     @pytest.mark.parametrize("kernel", [3, 7])
     def test_depthwise_conv1d_matches_scatter_bitwise(self, stride, padding, kernel):
         rng = np.random.default_rng(stride * 100 + padding * 10 + kernel)
-        x = ad.tensor(rng.normal(size=(3, 6, 20)), requires_grad=True)
+        x = ad.tensor(rng.normal(size=(3, 20, 6)), requires_grad=True)
         w = ad.tensor(rng.normal(size=(6, 1, kernel)), requires_grad=True)
         out = ad.conv1d(x, w, None, stride=stride, padding=padding, groups=6)
         g = rng.normal(size=out.shape)
@@ -360,12 +360,29 @@ class TestConvInputGradient:
         ref = scatter_depthwise_conv1d_input_grad(w.data, g, stride, padding, 20)
         assert np.array_equal(gx, ref)
 
+    @pytest.mark.parametrize("stride, padding", [(1, 0), (2, 1), (1, 7)])
+    @pytest.mark.parametrize("c_in, groups, c_out, kernel", [
+        (32, 1, 64, 1), (6, 1, 6, 3), (1, 1, 3, 3), (32, 32, 32, 15), (6, 6, 6, 31),
+    ])
+    def test_conv1d_matches_the_channels_first_forward_bitwise(self, stride, padding, c_in,
+                                                               groups, c_out, kernel):
+        """Dense and depthwise: each output forms the same products and sums
+        as the channels-first convolution, whatever the layout."""
+        rng = np.random.default_rng(c_in + kernel + stride * 10 + padding)
+        x = rng.normal(size=(3, 40, c_in))
+        w = rng.normal(size=(c_out, c_in // groups, kernel))
+        b = rng.normal(size=c_out)
+        out = ad.conv1d(ad.tensor(x), ad.tensor(w), ad.tensor(b), stride=stride,
+                        padding=padding, groups=groups)
+        ref = conv1d_channels_first(x.transpose(0, 2, 1), w, b, stride, padding, groups)
+        assert np.array_equal(out.data, ref.transpose(0, 2, 1))
+
     @pytest.mark.parametrize("c_in, groups, c_out", [(2, 1, 4), (2, 2, 2)])
     def test_conv1d_of_a_constant_input_skips_its_gradient(self, c_in, groups, c_out):
         """Dense and depthwise: no input gradient, the same weight gradient."""
         rng = np.random.default_rng(4)
         w = ad.tensor(rng.normal(size=(c_out, c_in // groups, 3)), requires_grad=True)
-        x = rng.normal(size=(2, c_in, 8))
+        x = rng.normal(size=(2, 8, c_in))
         out = ad.conv1d(ad.tensor(x), w, None, stride=2, padding=1, groups=groups)
         gx, gw = out._grad_fn(np.ones(out.shape))
         assert gx is None
@@ -378,5 +395,5 @@ class TestConvInputGradient:
         rng = np.random.default_rng(4)
         w = ad.tensor(rng.normal(size=(c_out, c_in // groups, 3)), requires_grad=True)
         with pytest.raises(DimensionError):
-            ad.conv1d(ad.tensor(rng.normal(size=(2, c_in, 8))), w, None, stride=2, padding=1,
+            ad.conv1d(ad.tensor(rng.normal(size=(2, 8, c_in))), w, None, stride=2, padding=1,
                       groups=groups)

@@ -185,6 +185,41 @@ class TestTrain:
         assert "finite" in capsys.readouterr().err
         assert not (out / "speaker.ckpt").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("optim", "lr", "-1"), ("optim", "weight_decay", "-0.5"),
+        ("optim", "warmup_epochs", "-5"), ("schedule", "lmft_epochs", "-3"),
+        ("loss", "aam_scale", "0"), ("loss", "aam_margin", "2.0"),
+        ("schedule", "lmft_margin", "-0.1"), ("loss", "alpha", "-1"),
+        ("data", "crop_seconds", "-1"), ("schedule", "lmft_crop_seconds", "0.4"),
+        ("experiment", "vocab", "3"),
+    ])
+    def test_out_of_range_config_number_exits_2(self, mini, tmp_path, capsys, section, key,
+                                                value):
+        """Each ran before: lr = -1 ascended the loss, lmft_epochs = -3 skipped LMFT,
+        alpha = -1 dropped the KL term, aam_margin = 2 and crop_seconds = -1
+        exited 3 as data errors, and vocab = 3 ended pretrain-asr in a traceback."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINI_CONFIG + f"\n[{section}]\n{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        command = {
+            "vocab": ["pretrain-asr"],
+            "alpha": ["distill", "--teacher", str(mini["asr_ckpt"])],
+        }.get(key, ["train", "--init", str(mini["asr_ckpt"]), "--lmft"])
+        code = main(command + ["--config", str(cfg), "--manifest", str(mini["manifest"]),
+                               "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_distill_alpha_flag_exits_2(self, mini, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["distill", "--config", str(mini["config"]), "--manifest",
+                     str(mini["manifest"]), "--out", str(out), "--teacher",
+                     str(mini["asr_ckpt"]), "--alpha", "-1"])
+        assert code == EXIT_CONFIG
+        assert "alpha" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("frozen_epochs, kept", [(2, True), (1, False)])
     def test_init_keeps_the_asr_encoder_through_its_frozen_epochs(self, mini, tmp_path,
                                                                   frozen_epochs, kept):

@@ -18,7 +18,7 @@ from confsv.conformer import (
 from confsv.errors import ConfigError, DimensionError, InputTooShortError
 from confsv.nn import seed_parameters
 
-from conftest import gradcheck
+from conftest import conv1d_channels_first, gradcheck
 
 
 def tiny_cfg(**kw):
@@ -164,8 +164,8 @@ def composed_attention(attn, x, rng=None):
     r = ad.transpose(ad.reshape(r, (2 * T - 1, attn.heads, attn.d_head)), (1, 0, 2))
     u = ad.reshape(attn.pos_bias_u, (1, attn.heads, 1, attn.d_head))
     vb = ad.reshape(attn.pos_bias_v, (1, attn.heads, 1, attn.d_head))
-    content = ad.matmul(q + u, ad.swapaxes(k, -1, -2))
-    pos_full = ad.matmul(q + vb, ad.swapaxes(r, -1, -2))  # (B, H, T, 2T-1)
+    content = ad.matmul(q + u, ad.transpose(k, (0, 1, 3, 2)))
+    pos_full = ad.matmul(q + vb, ad.transpose(r, (0, 2, 1)))  # (B, H, T, 2T-1)
     rows = np.repeat(np.arange(T)[:, None], T, axis=1)
     cols = rows - rows.T + T - 1  # i - j + T - 1
     position = ad.take_pairs(pos_full, rows, cols)
@@ -246,6 +246,26 @@ class TestFusedAttention:
             pos[0, 0] = 1.0
 
 
+def channels_first_conv_module(conv, x, rng=None):
+    """The conv module as it ran channels-first, (B, d, T) around each conv.
+
+    The oracle of `ConvolutionModule`, forward only: numpy convolutions with
+    the products and sums of the channels-first op, the GLU over the channel
+    axis, and the module's own layer norm, batch norm and dropout, the batch
+    norm reading a (B, T, d) view of channels-first data as before.
+    """
+    def conv1d(h, layer):
+        return conv1d_channels_first(h, layer.weight.data, layer.bias.data, layer.stride,
+                                     layer.padding, layer.groups)
+
+    h = conv1d(np.swapaxes(conv.norm(x).data, 1, 2), conv.pointwise1)
+    d = h.shape[1] // 2
+    h = conv1d(h[:, :d] * (1.0 / (1.0 + np.exp(-h[:, d:]))), conv.depthwise)
+    h = ad.swish(conv.batch_norm(ad.tensor(np.swapaxes(h, 1, 2)))).data
+    h = conv1d(np.swapaxes(h, 1, 2), conv.pointwise2)
+    return conv.drop(ad.tensor(np.swapaxes(h, 1, 2)), rng).data
+
+
 class TestConvModule:
     def test_kernel31_same_padding(self):
         conv = ConvolutionModule(8, 31, 0.0)
@@ -263,12 +283,30 @@ class TestConvModule:
 
         h = ad.tensor(x)
         h = conv.norm(h)
-        h = ad.swapaxes(h, 1, 2)
-        h = ad.glu(conv.pointwise1(h), axis=1)
-        h = conv.depthwise(h)
-        h = ad.swish(ad.swapaxes(h, 1, 2))
-        h = ad.swapaxes(conv.pointwise2(ad.swapaxes(h, 1, 2)), 1, 2)
+        h = ad.glu(conv.pointwise1(h))
+        h = ad.swish(conv.depthwise(h))
+        h = conv.pointwise2(h)
         np.testing.assert_allclose(out, h.data, atol=1e-4)
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("B,T", [(1, 40), (3, 17), (8, 90), (12, 50)])
+    def test_matches_the_channels_first_reference(self, B, T, train):
+        """Bitwise in eval mode; training mode reorders the batch-norm sums."""
+        conv = ConvolutionModule(32, 15, 0.1)
+        seed_parameters(conv, 23)
+        rng = np.random.default_rng(24)
+        bn = conv.batch_norm
+        bn.gamma.data, bn.beta.data = rng.normal(size=32), rng.normal(size=32)
+        bn._buffers["running_mean"] = rng.normal(size=32)
+        bn._buffers["running_var"] = rng.uniform(0.5, 2.0, size=32)
+        conv.train_mode() if train else conv.eval_mode()
+        x = ad.tensor(rng.normal(size=(B, T, 32)))
+        out = conv(x, np.random.default_rng(25)).data
+        ref = channels_first_conv_module(conv, x, np.random.default_rng(25))
+        if train:
+            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        else:
+            assert np.array_equal(out, ref)
 
     def test_gradients(self):
         conv = ConvolutionModule(6, 5, 0.0)
@@ -278,6 +316,16 @@ class TestConvModule:
         params = [p for _, p in conv.named_parameters()]
         gradcheck(lambda: ad.sum_(ad.tanh(conv(x))), [x] + params,
                   sample=5, rng=np.random.default_rng(1))
+
+    def test_gradients_over_a_batch_with_dropout(self):
+        """Training mode at B > 1: batch statistics across items, one fixed dropout draw."""
+        conv = ConvolutionModule(6, 5, 0.2)
+        seed_parameters(conv, 26)
+        conv.train_mode()
+        x = ad.tensor(np.random.default_rng(27).normal(size=(3, 9, 6)), requires_grad=True)
+        params = [p for _, p in conv.named_parameters()]
+        gradcheck(lambda: ad.sum_(ad.tanh(conv(x, np.random.default_rng(28)))), [x] + params,
+                  sample=5, rng=np.random.default_rng(2))
 
 
 class TestConformerBlock:

@@ -22,7 +22,7 @@ from confsv.losses import (
 )
 from confsv.nn import seed_parameters
 
-from conftest import gradcheck
+from conftest import conv1d_channels_first, gradcheck
 
 
 def fmaps(dims, frames, seed=0):
@@ -357,6 +357,23 @@ class TestRateMatcher:
         rm = RateMatcher(4)
         with pytest.raises(InputTooShortError):
             rm(ad.tensor(np.zeros((1, 2, 4))))
+
+    @pytest.mark.parametrize("B", [1, 3, 8, 12])
+    def test_matches_the_channels_first_conv(self, B):
+        rm = RateMatcher(32)
+        seed_parameters(rm, 36)
+        x = np.random.default_rng(B).normal(size=(B, 45, 32))
+        out = rm(ad.tensor(x)).data
+        ref = conv1d_channels_first(x.transpose(0, 2, 1), rm.conv.weight.data,
+                                    rm.conv.bias.data, 2, 1, 1)
+        assert np.array_equal(out, ref.transpose(0, 2, 1))
+
+    def test_gradients(self):
+        rm = RateMatcher(4)
+        seed_parameters(rm, 37)
+        rm.train_mode()
+        x = ad.tensor(np.random.default_rng(38).normal(size=(3, 8, 4)), requires_grad=True)
+        gradcheck(lambda: ad.sum_(ad.tanh(rm(x))), [x, rm.conv.weight, rm.conv.bias])
 
 
 class TestCombinedLoss:

@@ -1,11 +1,13 @@
-"""The package re-exports only what the package itself uses, and every
-option it offers is set somewhere.
+"""The package re-exports only what the package itself uses, defines only
+what it uses, and every option it offers is set somewhere.
 
-A name that `confsv/__init__.py` re-exports must be used, as a name or an
-attribute, somewhere in `src/confsv` outside `__init__`; its own definition
-is not a use.  A helper that only the tests call is a second code path to
-keep in step with the module path; this test keeps such helpers from growing
-back.  The allowlist holds the one unused name that stays on purpose.
+A name that `confsv/__init__.py` re-exports, and every public top-level
+function and class in `src/confsv`, must be used, as a name or an attribute,
+somewhere in `src/confsv` outside `__init__`; its own definition is not a
+use.  A helper that only the tests call is a second code path to keep in step
+with the module path, and an op whose last caller is gone is dead code; these
+tests keep both from growing back.  The allowlist holds the one unused name
+that stays on purpose.
 
 A parameter with a default in `src/confsv` must be passed, by keyword or by
 position, at some call in the package, the tests or the benchmark.  One that
@@ -84,6 +86,55 @@ def test_a_reexported_helper_without_a_caller_is_caught():
     ).body
     trees["__init__"].body += ast.parse("from .adaptation import build_adaptation").body
     assert unused_reexports(trees) == ["adaptation.build_adaptation"]
+
+
+def unused_definitions(trees) -> list[str]:
+    """Public top-level functions and classes that no other top-level statement uses."""
+    users: dict[str, set] = {}
+    for mod, tree in trees.items():
+        if mod == "__init__":
+            continue
+        for i, stmt in enumerate(tree.body):
+            for name in _used_names(stmt):
+                users.setdefault(name, set()).add((mod, getattr(stmt, "name", i)))
+    return [
+        f"{mod}.{node.name}"
+        for mod, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in KEPT
+        and not users.get(node.name, set()) - {(mod, node.name)}
+    ]
+
+
+def test_every_public_definition_has_a_user_in_the_package():
+    assert unused_definitions(_trees()) == []
+
+
+class _DropGlu(ast.NodeTransformer):
+    """`ad.glu(h)` -> `h`: the op's only call goes."""
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        if isinstance(node.func, ast.Attribute) and node.func.attr == "glu":
+            return node.args[0]
+        return node
+
+
+def test_an_op_whose_last_caller_goes_is_caught():
+    trees = _trees()
+    trees["conformer"] = _DropGlu().visit(trees["conformer"])
+    assert unused_definitions(trees) == ["autodiff.glu"]
+
+
+def test_a_recursive_definition_does_not_use_itself():
+    trees = _trees()
+    trees["autodiff"].body += ast.parse(
+        "def flip(a, n):\n"
+        "    return a if n == 0 else flip(transpose(a), n - 1)\n"
+    ).body
+    assert unused_definitions(trees) == ["autodiff.flip"]
 
 
 def _caller_trees():
