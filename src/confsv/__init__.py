@@ -10,11 +10,12 @@ The Python API is the module classes, one path per job: `ConformerEncoder`
 (its `encode` gives per-block feature maps), then `MfaAggregator`,
 `AttentiveStatsPooling` and `EmbeddingHead`, composed as `SpeakerModel`; or
 `SpeakerAdaptation` on a frozen encoder.  Both embed one utterance with
-`embed_utterance`.  Scoring takes whole trial lists: `scoring.score_trials`
-or `snorm_scores`, then `qmf_features`, `qmf_fit` and `QmfModel.calibrate`.
-Every name re-exported below is used inside the package, except `ctc_loss`,
-the one-utterance CTC that the acceptance tests check by enumerating
-alignments.
+`embed_utterance`.  A forward with `rng=None` is inference and changes
+nothing; a forward with an rng is a training step.  Scoring takes whole
+trial lists: `scoring.score_trials` or `snorm_scores`, then `qmf_features`,
+`qmf_fit` and `QmfModel.calibrate`.  Every name re-exported below is used
+inside the package, except `ctc_loss`, the one-utterance CTC that the
+acceptance tests check by enumerating alignments.
 """
 
 from .adaptation import (

@@ -11,8 +11,9 @@ Three ways to reuse a frozen ASR-trained Conformer for speaker embedding:
 All variants aggregate the branch outputs channel-wise, pool, and project to
 the speaker embedding.  The backbone is never touched: attaching the
 adaptation freezes it, so autodiff records no graph through its weights and
-no gradient can reach it, and its forward outputs are bit-identical with or
-without the adaptation attached.
+no gradient can reach it, and its taps are an inference forward (`rng=None`)
+even in a training step, so its batch-norm statistics never change and its
+outputs are bit-identical with or without the adaptation attached.
 """
 
 from __future__ import annotations
@@ -139,14 +140,9 @@ class SpeakerAdaptation(Module):
         return self._backbone
 
     def backbone_taps(self, mel: Tensor) -> list[Tensor]:
-        """Frozen, dropout-free forward of the backbone's first L blocks; no
-        gradient reaches its weights."""
-        was_training = self._backbone.training
-        self._backbone.eval_mode()
-        maps = self._backbone(mel, rng=None, depth=self.cfg.adapted_layers)
-        if was_training:
-            self._backbone.train_mode()
-        return maps
+        """Inference forward of the backbone's first L blocks, in training
+        steps too: no dropout, no statistics update, no gradient to its weights."""
+        return self._backbone(mel, rng=None, depth=self.cfg.adapted_layers)
 
     def forward(self, mel: Tensor, rng=None) -> Tensor:
         taps = self.backbone_taps(mel)
@@ -165,15 +161,11 @@ class SpeakerAdaptation(Module):
                 h = block(h, rng)
                 branch.append(h)
         pooled = self.pooling(self.mfa(branch))
-        return self.head(pooled)
+        return self.head(pooled, rng)
 
     def embed_utterance(self, features: np.ndarray) -> np.ndarray:
-        was_training = self.training
-        self.eval_mode()
-        out = self.forward(ad.tensor(np.asarray(features, dtype=np.float64).T[None]))
-        if was_training:
-            self.train_mode()
-        return out.data[0]
+        """80 x T features -> 256-dim embedding, by one inference forward."""
+        return self.forward(ad.tensor(np.asarray(features, dtype=np.float64).T[None])).data[0]
 
 
 def truncate_encoder(encoder: ConformerEncoder, n: int) -> ConformerEncoder:

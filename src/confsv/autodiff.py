@@ -302,10 +302,17 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def getitem(a: Tensor, idx) -> Tensor:
     out = a.data[idx]
+    # a basic index (ints, slices, Ellipsis) gives a view, which holds each
+    # element at most once; an advanced index copies and may repeat elements,
+    # whose gradients must add up
+    view = np.may_share_memory(out, a.data)
 
     def grad_fn(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        if view:
+            ga[idx] = g
+        else:
+            np.add.at(ga, idx, g)
         return (ga,)
 
     return _make(np.array(out, copy=True), (a,), grad_fn)

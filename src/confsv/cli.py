@@ -99,15 +99,13 @@ def cmd_pretrain_asr(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    if args.init is not None:
-        cfg = replace(cfg, strategy="pretrained-init")
     path = train_speaker(cfg, args.manifest, args.out, init_ckpt=args.init)
     print(f"checkpoint {path}")
     return EXIT_OK
 
 
 def cmd_distill(args) -> int:
-    cfg = replace(_load_config(args), strategy="distill")
+    cfg = _load_config(args)
     if args.alpha is not None:
         cfg = replace(cfg, alpha=args.alpha)
     path = train_speaker(cfg, args.manifest, args.out, teacher_ckpt=args.teacher)
@@ -116,7 +114,7 @@ def cmd_distill(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    cfg = replace(_load_config(args), strategy="adapt")
+    cfg = _load_config(args)
     path = train_adaptation(cfg, args.manifest, args.teacher, args.out)
     print(f"checkpoint {path}")
     return EXIT_OK
@@ -126,7 +124,6 @@ def cmd_probe(args) -> int:
     if args.max_utts is not None and args.max_utts < 1:
         raise ConfigError(f"--max-utts must be >= 1, got {args.max_utts}")
     encoder, _, _ = load_asr_model(args.ckpt)
-    encoder.eval_mode()
     entries = read_manifest(args.manifest)
     if args.max_utts is not None:
         entries = entries[: args.max_utts]

@@ -37,9 +37,6 @@ from .datapipe import MIN_UTT_SEC, VOCAB_SIZE
 from .errors import ConfigError
 from .util import read_text
 
-STRATEGIES = ("scratch", "pretrained-init", "distill", "adapt")
-
-
 # RunConfig field -> [lowest, highest) of its values
 _RANGES = {
     "vocab": (VOCAB_SIZE, math.inf),
@@ -62,7 +59,6 @@ class RunConfig:
     name: str = "run"
     seed: int = 0
     encoder: EncoderConfig = field(default_factory=lambda: EncoderConfig(2, 32, 4, 64))
-    strategy: str = "scratch"
     vocab: int = VOCAB_SIZE
 
     # data
@@ -95,10 +91,6 @@ class RunConfig:
     adaptation: Optional[AdaptationConfig] = None
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.strategy == "adapt" and self.adaptation is None:
-            raise ConfigError("adapt strategy needs an [adaptation] section")
         for name, (lo, hi) in _RANGES.items():
             value = getattr(self, name)
             if not lo <= value < hi:  # a NaN fails too

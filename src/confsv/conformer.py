@@ -219,7 +219,7 @@ class AttentionModule(Module):
         r = ad.transpose(ad.reshape(r, (2 * T - 1, self.heads, self.d_head)), (1, 0, 2))
         u = ad.reshape(self.pos_bias_u, (1, self.heads, 1, self.d_head))
         vb = ad.reshape(self.pos_bias_v, (1, self.heads, 1, self.d_head))
-        keep = self.drop_attn.keep((B, self.heads, T, T), rng)
+        keep = ad.dropout_keep((B, self.heads, T, T), self.drop_attn.p, rng)
         ctx = ad.rel_attention(q, k, v, r, u, vb, 1.0 / np.sqrt(self.d_head), keep)
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, self.dim))
         return self.drop_out(self.out_proj(ctx), rng)
@@ -246,7 +246,7 @@ class ConvolutionModule(Module):
         h = self.norm(x)
         h = ad.glu(self.pointwise1(h))
         h = self.depthwise(h)
-        h = ad.swish(self.batch_norm(h))
+        h = ad.swish(self.batch_norm(h, rng))
         return self.drop(self.pointwise2(h), rng)
 
 

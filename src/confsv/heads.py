@@ -63,12 +63,12 @@ class EmbeddingHead(Module):
         self.norm = BatchNorm(pooled_dim)
         self.proj = Linear(pooled_dim, EMBEDDING_DIM)
 
-    def forward(self, pooled: Tensor) -> Tensor:
+    def forward(self, pooled: Tensor, rng=None) -> Tensor:
         if pooled.shape[-1] != self.proj.weight.shape[0]:
             raise DimensionError(
                 f"pooled dim {pooled.shape[-1]} != head input {self.proj.weight.shape[0]}"
             )
-        return self.proj(self.norm(pooled))
+        return self.proj(self.norm(pooled, rng))
 
 
 class MfaAggregator(Module):
@@ -103,14 +103,9 @@ class SpeakerModel(Module):
     def forward(self, mel: Tensor, rng=None, return_maps: bool = False):
         maps = self.encoder(mel, rng)
         pooled = self.pooling(self.mfa(maps))
-        emb = self.head(pooled)
+        emb = self.head(pooled, rng)
         return (emb, maps) if return_maps else emb
 
     def embed_utterance(self, features: np.ndarray) -> np.ndarray:
-        """80 x T features -> 256-dim embedding (inference mode)."""
-        was_training = self.training
-        self.eval_mode()
-        out = self.forward(ad.tensor(np.asarray(features, dtype=np.float64).T[None]))
-        if was_training:
-            self.train_mode()
-        return out.data[0]
+        """80 x T features -> 256-dim embedding, by one inference forward."""
+        return self.forward(ad.tensor(np.asarray(features, dtype=np.float64).T[None])).data[0]

@@ -5,6 +5,12 @@ initial values depend only on (seed, qualified name, shape).  Adding or
 removing sibling modules never perturbs anyone else's init, which is what lets
 two training variants share bit-identical starting points for their common
 parts.
+
+`rng=None` is inference; a forward with an rng is a training step.  A
+training step draws dropout from the rng, and batch norm normalizes by the
+batch statistics and blends them into its running statistics.  An inference
+forward reads the model and changes nothing, so one model can serve several
+callers at once.  No module carries a mode of its own.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ class Module:
     """Minimal container with recursive named parameter/buffer traversal."""
 
     def __init__(self):
-        self.training = False
         self._buffers: dict[str, np.ndarray] = {}
 
     def register_buffer(self, name: str, value: np.ndarray) -> None:
@@ -98,20 +103,6 @@ class Module:
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
-
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for _, value in self._members(""):
-            if isinstance(value, Module):
-                yield from value.modules()
-
-    def train_mode(self, flag: bool = True) -> "Module":
-        for m in self.modules():
-            m.training = flag
-        return self
-
-    def eval_mode(self) -> "Module":
-        return self.train_mode(False)
 
     def set_trainable(self, flag: bool) -> "Module":
         for _, p in self.named_parameters():
@@ -196,8 +187,11 @@ class LayerNorm(Module):
 class BatchNorm(Module):
     """Batch normalization over all axes except the last (feature) axis.
 
-    Keeps running statistics for inference; `BN_MOMENTUM` is the fraction of
-    the fresh batch statistic blended in per step (small batches want it low).
+    A training step (a forward with an rng) normalizes by the batch
+    statistics and blends them into the running statistics; `BN_MOMENTUM` is
+    the fraction of the fresh batch statistic blended in per step (small
+    batches want it low).  Inference (`rng=None`) normalizes by the running
+    statistics and leaves them as they are.
     """
 
     def __init__(self, dim: int):
@@ -207,9 +201,9 @@ class BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(dim))
         self.register_buffer("running_var", np.ones(dim))
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
         axes = tuple(range(x.ndim - 1))
-        if self.training:
+        if rng is not None:
             mu = ad.mean(x, axis=axes, keepdims=True)
             xc = x - mu
             var = ad.mean(xc * xc, axis=axes, keepdims=True)
@@ -270,11 +264,4 @@ class Dropout(Module):
         self.p = p
 
     def forward(self, x: Tensor, rng: Optional[np.random.Generator]) -> Tensor:
-        if not self.training:
-            return x
         return ad.dropout(x, self.p, rng)
-
-    def keep(self, shape: tuple[int, ...],
-             rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
-        """The multiplier `forward` would draw for an input of `shape`; None if it draws none."""
-        return ad.dropout_keep(shape, self.p, rng) if self.training else None

@@ -222,8 +222,6 @@ def _train_epochs(cfg: RunConfig, trainset: _TrainableSet, opt: AdamW, n_items: 
     total, warmup = steps_per_epoch * schedule_epochs, round(steps_per_epoch * warmup_epochs)
     rows = []
     for epoch in epochs:
-        for module in trainset.modules.values():
-            module.train_mode()
         columns = []
         for batch in itertools.islice(batches, steps_per_epoch):
             loss, extra = loss_of(batch, rng_for(cfg.seed, dropout_stream, step))
@@ -340,7 +338,14 @@ def train_speaker(
     init_ckpt: Optional[str] = None,
     teacher_ckpt: Optional[str] = None,
 ) -> Path:
-    """Speaker-embedding training: scratch, pretrained-init, or distillation."""
+    """Speaker-embedding training; the checkpoint passed picks the strategy.
+
+    No checkpoint trains from scratch, `init_ckpt` (an ASR checkpoint) starts
+    the encoder from it (pretrained-init), and `teacher_ckpt` distills from it.
+    Passing both is a `ConfigError`.
+    """
+    if init_ckpt is not None and teacher_ckpt is not None:
+        raise ConfigError("pass an init checkpoint or a teacher checkpoint, not both")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = read_manifest(manifest_path)
@@ -352,12 +357,10 @@ def train_speaker(
     seed_parameters(model, cfg.seed, scope="speaker_model")
     seed_parameters(classifier, cfg.seed, scope="classifier")
 
-    distilling = cfg.strategy == "distill"
+    distilling = teacher_ckpt is not None
     teacher_encoder = teacher_decoder = None
     student_decoder = rate_match = None
     if distilling:
-        if teacher_ckpt is None:
-            raise ConfigError("distillation requires a teacher checkpoint")
         teacher_encoder, teacher_decoder, _ = load_asr_model(teacher_ckpt)
         if cfg.alpha > 0:
             student_decoder = CtcDecoder(cfg.encoder.dim, teacher_decoder.vocab)
@@ -369,9 +372,7 @@ def train_speaker(
                 raise ConfigError("unsupported student/teacher subsampling combination")
 
     frozen = 0  # epochs that train only the heads, with the encoder frozen
-    if cfg.strategy == "pretrained-init":
-        if init_ckpt is None:
-            raise ConfigError("pretrained-init requires an encoder checkpoint")
+    if init_ckpt is not None:
         if cfg.frozen_epochs < 0:
             raise ConfigError("frozen_epochs must be >= 0")
         if cfg.frozen_epochs > cfg.epochs:
@@ -398,7 +399,8 @@ def train_speaker(
             if not with_kl:
                 return l_spk, ([float(l_spk.data), 0.0] if distilling else [])
             frames = maps[-1] if rate_match is None else rate_match(maps[-1])
-            # the loaded teacher is frozen and in eval mode: no dropout, no graph
+            # the loaded teacher is frozen and runs as inference: no dropout, no
+            # statistics update, no graph
             teacher = teacher_decoder(teacher_encoder(mel, rng=None)[-1]).data
             l_kl = distill_kl_loss(student_decoder(frames), teacher)
             return combined_loss(l_spk, l_kl, cfg.alpha), [float(l_spk.data), float(l_kl.data)]
@@ -483,7 +485,7 @@ def train_adaptation(cfg: RunConfig, manifest_path, backbone_ckpt, out_dir) -> P
 
 def extract_embeddings(embed_fn, manifest_path,
                        entries: Optional[Sequence[ManifestEntry]] = None) -> dict[str, np.ndarray]:
-    """Embed every manifest entry (full utterance, inference mode)."""
+    """Embed every manifest entry (full utterance, one inference forward each)."""
     entries = read_manifest(manifest_path) if entries is None else list(entries)
 
     def one(entry: ManifestEntry) -> np.ndarray:

@@ -118,7 +118,6 @@ def test_criterion_04_gradient_integrity():
     mel_frames = 24
     for seed in range(20):
         model = SpeakerModel(cfg, seed=seed)
-        model.train_mode()
         clf = AamClassifier(3)
         seed_parameters(clf, seed + 1000)
         rng = np.random.default_rng(seed)
@@ -221,7 +220,7 @@ def test_criterion_07_distillation_contracts(small_corpus, toy_asr_ckpt, tmp_pat
     run_cfg = toy_run_config(epochs=2, batch_size=30, seed=41)
     plain = train_speaker(run_cfg, small_corpus, tmp_path / "plain")
     distilled = train_speaker(
-        toy_run_config(epochs=2, batch_size=30, seed=41, strategy="distill", alpha=0.0),
+        toy_run_config(epochs=2, batch_size=30, seed=41, alpha=0.0),
         small_corpus, tmp_path / "alpha0", teacher_ckpt=str(toy_asr_ckpt),
     )
     plain_rows = (tmp_path / "plain" / "loss.csv").read_text().splitlines()[1:]
@@ -236,14 +235,12 @@ def test_criterion_07_distillation_contracts(small_corpus, toy_asr_ckpt, tmp_pat
     # teacher parameters never receive gradients
     teacher_enc, teacher_dec, _ = load_asr_model(toy_asr_ckpt)
     student = SpeakerModel(toy_run_config().encoder, seed=9)
-    student.train_mode()
     from confsv.losses import CtcDecoder, combined_loss
 
     sdec = CtcDecoder(student.cfg.dim, teacher_dec.vocab)
     seed_parameters(sdec, 10)
     mel = ad.tensor(rng.normal(size=(2, 24, 80)))
     emb, maps = student(mel, np.random.default_rng(0), return_maps=True)
-    teacher_enc.eval_mode()
     t_logits = teacher_dec(teacher_enc(mel, rng=None)[-1])
     clf = AamClassifier(4)
     seed_parameters(clf, 11)
@@ -265,14 +262,13 @@ def test_criterion_08_freezing_contracts(small_corpus, toy_asr_ckpt, tmp_path):
     # adaptation training: backbone parameters and forward outputs untouched
     backbone_before, _, _ = load_asr_model(toy_asr_ckpt)
     probe_feats = log_mel(synth_corpus(2, 1, seed=5).utterance(0).waveform)
-    backbone_before.eval_mode()
     maps_before = [m.values.copy() for m in backbone_before.encode(probe_feats)]
     params_before = {
         n: p.data.copy() for n, p in backbone_before.named_parameters()
     }
 
     adapt_cfg = toy_run_config(
-        epochs=1, batch_size=30, seed=77, strategy="adapt",
+        epochs=1, batch_size=30, seed=77,
         adaptation=AdaptationConfig("V2", adapted_layers=2, extra_layers=1),
     )
     train_adaptation(adapt_cfg, small_corpus, toy_asr_ckpt, tmp_path / "adapt")
@@ -280,13 +276,11 @@ def test_criterion_08_freezing_contracts(small_corpus, toy_asr_ckpt, tmp_path):
     backbone_after, _, _ = load_asr_model(toy_asr_ckpt)
     for n, p in backbone_after.named_parameters():
         assert p.data.tobytes() == params_before[n].tobytes(), n
-    backbone_after.eval_mode()
     for a, b in zip(maps_before, backbone_after.encode(probe_feats)):
         assert a.tobytes() == b.values.tobytes()
 
     # frozen-phase training: encoder parameters bit-identical to the checkpoint
-    frozen_cfg = toy_run_config(epochs=1, batch_size=30, seed=78,
-                                strategy="pretrained-init", frozen_epochs=1)
+    frozen_cfg = toy_run_config(epochs=1, batch_size=30, seed=78, frozen_epochs=1)
     ck = train_speaker(frozen_cfg, small_corpus, tmp_path / "frozen",
                        init_ckpt=str(toy_asr_ckpt))
     trained = load_speaker_model(ck)
@@ -306,7 +300,7 @@ def test_criterion_09_end_to_end_toy_verification(toy_data, toy_asr_ckpt, tmp_pa
     # zero-length frozen phase; the frozen-phase mechanism itself is exercised
     # bitwise by criterion 8.
     pretrained_ck = train_speaker(
-        toy_run_config(strategy="pretrained-init", frozen_epochs=0),
+        toy_run_config(frozen_epochs=0),
         toy_data["train_manifest"],
         tmp_path / "pretrained", init_ckpt=str(toy_asr_ckpt),
     )
@@ -349,7 +343,6 @@ def test_criterion_10_probe_harness(toy_data, toy_asr_ckpt, tmp_path):
 
     # probe vs an independent logistic-regression fit on pooled features
     encoder, _, _ = load_asr_model(toy_asr_ckpt)
-    encoder.eval_mode()
     entries = read_manifest(toy_data["train_manifest"])[:60]
     speakers = sorted({e.speaker_id for e in entries})
     labels = np.array([speakers.index(e.speaker_id) for e in entries])

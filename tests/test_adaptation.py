@@ -96,7 +96,6 @@ class TestAdaptationForward:
     def test_backbone_outputs_bitwise_unchanged_by_attachment(self):
         backbone = toy_backbone()
         feats = np.random.default_rng(7).normal(size=(80, 20))
-        backbone.eval_mode()
         before = [m.values.copy() for m in backbone.encode(feats)]
         module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=8)
         module.embed_utterance(feats)
@@ -112,18 +111,15 @@ class TestAdaptationForward:
                             extra_layers=1 if variant == "V3" else 0)
         module = SpeakerAdaptation(backbone, cfg, seed=17)
         mel = ad.tensor(np.random.default_rng(18).normal(size=(2, 24, 80)))
-        backbone.eval_mode()
         full = backbone(mel)
         calls = []
         block_forward = ConformerBlock.forward
         monkeypatch.setattr(ConformerBlock, "forward",
                             lambda self, *a, **k: calls.append(1) or block_forward(self, *a, **k))
-        backbone.train_mode()
         taps = module.backbone_taps(mel)
         assert len(calls) == layers and len(taps) == layers
         for tap, ref in zip(taps, full[:layers]):
             assert np.array_equal(tap.data, ref.data)
-        assert backbone.training
 
     def test_mfa_width(self):
         backbone = toy_backbone()
@@ -140,8 +136,8 @@ class TestAdaptationForward:
     def test_no_gradient_reaches_backbone(self):
         backbone = toy_backbone()
         module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=12)
-        module.train_mode()
-        emb = module(ad.tensor(np.random.default_rng(13).normal(size=(2, 20, 80))))
+        emb = module(ad.tensor(np.random.default_rng(13).normal(size=(2, 20, 80))),
+                     np.random.default_rng(0))
         ad.backward(ad.sum_(emb * emb))
         assert all(p.grad is None for _, p in backbone.named_parameters())
 
@@ -154,7 +150,6 @@ class TestAdaptationForward:
         trainset = _TrainableSet(adaptation=module, classifier=clf)
         opt = AdamW()
         rng = np.random.default_rng(16)
-        module.train_mode()
         for step in range(3):
             mel = ad.tensor(rng.normal(size=(3, 16, 80)))
             emb = module(mel, np.random.default_rng(step))
@@ -169,18 +164,14 @@ class TestAdaptationForward:
 class TestTruncation:
     def test_full_depth_truncation_is_identity(self):
         enc = toy_backbone(layers=3)
-        enc.eval_mode()
         out = truncate_encoder(enc, 3)
-        out.eval_mode()
         feats = np.random.default_rng(17).normal(size=(80, 18))
         for a, b in zip(enc.encode(feats), out.encode(feats)):
             np.testing.assert_array_equal(a.values, b.values)
 
     def test_prefix_matches_original_blocks(self):
         enc = toy_backbone(layers=3)
-        enc.eval_mode()
         out = truncate_encoder(enc, 1)
-        out.eval_mode()
         feats = np.random.default_rng(18).normal(size=(80, 18))
         np.testing.assert_array_equal(enc.encode(feats)[0].values, out.encode(feats)[0].values)
         assert out.cfg.layers == 1

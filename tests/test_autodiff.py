@@ -162,6 +162,13 @@ class TestBackward:
         ad.backward(y)
         assert abs(x.grad - 6.0) < 1e-12
 
+    def test_getitem_gradient_counts_each_pick(self):
+        """A basic index picks each element once; an advanced one may pick it twice."""
+        x = ad.tensor(np.zeros((3, 4)), requires_grad=True)
+        ad.backward(ad.sum_(x[[0, 0, 2]]) + ad.sum_(x[1:, ::2]) + ad.sum_(x[..., 3]))
+        expected = [[2, 2, 2, 3], [1, 0, 1, 1], [2, 1, 2, 2]]
+        np.testing.assert_array_equal(x.grad, expected)
+
 
 @pytest.mark.parametrize("seed", range(20))
 def test_per_op_gradients(seed):

@@ -303,6 +303,16 @@ class TestAdapt:
         meta, _ = load_checkpoint(tmp_path / "o" / "adaptation.ckpt")
         assert meta["kind"] == "adaptation"
 
+    def test_adapt_without_an_adaptation_section_exits_2(self, mini, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main([
+            "adapt", "--config", str(mini["config"]), "--manifest", str(mini["manifest"]),
+            "--out", str(out), "--teacher", str(mini["asr_ckpt"]),
+        ])
+        assert code == EXIT_CONFIG
+        assert "adaptation" in capsys.readouterr().err
+        assert not (out / "adaptation.ckpt").exists()
+
 
 class TestEmbedPipeline:
     @pytest.mark.parametrize("keep", [4, 14, 200, -8])

@@ -117,19 +117,11 @@ def test_config_that_is_not_utf8_rejected(tmp_path):
         load_run_config(path)
 
 
-def test_strategy_validation():
-    with pytest.raises(ConfigError):
-        RunConfig(strategy="finetune")
-    with pytest.raises(ConfigError):
-        RunConfig(strategy="adapt")  # needs an adaptation section
-
-
 def sectionless_fields(sections) -> list[str]:
     """RunConfig fields not in exactly one file section, and section names
-    that are not fields; `encoder` and `adaptation` have sections of their own,
-    and the command picks the strategy."""
+    that are not fields; `encoder` and `adaptation` have sections of their own."""
     listed = [name for names in sections.values() for name in names]
-    want = {f.name for f in dataclasses.fields(RunConfig)} - {"encoder", "adaptation", "strategy"}
+    want = {f.name for f in dataclasses.fields(RunConfig)} - {"encoder", "adaptation"}
     return sorted(name for name in want | set(listed) if listed.count(name) != (name in want))
 
 

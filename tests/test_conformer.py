@@ -181,12 +181,11 @@ class TestFusedAttention:
 
     @staticmethod
     def _run(forward, attn, x0, train):
-        attn.train_mode() if train else attn.eval_mode()
         rng = np.random.default_rng(17)
         x = ad.tensor(x0, requires_grad=True)
         for _, p in attn.named_parameters():
             p.grad = None
-        out = forward(attn, x, rng)
+        out = forward(attn, x, rng if train else None)
         weights = ad.tensor(np.random.default_rng(18).normal(size=out.shape))
         ad.backward(ad.sum_(out * weights))
         grads = {"x": x.grad}
@@ -261,7 +260,7 @@ def channels_first_conv_module(conv, x, rng=None):
     h = conv1d(np.swapaxes(conv.norm(x).data, 1, 2), conv.pointwise1)
     d = h.shape[1] // 2
     h = conv1d(h[:, :d] * (1.0 / (1.0 + np.exp(-h[:, d:]))), conv.depthwise)
-    h = ad.swish(conv.batch_norm(ad.tensor(np.swapaxes(h, 1, 2)))).data
+    h = ad.swish(conv.batch_norm(ad.tensor(np.swapaxes(h, 1, 2)), rng)).data
     h = conv1d(np.swapaxes(h, 1, 2), conv.pointwise2)
     return conv.drop(ad.tensor(np.swapaxes(h, 1, 2)), rng).data
 
@@ -270,14 +269,13 @@ class TestConvModule:
     def test_kernel31_same_padding(self):
         conv = ConvolutionModule(8, 31, 0.0)
         seed_parameters(conv, 13)
-        conv.eval_mode()
         out = conv(ad.tensor(np.random.default_rng(14).normal(size=(1, 40, 8))))
         assert out.shape == (1, 40, 8)
 
     def test_identity_batchnorm_reduces_to_conv_path(self):
         conv = ConvolutionModule(6, 5, 0.0)
         seed_parameters(conv, 15)
-        conv.eval_mode()  # stored stats are mean 0 / var 1, affine identity
+        # inference: stored stats are mean 0 / var 1, affine identity
         x = np.random.default_rng(16).normal(size=(1, 10, 6))
         out = conv(ad.tensor(x)).data
 
@@ -291,7 +289,7 @@ class TestConvModule:
     @pytest.mark.parametrize("train", [False, True])
     @pytest.mark.parametrize("B,T", [(1, 40), (3, 17), (8, 90), (12, 50)])
     def test_matches_the_channels_first_reference(self, B, T, train):
-        """Bitwise in eval mode; training mode reorders the batch-norm sums."""
+        """Bitwise in inference; a training step reorders the batch-norm sums."""
         conv = ConvolutionModule(32, 15, 0.1)
         seed_parameters(conv, 23)
         rng = np.random.default_rng(24)
@@ -299,10 +297,9 @@ class TestConvModule:
         bn.gamma.data, bn.beta.data = rng.normal(size=32), rng.normal(size=32)
         bn._buffers["running_mean"] = rng.normal(size=32)
         bn._buffers["running_var"] = rng.uniform(0.5, 2.0, size=32)
-        conv.train_mode() if train else conv.eval_mode()
         x = ad.tensor(rng.normal(size=(B, T, 32)))
-        out = conv(x, np.random.default_rng(25)).data
-        ref = channels_first_conv_module(conv, x, np.random.default_rng(25))
+        out = conv(x, np.random.default_rng(25) if train else None).data
+        ref = channels_first_conv_module(conv, x, np.random.default_rng(25) if train else None)
         if train:
             assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
         else:
@@ -311,17 +308,15 @@ class TestConvModule:
     def test_gradients(self):
         conv = ConvolutionModule(6, 5, 0.0)
         seed_parameters(conv, 17)
-        conv.train_mode()
         x = ad.tensor(np.random.default_rng(18).normal(size=(1, 12, 6)), requires_grad=True)
         params = [p for _, p in conv.named_parameters()]
-        gradcheck(lambda: ad.sum_(ad.tanh(conv(x))), [x] + params,
+        gradcheck(lambda: ad.sum_(ad.tanh(conv(x, np.random.default_rng(0)))), [x] + params,
                   sample=5, rng=np.random.default_rng(1))
 
     def test_gradients_over_a_batch_with_dropout(self):
-        """Training mode at B > 1: batch statistics across items, one fixed dropout draw."""
+        """A training step at B > 1: batch statistics across items, one fixed dropout draw."""
         conv = ConvolutionModule(6, 5, 0.2)
         seed_parameters(conv, 26)
-        conv.train_mode()
         x = ad.tensor(np.random.default_rng(27).normal(size=(3, 9, 6)), requires_grad=True)
         params = [p for _, p in conv.named_parameters()]
         gradcheck(lambda: ad.sum_(ad.tanh(conv(x, np.random.default_rng(28)))), [x] + params,
@@ -332,14 +327,12 @@ class TestConformerBlock:
     def test_shape(self):
         block = ConformerBlock(tiny_cfg())
         seed_parameters(block, 19)
-        block.eval_mode()
         out = block(ad.tensor(np.random.default_rng(20).normal(size=(1, 10, 8))))
         assert out.shape == (1, 10, 8)
 
     def test_deterministic_with_dropout_off(self):
         block = ConformerBlock(tiny_cfg(dropout=0.2))
         seed_parameters(block, 21)
-        block.eval_mode()
         x = ad.tensor(np.random.default_rng(22).normal(size=(1, 6, 8)))
         a = block(x, rng=None).data
         b = block(x, rng=None).data
@@ -348,17 +341,15 @@ class TestConformerBlock:
     def test_gradients_through_block(self):
         block = ConformerBlock(tiny_cfg(dim=4, heads=2, hidden=8, conv_kernel=3))
         seed_parameters(block, 23)
-        block.train_mode()
         x = ad.tensor(np.random.default_rng(24).normal(size=(1, 6, 4)), requires_grad=True)
         params = [p for _, p in block.named_parameters()]
-        gradcheck(lambda: ad.sum_(ad.tanh(block(x))), [x] + params,
+        gradcheck(lambda: ad.sum_(ad.tanh(block(x, np.random.default_rng(0)))), [x] + params,
                   sample=4, rng=np.random.default_rng(2))
 
 
 class TestEncoder:
     def test_full_small_stack_yields_16_maps(self):
         enc = ConformerEncoder(ENCODER_PRESETS["small"], seed=1)
-        enc.eval_mode()
         maps = enc.encode(rand_features(16, 25))
         assert len(maps) == 16
         assert all(m.dim == 176 for m in maps)
@@ -366,7 +357,6 @@ class TestEncoder:
     def test_single_block_composition(self):
         cfg = tiny_cfg(layers=1)
         enc = ConformerEncoder(cfg, seed=2)
-        enc.eval_mode()
         x = ad.tensor(np.random.default_rng(26).normal(size=(1, 12, 80)))
         maps = enc(x)
         manual = enc.blocks[0](enc.subsampling(x))
@@ -375,7 +365,6 @@ class TestEncoder:
 
     def test_deterministic_across_runs(self):
         enc = ConformerEncoder(tiny_cfg(), seed=3)
-        enc.eval_mode()
         feats = rand_features(20, 27)
         a = enc.encode(feats)
         b = enc.encode(feats)
@@ -384,7 +373,6 @@ class TestEncoder:
 
     def test_blocks_shape_preserving(self):
         enc = ConformerEncoder(tiny_cfg(), seed=4)
-        enc.eval_mode()
         outs = enc(ad.tensor(np.random.default_rng(28).normal(size=(2, 16, 80))))
         shapes = {tuple(m.shape) for m in outs}
         assert shapes == {(2, 4, 8)}  # 16 frames, two stride-2 stages
@@ -399,13 +387,12 @@ def test_two_block_encoder_gradients():
     """Full-stack check at d=8, heads=2, hidden=16, six output frames."""
     cfg = tiny_cfg(layers=2, dim=8, heads=2, hidden=16, conv_kernel=3)
     enc = ConformerEncoder(cfg, seed=31)
-    enc.train_mode()
     x = ad.tensor(np.random.default_rng(32).normal(size=(1, 24, 80)), requires_grad=True)
     params = [p for _, p in enc.named_parameters()]
     rng = np.random.default_rng(5)
 
     def loss():
-        return ad.sum_(ad.tanh(enc(x)[-1]))
+        return ad.sum_(ad.tanh(enc(x, np.random.default_rng(0))[-1]))
 
     assert enc(x)[-1].shape[1] == 6
     gradcheck(loss, [x] + params, rtol=1e-4, sample=2, rng=rng)

@@ -53,7 +53,6 @@ class TestFrozenParameters:
         clf = AamClassifier(2)
         seed_parameters(clf, 4)
         trainset = _TrainableSet(model=model, classifier=clf)
-        model.train_mode()
         mel = ad.tensor(np.random.default_rng(5).normal(size=(2, 16, 80)))
         encoder_ids = {id(p) for p in model.encoder.parameters()}
 
@@ -85,7 +84,6 @@ class TestFrozenParameters:
         model.encoder.set_trainable(False)
         enc_before = {n: a.copy() for n, a in model.encoder.state_arrays().items()}
         opt = AdamW()
-        model.train_mode()
         for step in range(2):
             mel = ad.tensor(np.random.default_rng(step).normal(size=(2, 16, 80)))
             loss = aam_softmax_loss(model(mel, np.random.default_rng(step)), [0, 1], clf, 8.0, 0.1)
@@ -120,11 +118,11 @@ def tiny_init(tmp_path_factory):
 
 
 class TestFrozenEpochs:
-    """`train_speaker` freezes the encoder over `range(frozen_epochs)` under
-    pretrained-init, and over no epoch for the other strategies."""
+    """`train_speaker` freezes the encoder over `range(frozen_epochs)` when it
+    starts from an ASR checkpoint, and over no epoch from scratch."""
 
     @staticmethod
-    def ranges(tiny_init, tmp_path, monkeypatch, strategy, epochs, frozen_epochs):
+    def ranges(tiny_init, tmp_path, monkeypatch, pretrained, epochs, frozen_epochs):
         """(epoch count, encoder trainable) of each non-empty `_train_epochs` call."""
         calls = []
         real = training._train_epochs
@@ -137,25 +135,37 @@ class TestFrozenEpochs:
 
         monkeypatch.setattr(training, "_train_epochs", spy)
         manifest, asr = tiny_init
-        cfg = toy_run_config(encoder=ENCODER, strategy=strategy, epochs=epochs,
-                             frozen_epochs=frozen_epochs, batch_size=6, crop_seconds=0.5)
-        train_speaker(cfg, manifest, tmp_path, init_ckpt=str(asr))
+        cfg = toy_run_config(encoder=ENCODER, epochs=epochs, frozen_epochs=frozen_epochs,
+                             batch_size=6, crop_seconds=0.5)
+        train_speaker(cfg, manifest, tmp_path, init_ckpt=str(asr) if pretrained else None)
         return calls
 
-    @pytest.mark.parametrize("strategy, epochs, frozen_epochs, expected", [
-        ("pretrained-init", 5, 2, [(2, False), (3, True)]),
-        ("pretrained-init", 4, 0, [(4, True)]),
-        ("scratch", 4, 2, [(4, True)]),
+    @pytest.mark.parametrize("pretrained, epochs, frozen_epochs, expected", [
+        (True, 5, 2, [(2, False), (3, True)]),
+        (True, 4, 0, [(4, True)]),
+        (False, 4, 2, [(4, True)]),
     ])
-    def test_frozen_then_trainable(self, tiny_init, tmp_path, monkeypatch, strategy, epochs,
+    def test_frozen_then_trainable(self, tiny_init, tmp_path, monkeypatch, pretrained, epochs,
                                    frozen_epochs, expected):
-        assert self.ranges(tiny_init, tmp_path, monkeypatch, strategy, epochs,
+        assert self.ranges(tiny_init, tmp_path, monkeypatch, pretrained, epochs,
                            frozen_epochs) == expected
+
+    def test_the_checkpoint_passed_picks_the_strategy(self, tiny_init, tmp_path):
+        """A teacher used to be ignored unless the config also named distillation."""
+        manifest, asr = tiny_init
+        cfg = toy_run_config(encoder=ENCODER, epochs=1, batch_size=6, crop_seconds=0.5)
+        with pytest.raises(ConfigError, match="not both"):
+            train_speaker(cfg, manifest, tmp_path / "both", init_ckpt=str(asr),
+                          teacher_ckpt=str(asr))
+        assert not (tmp_path / "both").exists()
+        train_speaker(cfg, manifest, tmp_path / "kd", teacher_ckpt=str(asr))
+        header = (tmp_path / "kd" / "loss.csv").read_text().splitlines()[0]
+        assert header == "epoch,loss,loss_spk,loss_distill"
 
     @pytest.mark.parametrize("frozen_epochs", [-1, 5])
     def test_out_of_range_rejected(self, tiny_init, tmp_path, monkeypatch, frozen_epochs):
         with pytest.raises(ConfigError, match="frozen_epochs"):
-            self.ranges(tiny_init, tmp_path, monkeypatch, "pretrained-init", 4, frozen_epochs)
+            self.ranges(tiny_init, tmp_path, monkeypatch, True, 4, frozen_epochs)
         assert not (tmp_path / "speaker.ckpt").exists()
 
 
