@@ -7,9 +7,10 @@ Includes the full training recipe, scoring/calibration stack, and a
 parameter/MACs accounting subsystem.
 
 The Python API is the module classes, one path per job: `ConformerEncoder`
-(its `encode` gives per-block feature maps), then `MfaAggregator`,
-`AttentiveStatsPooling` and `EmbeddingHead`, composed as `SpeakerModel`; or
-`SpeakerAdaptation` on a frozen encoder.  Both embed one utterance with
+(its forward maps (B, T, 80) log-mel features to per-block (B, T', d)
+feature maps), then `MfaAggregator`, `AttentiveStatsPooling` and
+`EmbeddingHead`, composed as `SpeakerModel`; or `SpeakerAdaptation` on a
+frozen encoder.  Both embed one utterance's (T, 80) `log_mel` features with
 `embed_utterance`.  A forward with `rng=None` is inference and changes
 nothing; a forward with an rng is a training step.  Scoring takes whole
 trial lists: `scoring.score_trials` or `snorm_scores`, then `qmf_features`,
@@ -26,7 +27,7 @@ from .adaptation import (
     truncate_encoder,
 )
 from .autodiff import Tensor, backward, layer_norm, matmul, softmax, tensor
-from .conformer import ENCODER_PRESETS, ConformerBlock, ConformerEncoder, EncoderConfig, FeatureMap
+from .conformer import ENCODER_PRESETS, ConformerBlock, ConformerEncoder, EncoderConfig
 from .accounting import CountReport, count_adaptation_params, count_params, estimate_macs
 from .datapipe import (
     Corpus,

@@ -130,20 +130,13 @@ def block_params(cfg: EncoderConfig) -> int:
     )
 
 
-def subsampling_freq(cfg: EncoderConfig) -> int:
-    f = cfg.n_mels
-    for _ in range(cfg.subsample_stages):
-        f = conv_out_len(f, 3, 2, 1)
-    return f
-
-
 def subsampling_params(cfg: EncoderConfig) -> int:
     total = 0
     c_in = 1
     for _ in range(cfg.subsample_stages):
         total += conv2d_params(c_in, cfg.dim, 3)
         c_in = cfg.dim
-    total += linear_params(cfg.dim * subsampling_freq(cfg), cfg.dim)
+    total += linear_params(cfg.dim * cfg.subsampled_mels, cfg.dim)
     return total
 
 
@@ -283,7 +276,7 @@ def estimate_macs(
         sub += cfg.dim * t_out * f_out * 9 * c_in
         c_in = cfg.dim
     if convention == "full":
-        sub += frames * (cfg.dim * subsampling_freq(cfg)) * cfg.dim
+        sub += frames * (cfg.dim * cfg.subsampled_mels) * cfg.dim
     report.add("subsampling", macs=sub)
     per_block = (
         _block_conv_macs(cfg, frames) if convention == "conv" else _block_full_macs(cfg, frames)

@@ -164,8 +164,8 @@ class SpeakerAdaptation(Module):
         return self.head(pooled, rng)
 
     def embed_utterance(self, features: np.ndarray) -> np.ndarray:
-        """80 x T features -> 256-dim embedding, by one inference forward."""
-        return self.forward(ad.tensor(np.asarray(features, dtype=np.float64).T[None])).data[0]
+        """(T, 80) features -> 256-dim embedding, by one inference forward."""
+        return self.forward(ad.tensor(features[None])).data[0]
 
 
 def truncate_encoder(encoder: ConformerEncoder, n: int) -> ConformerEncoder:
@@ -184,7 +184,7 @@ def linear_probe(
     lr: float = 0.5,
     seed: int = 0,
 ) -> list[float]:
-    """Training accuracy of a per-layer probe on frozen features.
+    """Training accuracy of a per-layer probe on frozen (T', d) feature maps.
 
     Probe: two affine maps, average pooling over frames, and an affine
     classifier, trained by full-batch gradient descent with a fixed budget.
@@ -199,7 +199,7 @@ def linear_probe(
     n_classes = int(classes.max()) + 1
     accuracies = []
     for layer_idx, maps in enumerate(layer_maps):
-        pooled = np.stack([np.asarray(m, dtype=np.float64).mean(axis=-1) for m in maps])
+        pooled = np.stack([np.asarray(m, dtype=np.float64).mean(axis=0) for m in maps])
         mu, sd = pooled.mean(axis=0), pooled.std(axis=0) + 1e-8
         x = ad.tensor((pooled - mu) / sd)
         rng = rng_for(seed, "probe", layer_idx)

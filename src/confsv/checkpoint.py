@@ -58,7 +58,8 @@ def save_checkpoint(path: Union[str, Path], meta: dict, arrays: dict[str, np.nda
 
 
 def load_checkpoint(path: Union[str, Path]) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint; a truncated or malformed file raises CheckpointError."""
+    """Read a checkpoint; a truncated or malformed file, or an array holding
+    a NaN or an infinity, raises CheckpointError."""
     data = Path(path).read_bytes()
     if data[:8] != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")
@@ -91,6 +92,8 @@ def load_checkpoint(path: Union[str, Path]) -> tuple[dict, dict[str, np.ndarray]
             raise CheckpointError(
                 f"{path}: array {name!r} has impossible shape {shape}"
             ) from None
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: array {name!r} holds non-finite values")
         arrays[name] = arr.astype(np.float64)
     if read.off != len(data):
         raise CheckpointError(f"{path}: trailing bytes after array table")

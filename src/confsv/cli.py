@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import autodiff as ad
 from . import checkpoint as ckpt
 from .accounting import count_adaptation_params, count_params, estimate_macs
 from .adaptation import AdaptationConfig, load_adaptation, linear_probe
@@ -135,9 +136,9 @@ def cmd_probe(args) -> int:
     per_layer: list[list[np.ndarray]] = [[] for _ in range(encoder.cfg.layers)]
     for e in entries:
         utt = load_utterance(args.manifest, e)
-        maps = encoder.encode(log_mel(utt.waveform))
+        maps = encoder(ad.tensor(log_mel(utt.waveform)[None]))
         for layer, m in enumerate(maps):
-            per_layer[layer].append(m.values)
+            per_layer[layer].append(m.data[0])
     accuracies = linear_probe(per_layer, labels, seed=args.seed)
     lines = ["layer,accuracy"]
     lines += [f"{i + 1},{acc:.6f}" for i, acc in enumerate(accuracies)]

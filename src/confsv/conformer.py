@@ -22,7 +22,6 @@ from .nn import (
     BatchNorm,
     Conv1d,
     Conv2d,
-    Dropout,
     LayerNorm,
     Linear,
     Module,
@@ -30,8 +29,6 @@ from .nn import (
     Parameter,
     seed_parameters,
 )
-
-MEL_FRAME_SHIFT_SEC = 0.01
 
 
 @dataclass
@@ -70,6 +67,14 @@ class EncoderConfig:
         """Fewest mel frames the subsampling accepts."""
         return 8 if self.subsample_stages == 2 else 4
 
+    @property
+    def subsampled_mels(self) -> int:
+        """Width of the mel axis after the subsampling's stride-2 stages."""
+        freq = self.n_mels
+        for _ in range(self.subsample_stages):
+            freq = ad.conv_out_len(freq, 3, 2, 1)
+        return freq
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -84,29 +89,6 @@ ENCODER_PRESETS: dict[str, EncoderConfig] = {
     "half_medium": EncoderConfig(9, 256, 4, 1024, 0.5),
     "half_large": EncoderConfig(9, 512, 8, 2048, 0.5),
 }
-
-
-@dataclass
-class FeatureMap:
-    """A d x T frame-level output with the frame duration after subsampling."""
-
-    values: np.ndarray
-    frame_shift_sec: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2 or self.values.shape[1] < 1:
-            raise DimensionError(f"feature map must be d x T with T >= 1, got {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise DimensionError("feature map contains non-finite values")
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[1]
 
 
 @lru_cache(maxsize=256)
@@ -138,11 +120,7 @@ class ConvSubsampling(Module):
         self.convs = ModuleList(
             [Conv2d(1 if i == 0 else cfg.dim, cfg.dim, 3, stride=2, padding=1) for i in range(stages)]
         )
-        freq = cfg.n_mels
-        for _ in range(stages):
-            freq = ad.conv_out_len(freq, 3, 2, 1)
-        self.out_freq = freq
-        self.proj = Linear(cfg.dim * freq, cfg.dim)
+        self.proj = Linear(cfg.dim * cfg.subsampled_mels, cfg.dim)
 
     def forward(self, mel: Tensor) -> Tensor:
         """(B, T, n_mels) -> (B, T', d)."""
@@ -170,13 +148,12 @@ class FeedForwardModule(Module):
         self.norm = LayerNorm(dim)
         self.linear1 = Linear(dim, hidden)
         self.linear2 = Linear(hidden, dim)
-        self.drop1 = Dropout(dropout)
-        self.drop2 = Dropout(dropout)
+        self.dropout = dropout
 
     def forward(self, x: Tensor, rng=None) -> Tensor:
         h = self.norm(x)
-        h = self.drop1(ad.swish(self.linear1(h)), rng)
-        return self.drop2(self.linear2(h), rng)
+        h = ad.dropout(ad.swish(self.linear1(h)), self.dropout, rng)
+        return ad.dropout(self.linear2(h), self.dropout, rng)
 
 
 class AttentionModule(Module):
@@ -201,8 +178,7 @@ class AttentionModule(Module):
         self.pos_proj = Linear(dim, dim, bias=False)
         self.pos_bias_u = Parameter((heads, self.d_head), init="zeros")
         self.pos_bias_v = Parameter((heads, self.d_head), init="zeros")
-        self.drop_attn = Dropout(dropout)
-        self.drop_out = Dropout(dropout)
+        self.dropout = dropout
 
     def _split(self, x: Tensor, B: int, T: int) -> Tensor:
         x = ad.reshape(x, (B, T, self.heads, self.d_head))
@@ -219,10 +195,10 @@ class AttentionModule(Module):
         r = ad.transpose(ad.reshape(r, (2 * T - 1, self.heads, self.d_head)), (1, 0, 2))
         u = ad.reshape(self.pos_bias_u, (1, self.heads, 1, self.d_head))
         vb = ad.reshape(self.pos_bias_v, (1, self.heads, 1, self.d_head))
-        keep = ad.dropout_keep((B, self.heads, T, T), self.drop_attn.p, rng)
+        keep = ad.dropout_keep((B, self.heads, T, T), self.dropout, rng)
         ctx = ad.rel_attention(q, k, v, r, u, vb, 1.0 / np.sqrt(self.d_head), keep)
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, self.dim))
-        return self.drop_out(self.out_proj(ctx), rng)
+        return ad.dropout(self.out_proj(ctx), self.dropout, rng)
 
 
 class ConvolutionModule(Module):
@@ -237,7 +213,7 @@ class ConvolutionModule(Module):
         self.depthwise = Conv1d(dim, dim, kernel, padding=(kernel - 1) // 2, groups=dim)
         self.batch_norm = BatchNorm(dim)
         self.pointwise2 = Conv1d(dim, dim, 1)
-        self.drop = Dropout(dropout)
+        self.dropout = dropout
         self.kernel = kernel
 
     def forward(self, x: Tensor, rng=None) -> Tensor:
@@ -247,7 +223,7 @@ class ConvolutionModule(Module):
         h = ad.glu(self.pointwise1(h))
         h = self.depthwise(h)
         h = ad.swish(self.batch_norm(h, rng))
-        return self.drop(self.pointwise2(h), rng)
+        return ad.dropout(self.pointwise2(h), self.dropout, rng)
 
 
 class ConformerBlock(Module):
@@ -279,10 +255,6 @@ class ConformerEncoder(Module):
         if seed is not None:
             seed_parameters(self, seed, scope="encoder")
 
-    @property
-    def frame_shift_sec(self) -> float:
-        return MEL_FRAME_SHIFT_SEC / self.cfg.subsample_rate
-
     def forward(self, mel: Tensor, rng=None, depth: Optional[int] = None) -> list[Tensor]:
         """(B, T, n_mels) -> [h_1 ... h_L], each (B, T', d); only the first
         `depth` blocks run when it is given."""
@@ -292,12 +264,3 @@ class ConformerEncoder(Module):
             h = block(h, rng)
             outputs.append(h)
         return outputs
-
-    def encode(self, features: np.ndarray) -> list[FeatureMap]:
-        """80 x T features for one utterance -> per-block d x T' feature maps."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2 or features.shape[0] != self.cfg.n_mels:
-            raise DimensionError(f"expected ({self.cfg.n_mels}, T) features, got {features.shape}")
-        mel = ad.tensor(features.T[None, :, :])
-        maps = self.forward(mel, rng=None)
-        return [FeatureMap(m.data[0].T, self.frame_shift_sec) for m in maps]

@@ -322,7 +322,10 @@ _FFT_ROWS = 32  # frames per FFT block in log_mel
 
 
 def log_mel(waveform: np.ndarray) -> np.ndarray:
-    """Log mel-filterbank energies, (N_MELS, T); Hamming 20 ms windows, 10 ms shift.
+    """Log mel-filterbank energies, (T, N_MELS); Hamming 20 ms windows, 10 ms shift.
+
+    Features and the encoder's maps are time-major, (T, C), from here through
+    the model and the layer-wise probe.
 
     The frames are a strided view of the waveform, and the power spectrum is
     filled in blocks of `_FFT_ROWS` frames, so the temporaries stay small
@@ -339,7 +342,7 @@ def log_mel(waveform: np.ndarray) -> np.ndarray:
         block = slice(start, start + _FFT_ROWS)
         np.square(np.abs(np.fft.rfft(frames[block] * window, n=N_FFT, axis=1)), out=power[block])
     mel = mel_filterbank() @ power.T
-    return np.log(np.maximum(mel, LOG_FLOOR))
+    return np.log(np.maximum(mel, LOG_FLOOR)).T
 
 
 def snr_estimate_db(waveform: np.ndarray) -> float:

@@ -107,5 +107,5 @@ class SpeakerModel(Module):
         return (emb, maps) if return_maps else emb
 
     def embed_utterance(self, features: np.ndarray) -> np.ndarray:
-        """80 x T features -> 256-dim embedding, by one inference forward."""
-        return self.forward(ad.tensor(np.asarray(features, dtype=np.float64).T[None])).data[0]
+        """(T, 80) features -> 256-dim embedding, by one inference forward."""
+        return self.forward(ad.tensor(features[None])).data[0]

@@ -256,12 +256,3 @@ class Conv2d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv2d_relu(x, self.weight, self.bias, self.stride, self.padding)
-
-
-class Dropout(Module):
-    def __init__(self, p: float = 0.1):
-        super().__init__()
-        self.p = p
-
-    def forward(self, x: Tensor, rng: Optional[np.random.Generator]) -> Tensor:
-        return ad.dropout(x, self.p, rng)

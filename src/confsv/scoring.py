@@ -262,7 +262,8 @@ def save_embeddings(path: Union[str, Path], embeddings: dict[str, np.ndarray]) -
 
 
 def load_embeddings(path: Union[str, Path]) -> dict[str, np.ndarray]:
-    """Read a store; a truncated, malformed or foreign file raises a DataError."""
+    """Read a store; a truncated, malformed or foreign file, or an entry
+    holding a NaN or an infinity, raises a DataError."""
     data = Path(path).read_bytes()
     if data[:8] != EMB_STORE_MAGIC:
         raise MissingEmbeddingError(f"{path}: bad embedding store magic")
@@ -280,7 +281,10 @@ def load_embeddings(path: Union[str, Path]) -> dict[str, np.ndarray]:
         if key in out:
             raise DataError(f"{path}: duplicate embedding id {key!r}")
         values = read.take(4 * dim, f"entry {i} values")
-        out[key] = np.frombuffer(data, dtype="<f4", count=dim, offset=values).copy()
+        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=values)
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path}: embedding {key!r} holds non-finite values")
+        out[key] = vec.copy()
     if read.off != len(data):
         raise DataError(f"{path}: {len(data) - read.off} trailing bytes after {count} entries")
     return out

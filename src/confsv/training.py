@@ -167,7 +167,7 @@ def _speaker_item(manifest_path, items: Sequence[DatasetItem], labels: dict[str,
         if cfg.augment_prob > 0:
             utt = augment_onthefly(utt, cfg.augment_prob, rng)
         utt = crop(utt, crop_seconds, rng)
-        return log_mel(utt.waveform).T, label
+        return log_mel(utt.waveform), label
 
     return build
 
@@ -308,7 +308,7 @@ def pretrain_asr(cfg: RunConfig, manifest_path, out_dir) -> Path:
         # log-mel of the utterance zero-padded to its batch's maximum
         _, idx, longest = key
         utt = load_utterance(manifest_path, entries[idx])
-        return log_mel(np.pad(utt.waveform, (0, longest - utt.n_samples))).T, utt.token_id_seq()
+        return log_mel(np.pad(utt.waveform, (0, longest - utt.n_samples))), utt.token_id_seq()
 
     def ctc_loss_of(items, rng):
         feats, targets = zip(*items)

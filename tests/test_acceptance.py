@@ -262,7 +262,7 @@ def test_criterion_08_freezing_contracts(small_corpus, toy_asr_ckpt, tmp_path):
     # adaptation training: backbone parameters and forward outputs untouched
     backbone_before, _, _ = load_asr_model(toy_asr_ckpt)
     probe_feats = log_mel(synth_corpus(2, 1, seed=5).utterance(0).waveform)
-    maps_before = [m.values.copy() for m in backbone_before.encode(probe_feats)]
+    maps_before = [m.data[0].copy() for m in backbone_before(ad.tensor(probe_feats[None]))]
     params_before = {
         n: p.data.copy() for n, p in backbone_before.named_parameters()
     }
@@ -276,8 +276,8 @@ def test_criterion_08_freezing_contracts(small_corpus, toy_asr_ckpt, tmp_path):
     backbone_after, _, _ = load_asr_model(toy_asr_ckpt)
     for n, p in backbone_after.named_parameters():
         assert p.data.tobytes() == params_before[n].tobytes(), n
-    for a, b in zip(maps_before, backbone_after.encode(probe_feats)):
-        assert a.tobytes() == b.values.tobytes()
+    for a, b in zip(maps_before, backbone_after(ad.tensor(probe_feats[None]))):
+        assert a.tobytes() == b.data[0].tobytes()
 
     # frozen-phase training: encoder parameters bit-identical to the checkpoint
     frozen_cfg = toy_run_config(epochs=1, batch_size=30, seed=78, frozen_epochs=1)
@@ -351,14 +351,14 @@ def test_criterion_10_probe_harness(toy_data, toy_asr_ckpt, tmp_path):
 
     for e in entries:
         utt = load_utterance(toy_data["train_manifest"], e)
-        for i, m in enumerate(encoder.encode(log_mel(utt.waveform))):
-            per_layer[i].append(m.values)
+        for i, m in enumerate(encoder(ad.tensor(log_mel(utt.waveform)[None]))):
+            per_layer[i].append(m.data[0])
     probe_acc = linear_probe(per_layer, labels, seed=3)
     np.testing.assert_allclose(probe_acc, accuracies, atol=1e-6)
     n_classes = labels.max() + 1
     onehot = np.eye(n_classes)[labels]
     for layer, maps in enumerate(per_layer):
-        x = np.stack([m.mean(axis=1) for m in maps])
+        x = np.stack([m.mean(axis=0) for m in maps])
         x = (x - x.mean(axis=0)) / (x.std(axis=0) + 1e-8)
         w = np.zeros((x.shape[1], n_classes))
         b = np.zeros(n_classes)

@@ -95,11 +95,11 @@ class TestBuildAdaptation:
 class TestAdaptationForward:
     def test_backbone_outputs_bitwise_unchanged_by_attachment(self):
         backbone = toy_backbone()
-        feats = np.random.default_rng(7).normal(size=(80, 20))
-        before = [m.values.copy() for m in backbone.encode(feats)]
+        feats = np.random.default_rng(7).normal(size=(80, 20)).T
+        before = [m.data[0].copy() for m in backbone(ad.tensor(feats[None]))]
         module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=8)
         module.embed_utterance(feats)
-        after = [m.values for m in backbone.encode(feats)]
+        after = [m.data[0] for m in backbone(ad.tensor(feats[None]))]
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
 
@@ -130,7 +130,7 @@ class TestAdaptationForward:
     def test_embedding_length(self):
         backbone = toy_backbone()
         module = SpeakerAdaptation(backbone, toy_adapt_cfg(), seed=10)
-        emb = module.embed_utterance(np.random.default_rng(11).normal(size=(80, 16)))
+        emb = module.embed_utterance(np.random.default_rng(11).normal(size=(80, 16)).T)
         assert emb.shape == (256,)
 
     def test_no_gradient_reaches_backbone(self):
@@ -165,15 +165,16 @@ class TestTruncation:
     def test_full_depth_truncation_is_identity(self):
         enc = toy_backbone(layers=3)
         out = truncate_encoder(enc, 3)
-        feats = np.random.default_rng(17).normal(size=(80, 18))
-        for a, b in zip(enc.encode(feats), out.encode(feats)):
-            np.testing.assert_array_equal(a.values, b.values)
+        feats = np.random.default_rng(17).normal(size=(80, 18)).T
+        for a, b in zip(enc(ad.tensor(feats[None])), out(ad.tensor(feats[None]))):
+            np.testing.assert_array_equal(a.data[0], b.data[0])
 
     def test_prefix_matches_original_blocks(self):
         enc = toy_backbone(layers=3)
         out = truncate_encoder(enc, 1)
-        feats = np.random.default_rng(18).normal(size=(80, 18))
-        np.testing.assert_array_equal(enc.encode(feats)[0].values, out.encode(feats)[0].values)
+        feats = np.random.default_rng(18).normal(size=(80, 18)).T
+        np.testing.assert_array_equal(enc(ad.tensor(feats[None]))[0].data[0],
+                                      out(ad.tensor(feats[None]))[0].data[0])
         assert out.cfg.layers == 1
 
     def test_out_of_range(self):
@@ -184,7 +185,7 @@ class TestTruncation:
 class TestLinearProbe:
     def test_separable_features_reach_perfect_accuracy(self):
         labels = [0, 1, 2, 3] * 8
-        maps = [np.tile(np.eye(4)[y][:, None], (1, 5)) for y in labels]
+        maps = [np.tile(np.eye(4)[y][:, None], (1, 5)).T for y in labels]
         acc = linear_probe([maps], labels, seed=1)
         assert acc == [1.0]
 
@@ -193,11 +194,11 @@ class TestLinearProbe:
         n_spk, per, d, frames = 4, 32, 10, 6
         labels = np.repeat(np.arange(n_spk), per)
         means = rng.normal(scale=0.8, size=(n_spk, d))
-        maps = [means[y][:, None] + rng.normal(size=(d, frames)) for y in labels]
+        maps = [(means[y][:, None] + rng.normal(size=(d, frames))).T for y in labels]
         acc = linear_probe([maps], labels, seed=2)[0]
 
         # independent fit: plain multinomial logistic regression on pooled means
-        x = np.stack([m.mean(axis=1) for m in maps])
+        x = np.stack([m.mean(axis=0) for m in maps])
         x = (x - x.mean(axis=0)) / (x.std(axis=0) + 1e-8)
         onehot = np.eye(n_spk)[labels]
         w = np.zeros((d, n_spk))
@@ -214,12 +215,12 @@ class TestLinearProbe:
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabelsError):
-            linear_probe([[np.zeros((3, 4))]], [0])
+            linear_probe([[np.zeros((4, 3))]], [0])
 
     def test_diverging_descent_raises_instead_of_reporting_an_accuracy(self):
         labels = [0, 1, 2, 3] * 2
         rng = np.random.default_rng(23)
-        maps = [rng.normal(size=(10, 5)) for _ in labels]
+        maps = [rng.normal(size=(10, 5)).T for _ in labels]
         with pytest.raises(NumericError, match="probe"):
             with np.errstate(over="ignore", invalid="ignore"):
                 linear_probe([maps], labels, lr=1e6, seed=1)

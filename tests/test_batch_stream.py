@@ -158,7 +158,7 @@ def test_pretrain_asr_builds_its_features_on_the_workers(corpus, threads, tmp_pa
     keys = next(training._batch_plan(cfg, len(entries), range(cfg.epochs), "asr_order"))
     waves = [read_wav(corpus["manifest"].parent / entries[idx].path) for _, idx in keys]
     longest = max(w.size for w in waves)
-    expected = np.stack([log_mel(np.pad(w, (0, longest - w.size))).T for w in waves])
+    expected = np.stack([log_mel(np.pad(w, (0, longest - w.size))) for w in waves])
     np.testing.assert_array_equal(feats_seen[0][0], expected)
 
 

@@ -118,6 +118,16 @@ def test_empty_array_with_oversized_shape_raises_checkpoint_error(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_array_raises_checkpoint_error_naming_it(tmp_path, bad):
+    path = tmp_path / "x.ckpt"
+    w = np.ones((2, 3))
+    w[1, 2] = bad
+    save_checkpoint(path, {"kind": "test"}, {"ok": np.zeros(4), "head.proj.weight": w})
+    with pytest.raises(CheckpointError, match="'head.proj.weight' holds non-finite"):
+        load_checkpoint(path)
+
+
 # magic, version, metadata length, metadata, array count and the first array's
 # name, rank and shape: every byte before the first array's values
 HEADER_LEN = 8 + 4 + 4 + len(json.dumps(SMALL_META, sort_keys=True)) + 4 + 2 + 1 + 1 + 8

@@ -14,7 +14,7 @@ from confsv.conformer import EncoderConfig
 from confsv.datapipe import read_manifest
 from confsv.errors import DataError
 from confsv.heads import SpeakerModel
-from confsv.scoring import parse_trials, save_embeddings
+from confsv.scoring import load_embeddings, parse_trials, save_embeddings
 from confsv.training import load_asr_model, load_speaker_model, save_speaker_checkpoint
 
 from conftest import toy_run_config
@@ -336,6 +336,20 @@ class TestEmbedPipeline:
         assert not out.exists()
         assert "'encoder'" in capsys.readouterr().err
 
+    def test_non_finite_speaker_checkpoint_exits_3_and_writes_no_store(
+            self, mini, tmp_path, capsys):
+        """One inf in the head used to give exit 0 and a store of NaN embeddings."""
+        path = tmp_path / "speaker.ckpt"
+        model = SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7), seed=3)
+        model.head.proj.weight.data[0, 0] = np.inf
+        save_speaker_checkpoint(path, model, toy_run_config())
+        out = tmp_path / "e.bin"
+        code = main(["embed", "--ckpt", str(path), "--manifest", str(mini["manifest"]),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert not out.exists()
+        assert "'head.proj.weight' holds non-finite values" in capsys.readouterr().err
+
     def test_embed_reads_the_checkpoint_once(self, mini, tmp_path, monkeypatch):
         path = tmp_path / "speaker.ckpt"
         model = SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7), seed=3)
@@ -435,6 +449,32 @@ class TestProbe:
         assert not out.exists()
         assert "non-finite" in capsys.readouterr().err
 
+    def test_non_finite_asr_checkpoint_exits_3_and_writes_no_csv(self, mini, tmp_path, capsys):
+        meta, arrays = load_checkpoint(mini["asr_ckpt"])
+        arrays["encoder.blocks.0.ffn1.linear1.weight"][0, 0] = np.nan
+        path = tmp_path / "asr.ckpt"
+        save_checkpoint(path, meta, arrays)
+        out = tmp_path / "p.csv"
+        code = main(["probe", "--ckpt", str(path), "--manifest", str(mini["manifest"]),
+                     "--out", str(out), "--seed", "3", "--max-utts", "16"])
+        assert code == EXIT_DATA
+        assert not out.exists()
+        assert "'encoder.blocks.0.ffn1.linear1.weight' holds non-finite" in capsys.readouterr().err
+
+    def test_probe_of_an_encoder_that_overflows_exits_4(self, mini, tmp_path, capsys):
+        """Finite weights whose maps overflow to inf end in the probe's numeric check."""
+        meta, arrays = load_checkpoint(mini["asr_ckpt"])
+        arrays["encoder.blocks.0.norm_out.gamma"] *= 1e308
+        path = tmp_path / "asr.ckpt"
+        save_checkpoint(path, meta, arrays)
+        out = tmp_path / "p.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["probe", "--ckpt", str(path), "--manifest", str(mini["manifest"]),
+                         "--out", str(out), "--seed", "3", "--max-utts", "16"])
+        assert code == EXIT_NUMERIC
+        assert not out.exists()
+        assert "non-finite values in probe" in capsys.readouterr().err
+
     @pytest.mark.parametrize("max_utts", ["0", "-1", "-5"])
     def test_max_utts_below_one_exits_2(self, mini, tmp_path, capsys, max_utts):
         """-1 used to probe all but the last utterance and -5 to exit 3."""
@@ -530,6 +570,20 @@ class TestScoreEvaluate:
         assert code == EXIT_DATA
         assert "truncated embedding store" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_store_holding_a_nan_exits_3_and_writes_no_scores(
+            self, separated_store, tmp_path, capsys):
+        """A NaN embedding used to give exit 0 and nan scores."""
+        emb, trials = separated_store
+        store = load_embeddings(emb)
+        store["s1_u1"][5] = np.nan
+        save_embeddings(emb, store)
+        out = tmp_path / "s.txt"
+        code = main(["score", "--embeddings", str(emb), "--trials", str(trials),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert not out.exists()
+        assert "'s1_u1' holds non-finite values" in capsys.readouterr().err
 
     def test_snorm_path_runs(self, separated_store, tmp_path):
         emb, trials = separated_store

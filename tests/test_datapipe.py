@@ -59,7 +59,7 @@ class TestCorpus:
     def test_speakers_separable_by_long_term_spectrum(self):
         # generator sanity oracle: leave-one-out nearest centroid on mean log-mel
         c = synth_corpus(5, 10, seed=7)
-        feats = np.stack([log_mel(c.utterance(i).waveform).mean(axis=1) for i in range(50)])
+        feats = np.stack([log_mel(c.utterance(i).waveform).mean(axis=0) for i in range(50)])
         labels = np.array([c.item_key(i)[0] for i in range(50)])
         correct = 0
         for i in range(50):
@@ -87,7 +87,7 @@ class TestLogMel:
     def test_two_second_frame_count(self):
         # T = floor((N - 320) / 160) + 1 = 199 for 2 s at 16 kHz
         feats = log_mel(np.zeros(2 * SAMPLE_RATE) + 1e-3)
-        assert feats.shape == (80, 199)
+        assert feats.shape == (199, 80)
         assert frame_count(2 * SAMPLE_RATE) == 199
 
     def test_silence_hits_log_floor(self):
@@ -97,7 +97,7 @@ class TestLogMel:
     def test_pure_tone_argmax_stable(self):
         t = np.arange(SAMPLE_RATE) / SAMPLE_RATE
         feats = log_mel(0.5 * np.sin(2 * np.pi * 1000.0 * t))
-        argmax = feats.argmax(axis=0)
+        argmax = feats.argmax(axis=1)
         assert np.all(argmax == argmax[0])
         # the winning filter's band must contain 1 kHz
         fb = mel_filterbank()
@@ -116,7 +116,7 @@ class TestLogMel:
         win, hop = 320, 160
         idx = np.arange(win)[None, :] + hop * np.arange(frame_count(n_samples))[:, None]
         spec = np.abs(np.fft.rfft(wave[idx] * np.hamming(win)[None, :], n=512, axis=1)) ** 2
-        expected = np.log(np.maximum(mel_filterbank() @ spec.T, 1e-10))
+        expected = np.log(np.maximum(mel_filterbank() @ spec.T, 1e-10)).T
         np.testing.assert_array_equal(log_mel(wave), expected)
 
     @settings(max_examples=20, deadline=None)

@@ -644,6 +644,15 @@ class TestEmbeddingStoreReader:
         with pytest.raises(DataError, match="duplicate"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected_by_name(self, tmp_path, bad):
+        path = tmp_path / "emb.bin"
+        vec = np.ones(256, dtype=np.float32)
+        vec[7] = bad
+        save_embeddings(path, {"a.wav": np.ones(256, dtype=np.float32), "bb.wav": vec})
+        with pytest.raises(DataError, match="'bb.wav' holds non-finite"):
+            load_embeddings(path)
+
     def test_failed_save_keeps_old_store(self, tmp_path):
         path = self.small_store(tmp_path)
         before = path.read_bytes()

@@ -67,7 +67,7 @@ def test_threads_embed_bitwise_after_a_training_step():
     model = SpeakerModel(TOY, seed=7)
     rng = np.random.default_rng(8)
     model(ad.tensor(rng.normal(size=(2, 40, 80))), np.random.default_rng(9))
-    feats = [rng.normal(size=(80, 24 + 4 * i)) for i in range(8)]
+    feats = [rng.normal(size=(80, 24 + 4 * i)).T for i in range(8)]
     before = snapshot(model)
     serial = [model.embed_utterance(f) for f in feats]
     results: dict[int, list[np.ndarray]] = {}

@@ -176,7 +176,7 @@ class TestLoadersReturnFrozenModules:
         save_speaker_checkpoint(path, model, toy_run_config())
         loaded = load_speaker_model(path)
         assert frozen(loaded) and param_count(loaded, trainable_only=True) == 0
-        feats = np.random.default_rng(8).normal(size=(80, 30))
+        feats = np.random.default_rng(8).normal(size=(80, 30)).T
         assert loaded.embed_utterance(feats).tobytes() == model.embed_utterance(feats).tobytes()
 
     def test_asr_model(self, tmp_path):
@@ -198,7 +198,7 @@ class TestLoadersReturnFrozenModules:
         save_adaptation(path, module, backbone.state_arrays())
         loaded = load_adaptation(path, backbone, backbone.state_arrays())
         assert frozen(loaded) and frozen(loaded.backbone)
-        feats = np.random.default_rng(13).normal(size=(80, 24))
+        feats = np.random.default_rng(13).normal(size=(80, 24)).T
         assert loaded.embed_utterance(feats).tobytes() == module.embed_utterance(feats).tobytes()
 
 
@@ -275,7 +275,7 @@ class TestIncompleteMetadata:
         checkpoint = ckpt.load_checkpoint(path)
         path.unlink()
         loaded = load_speaker_model(path, checkpoint)
-        feats = np.random.default_rng(8).normal(size=(80, 30))
+        feats = np.random.default_rng(8).normal(size=(80, 30)).T
         assert loaded.embed_utterance(feats).tobytes() == model.embed_utterance(feats).tobytes()
 
 
