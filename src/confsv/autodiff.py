@@ -17,11 +17,13 @@ loss.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
+from .util import fork_join
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -584,6 +586,51 @@ def conv1d(
     return _make(out, parents, grad_fn)
 
 
+def _fork_items(task, B: int) -> None:
+    """task(lo, hi) over items 0:B: the first half here and the second on the lane.
+
+    A single item runs inline, with no submit.
+    """
+    if B == 1:
+        task(0, B)
+    else:
+        fork_join(partial(task, 0, B // 2), partial(task, B // 2, B))
+
+
+def _conv_items(win, wcols, bias, cols, out, lo: int, hi: int) -> None:
+    """im2col rows, GEMM, bias and ReLU of items lo:hi, into their slices of `cols` and `out`."""
+    cols[lo:hi] = win[lo:hi]
+    rows = out[lo:hi].reshape(-1, out.shape[-1])
+    np.matmul(cols[lo:hi].reshape(rows.shape[0], -1), wcols, out=rows)
+    if bias is not None:
+        rows += bias
+    np.maximum(rows, 0.0, out=rows)
+
+
+def _relu_grad_items(g, out, mask, gm, lo: int, hi: int) -> None:
+    """The output gradient of items lo:hi through the ReLU, into their slices of `gm`."""
+    np.greater(out[lo:hi], 0.0, out=mask[lo:hi])
+    np.multiply(g[lo:hi], mask[lo:hi], out=gm[lo:hi])
+
+
+def _col2im_items(gm, wtaps, gtaps, gxp, stride: int, lo: int, hi: int) -> None:
+    """Input gradient of items lo:hi, through their slices of `gtaps`, into `gxp`.
+
+    Each tap's gradient is a contiguous (C,) run; every element sums its taps
+    in (i, j) order from zero.  One item at a time keeps its rows of both
+    arrays in cache across the taps.
+    """
+    _, Hout, Wout, KH, KW, _ = gtaps.shape
+    rows = gtaps[lo:hi].reshape(-1, wtaps.shape[1])
+    np.matmul(gm[lo:hi].reshape(rows.shape[0], gm.shape[-1]), wtaps, out=rows)
+    for gx_item, gt_item in zip(gxp[lo:hi], gtaps[lo:hi]):
+        for i in range(KH):
+            for j in range(KW):
+                gx_item[i : i + stride * Hout : stride, j : j + stride * Wout : stride] += (
+                    gt_item[:, :, i, j]
+                )
+
+
 def conv2d_relu(
     x: Tensor,
     weight: Tensor,
@@ -594,9 +641,21 @@ def conv2d_relu(
     """relu(conv2d(x) + bias), channels-last: (B, H, W, C) -> (B, Ho, Wo, C_out).
 
     weight: (C_out, C_in, KH, KW).  The input is padded into a zeroed buffer,
-    its (KH, KW, C) windows are copied once into im2col rows, and one GEMM
+    its (KH, KW, C) windows are copied once into im2col rows, and a GEMM
     against the tap-major weight columns gives the output, to which the bias
     and the ReLU are applied in place.
+
+    With B > 1, `fork_join` runs half of the items on the batch stream's lane:
+    their im2col rows, GEMM, bias and ReLU in the forward, and their gradient
+    through the ReLU in the backward.  Then the weight-gradient GEMM and the
+    input gradient of the last third of the items run here, while the lane
+    computes the input gradient of the first two thirds and the bias gradient.
+    The splits are along items or between independent computations, never
+    inside a sum, and without a lane the same parts run in turn, so every
+    output and gradient has the same bits on one thread or two.  The calling
+    thread allocates each large buffer and the tasks fill slices of it: a
+    buffer allocated on the lane would come from another malloc arena and
+    raise the peak RSS.
     """
     B, H, W, C = x.shape
     Cout, Cin, KH, KW = weight.shape
@@ -615,38 +674,41 @@ def conv2d_relu(
         strides=(sB, sH * stride, sW * stride, sH, sW, sC),
         writeable=False,
     )
-    cols = np.ascontiguousarray(win).reshape(B * Hout * Wout, KH * KW * C)
     wtaps = weight.data.transpose(0, 2, 3, 1).reshape(Cout, KH * KW * C)
-    out = cols @ wtaps.T
-    if bias is not None:
-        out += bias.data
-    np.maximum(out, 0.0, out=out)
-    out = out.reshape(B, Hout, Wout, Cout)
+    b = None if bias is None else bias.data
+    cols = np.empty(win.shape)
+    out = np.empty((B, Hout, Wout, Cout))
+    _fork_items(partial(_conv_items, win, wtaps.T, b, cols, out), B)
+    cols = cols.reshape(B * Hout * Wout, KH * KW * C)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
 
-    def _col2im(gm: np.ndarray) -> np.ndarray:
-        # Each tap's gradient is a contiguous (C,) run; every element sums its
-        # taps in (i, j) order from zero.  One item at a time keeps its rows
-        # of both arrays in cache across the taps.
-        gtaps = (gm @ wtaps).reshape(B, Hout, Wout, KH, KW, C)
-        gxp = np.zeros_like(xp)
-        for gx_item, gt_item in zip(gxp, gtaps):
-            for i in range(KH):
-                for j in range(KW):
-                    gx_item[i : i + stride * Hout : stride, j : j + stride * Wout : stride] += (
-                        gt_item[:, :, i, j]
-                    )
-        return gxp[:, padding : padding + H, padding : padding + W]
-
     def grad_fn(g):
-        gm = (g * (out > 0.0)).reshape(B * Hout * Wout, Cout)
-        gw = np.ascontiguousarray((gm.T @ cols).reshape(Cout, KH, KW, C).transpose(0, 3, 1, 2))
+        gm = np.empty(out.shape)
+        _fork_items(partial(_relu_grad_items, g, out, np.empty(out.shape, dtype=bool), gm), B)
+        gm_rows = gm.reshape(B * Hout * Wout, Cout)
         # no input gradient for a constant input (the log-mel into the first conv)
-        grads = [_col2im(gm) if x._needs_graph() else None, gw]
-        if bias is not None:
-            grads.append(gm.sum(axis=0))
-        return tuple(grads)
+        gxp = np.zeros_like(xp) if x._needs_graph() else None
+        if gxp is not None:
+            col2im = partial(_col2im_items, gm, wtaps, np.empty(win.shape), gxp, stride)
+        k = 2 * B // 3
+
+        def here():
+            if gxp is not None:
+                col2im(k, B)
+            # np.dot releases the GIL where `@` would not: numpy's matmul keeps
+            # it for a product of under 500 elements, such as (C_out, 9) here
+            return np.dot(gm_rows.T, cols)
+
+        def there():
+            if gxp is not None:
+                col2im(0, k)
+            return None if bias is None else gm_rows.sum(axis=0)
+
+        gw, gb = (here(), there()) if B == 1 else fork_join(here, there)
+        gw = np.ascontiguousarray(gw.reshape(Cout, KH, KW, C).transpose(0, 3, 1, 2))
+        gx = None if gxp is None else gxp[:, padding : padding + H, padding : padding + W]
+        return (gx, gw) if bias is None else (gx, gw, gb)
 
     return _make(out, parents, grad_fn)
 

@@ -214,7 +214,7 @@ class ConvolutionModule(Module):
         self.batch_norm = BatchNorm(dim)
         self.pointwise2 = Conv1d(dim, dim, 1)
         self.dropout = dropout
-        self.kernel = kernel
+        self.kernel = kernel  # read by perfbench/tracing.py for the block's MACs
 
     def forward(self, x: Tensor, rng=None) -> Tensor:
         if x.shape[1] < 1:

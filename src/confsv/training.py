@@ -13,9 +13,11 @@ A training command reads one stream of batches: a `_batch_plan` of item keys
 per batch, mapped through `util.map_batches`, which with CONFSV_THREADS > 1
 builds the next batch's items on worker threads while the current batch
 trains: for ASR pretraining, each utterance's log-mel, zero-padded to the
-batch maximum read from the WAV headers.  `train_speaker` keeps one stream
-across its frozen, trainable and LMFT epochs, so the first batch of each
-range is built while the previous range ends.
+batch maximum read from the WAV headers.  The stream also opens the lane on
+which the subsampling convs run half of each step's items (see
+`autodiff.conv2d_relu`).  `train_speaker` keeps one stream across its
+frozen, trainable and LMFT epochs, so the first batch of each range is
+built while the previous range ends.
 
 Everything is a deterministic function of (config, seed): corpus order,
 crops, augmentation draws, dropout masks, and parameter init all derive from
@@ -485,7 +487,10 @@ def train_adaptation(cfg: RunConfig, manifest_path, backbone_ckpt, out_dir) -> P
 
 def extract_embeddings(embed_fn, manifest_path,
                        entries: Optional[Sequence[ManifestEntry]] = None) -> dict[str, np.ndarray]:
-    """Embed every manifest entry (full utterance, one inference forward each)."""
+    """Embed every manifest entry (full utterance, one inference forward each).
+
+    An embedding that is not finite in float32 raises `NumericError`.
+    """
     entries = read_manifest(manifest_path) if entries is None else list(entries)
 
     def one(entry: ManifestEntry) -> np.ndarray:
@@ -493,7 +498,9 @@ def extract_embeddings(embed_fn, manifest_path,
         return embed_fn(log_mel(utt.waveform))
 
     vectors = parallel_map(one, entries)
-    return {e.path: v.astype(np.float32) for e, v in zip(entries, vectors)}
+    # checked after the cast: a finite float64 vector past 3.4e38 stores as inf
+    return {e.path: check_finite(v.astype(np.float32), f"the embedding of {e.path}")
+            for e, v in zip(entries, vectors)}
 
 
 def quality_features(manifest_path, entries: Sequence[ManifestEntry],

@@ -13,10 +13,11 @@ import os
 import secrets
 import stat
 import struct
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -24,6 +25,11 @@ T = TypeVar("T")
 U = TypeVar("U")
 
 THREADS_ENV = "CONFSV_THREADS"
+
+# The one-thread lane of the batch stream open on this thread, if any.  A
+# context variable, so a thread other than the one that opened the stream (a
+# batch worker, the lane itself) sees no lane and forks serially.
+_LANE: ContextVar[Optional[ThreadPoolExecutor]] = ContextVar("confsv_lane", default=None)
 
 
 def stable_seed(*parts: object) -> int:
@@ -60,15 +66,17 @@ def map_batches(fn: Callable[[T], U], batches: Iterable[Sequence[T]]) -> Iterato
     batch k, and no item of batch k+2 starts before the caller asks for batch
     k+1.  Results do not depend on the worker count because each item is
     processed independently.  A failing item raises when its batch is asked
-    for, the first failure in batch order, as it would serially.  Leaving the
-    context cancels queued items and waits for running ones, so no worker
-    outlives it.
+    for, the first failure in batch order, as it would serially.  Beside the
+    pool, a threaded stream opens a one-thread lane that `fork_join` uses on
+    the calling thread.  Leaving the context cancels queued items and waits
+    for running ones, so no worker or lane thread outlives it.
     """
     n = worker_count()
     if n <= 1:
         yield ([fn(x) for x in batch] for batch in batches)
         return
     pool = ThreadPoolExecutor(max_workers=n)
+    lane = ThreadPoolExecutor(max_workers=1)
 
     def ahead():
         pending = None
@@ -80,10 +88,39 @@ def map_batches(fn: Callable[[T], U], batches: Iterable[Sequence[T]]) -> Iterato
         if pending is not None:
             yield [f.result() for f in pending]
 
+    token = _LANE.set(lane)
     try:
         yield ahead()
     finally:
+        _LANE.reset(token)
+        lane.shutdown(wait=True)
         pool.shutdown(wait=True, cancel_futures=True)
+
+
+def fork_join(a: Callable[[], T], b: Callable[[], U]) -> tuple[T, U]:
+    """(a(), b()), with `a` run on the calling thread and `b` on the stream's lane.
+
+    Serial, `a` then `b`, unless a threaded `map_batches` stream is open on
+    this thread.  If the lane has not started `b` by the time `a` returns (it
+    is busy, or slow to wake), `b` is cancelled there and run inline, so a
+    fork never waits on queued work.  If `a` raises, `b` is cancelled or
+    waited for before the exception propagates; an exception in `b` is raised
+    after `a` has finished.  Both paths give the same results when neither
+    task reads what the other writes.
+    """
+    lane = _LANE.get()
+    if lane is None:
+        return a(), b()
+    future = lane.submit(b)
+    try:
+        ra = a()
+    except BaseException:
+        if not future.cancel():
+            wait([future])
+        raise
+    if future.cancel():
+        return ra, b()
+    return ra, future.result()
 
 
 def parallel_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:

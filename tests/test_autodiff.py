@@ -1,11 +1,16 @@
 """Tensor op oracles and gradient checks."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsv import autodiff as ad
+from confsv import util
 from confsv.errors import ContractError, DimensionError
 
 from conftest import conv1d_channels_first, gradcheck
@@ -404,3 +409,85 @@ class TestConvInputGradient:
         with pytest.raises(DimensionError):
             ad.conv1d(ad.tensor(rng.normal(size=(2, 8, c_in))), w, None, stride=2, padding=1,
                       groups=groups)
+
+
+# (B, H, W, C_in) of the two subsampling convs at each training workload's
+# batch and crop: asr_ctc (3.6 s), train (2 s) and LMFT (6 s); then odd batches
+# and the single item of `embed`.
+SPLIT_SHAPES = [
+    (8, 360, 80, 1), (8, 180, 40, 32), (12, 200, 80, 1), (12, 100, 40, 32),
+    (12, 600, 80, 1), (12, 300, 40, 32), (3, 200, 80, 1), (3, 100, 40, 32),
+    (5, 200, 80, 1), (5, 100, 40, 32), (1, 200, 80, 1), (1, 100, 40, 32),
+]
+
+
+class TestConv2dSplit:
+    """`conv2d_relu` forks its items onto the batch stream's lane without changing a bit."""
+
+    @pytest.mark.parametrize("shape", SPLIT_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_lane_split_equals_serial(self, monkeypatch, shape):
+        rng = np.random.default_rng(sum(shape))
+        B, H, W, C = shape
+        x, w, b = rng.normal(size=shape), rng.normal(size=(32, C, 3, 3)), rng.normal(size=32)
+        Ho, Wo = ad.conv_out_len(H, 3, 2, 1), ad.conv_out_len(W, 3, 2, 1)
+        # the gradient arrives as a transposed view, as from the subsampling's reshape
+        g = rng.normal(size=(B, Ho, 32, Wo)).transpose(0, 1, 3, 2)
+
+        def run():
+            out = ad.conv2d_relu(ad.tensor(x, requires_grad=True), ad.tensor(w, requires_grad=True),
+                                 ad.tensor(b, requires_grad=True), stride=2, padding=1)
+            return (out.data,) + out._grad_fn(g)
+
+        serial = run()
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("CONFSV_THREADS", "2")
+        lanes = []
+
+        def lane_taking_fork_join(a, b, fork_join=util.fork_join):
+            """Holds `a` until the lane has taken `b`, so `b` never runs inline."""
+            taken = threading.Event()
+
+            def on_lane():
+                lanes.append(threading.current_thread())
+                taken.set()
+                return b()
+
+            def here():
+                assert taken.wait(timeout=10)
+                return a()
+
+            return fork_join(here, on_lane)
+
+        monkeypatch.setattr(ad, "fork_join", lane_taking_fork_join)
+        with util.map_batches(lambda item: item, [[0]]):
+            split = run()
+        # the forward forks once and the backward twice; a single item never forks
+        assert len(lanes) == (0 if B == 1 else 3)
+        assert threading.current_thread() not in lanes
+        assert [a.shape for a in split] == [a.shape for a in serial]
+        for s, p in zip(serial, split):
+            assert np.array_equal(s, p)
+
+    def test_forks_under_frequent_thread_switches_equal_serial(self, monkeypatch):
+        """Lane and inline forks interleaved at a 10 us switch interval change no bit."""
+        rng = np.random.default_rng(11)
+        x, w, b = rng.normal(size=(4, 20, 16, 3)), rng.normal(size=(8, 3, 3, 3)), rng.normal(size=8)
+        g = rng.normal(size=(4, 10, 8, 8))
+
+        def run():
+            out = ad.conv2d_relu(ad.tensor(x, requires_grad=True), ad.tensor(w, requires_grad=True),
+                                 ad.tensor(b, requires_grad=True), stride=2, padding=1)
+            return (out.data,) + out._grad_fn(g)
+
+        serial = run()
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("CONFSV_THREADS", "3")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with util.map_batches(lambda item: item, [[0]]):
+                for _ in range(200):
+                    for s, p in zip(serial, run()):
+                        assert np.array_equal(s, p)
+        finally:
+            sys.setswitchinterval(interval)

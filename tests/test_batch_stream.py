@@ -3,7 +3,8 @@
 Every training command builds its batches through one `util.map_batches`
 stream.  At CONFSV_THREADS=2 the items of the next batch are built on worker
 threads while the current batch trains; these tests check that this changes
-nothing a run writes or reports, and that the workers end with the command.
+nothing a run writes or reports, and that the workers and the
+subsampling's lane end with the command.
 """
 
 import os
@@ -13,6 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from confsv import autodiff as ad
 from confsv import training
 from confsv.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from confsv.config import load_run_config
@@ -227,6 +229,23 @@ def test_bad_wav_in_a_later_batch_fails_alike_at_one_and_two_threads(
     assert results[0] == results[1]
     assert results[0][0] == EXIT_DATA
     assert results[0][1].startswith("data error: ") and wav.name in results[0][1]
+
+
+def test_a_finished_command_leaves_no_worker_or_lane_running(corpus, threads, tmp_path,
+                                                             monkeypatch):
+    forks = []
+    fork_join = ad.fork_join
+
+    def counting(a, b):
+        forks.append(threading.active_count())
+        return fork_join(a, b)
+
+    monkeypatch.setattr(ad, "fork_join", counting)
+    threads(2)
+    before = threading.active_count()
+    assert main(_argv(corpus, "pretrain-asr", tmp_path / "asr")) == EXIT_OK
+    assert forks and max(forks) > before  # the subsampling forked with threads running
+    assert threading.active_count() == before
 
 
 def test_numeric_error_in_a_step_leaves_no_worker_running(corpus, threads, tmp_path,

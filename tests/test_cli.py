@@ -350,6 +350,21 @@ class TestEmbedPipeline:
         assert not out.exists()
         assert "'head.proj.weight' holds non-finite values" in capsys.readouterr().err
 
+    def test_speaker_checkpoint_whose_embeddings_overflow_exits_4_and_writes_no_store(
+            self, mini, tmp_path, capsys):
+        """Finite weights whose embeddings pass float32's range used to store infinities."""
+        path = tmp_path / "speaker.ckpt"
+        model = SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7), seed=3)
+        model.head.proj.weight.data *= 1e40
+        save_speaker_checkpoint(path, model, toy_run_config())
+        out = tmp_path / "e.bin"
+        with np.errstate(over="ignore"):
+            code = main(["embed", "--ckpt", str(path), "--manifest", str(mini["manifest"]),
+                         "--out", str(out)])
+        assert code == EXIT_NUMERIC
+        assert not out.exists()
+        assert "non-finite values in the embedding of " in capsys.readouterr().err
+
     def test_embed_reads_the_checkpoint_once(self, mini, tmp_path, monkeypatch):
         path = tmp_path / "speaker.ckpt"
         model = SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7), seed=3)

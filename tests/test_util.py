@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from confsv.util import (
+    fork_join,
     map_batches,
     parallel_map,
     rng_for,
@@ -92,6 +93,156 @@ def test_map_batches_raises_the_first_failure_in_batch_order_and_stops_its_worke
             assert next(results) == [0, 1, 2, 3]
             next(results)
     assert threading.active_count() == before
+
+
+def _on_thread(record: list, key: str, fn=lambda: None):
+    """A task that records the thread it runs on under `key`, then runs `fn`."""
+
+    def task():
+        record.append((key, threading.current_thread()))
+        return fn()
+
+    return task
+
+
+@pytest.mark.parametrize("stream", [False, True])
+def test_fork_join_at_one_thread_is_serial_and_starts_no_thread(monkeypatch, stream):
+    _pin_threads(monkeypatch, 1)
+    ran, counts = [], []
+    b = _on_thread(ran, "b", lambda: counts.append(threading.active_count()) or "rb")
+    before = threading.active_count()
+    if stream:
+        with map_batches(lambda x: x, [[0]]):
+            result = fork_join(_on_thread(ran, "a", lambda: "ra"), b)
+    else:
+        result = fork_join(_on_thread(ran, "a", lambda: "ra"), b)
+    assert result == ("ra", "rb")
+    assert ran == [("a", threading.current_thread()), ("b", threading.current_thread())]
+    assert counts == [before]
+
+
+def test_fork_join_without_a_stream_is_serial_at_two_threads(monkeypatch):
+    _pin_threads(monkeypatch, 2)
+    ran = []
+    assert fork_join(_on_thread(ran, "a", lambda: 1), _on_thread(ran, "b", lambda: 2)) == (1, 2)
+    assert [t for _, t in ran] == [threading.current_thread()] * 2
+
+
+def test_fork_join_runs_b_on_the_idle_lane(monkeypatch):
+    _pin_threads(monkeypatch, 2)
+    started = threading.Event()
+    ran = []
+
+    def a():
+        assert started.wait(timeout=10)  # the lane has taken b
+        return "ra"
+
+    with map_batches(lambda x: x, [[0]]):
+        result = fork_join(a, _on_thread(ran, "b", lambda: started.set() or "rb"))
+    assert result == ("ra", "rb")
+    assert ran[0][1] is not threading.current_thread()
+
+
+def test_fork_join_runs_b_inline_while_the_lane_is_busy(monkeypatch):
+    _pin_threads(monkeypatch, 2)
+    busy, release = threading.Event(), threading.Event()
+    ran = []
+
+    def hold_the_lane():
+        busy.set()
+        assert release.wait(timeout=10)
+
+    def a():
+        assert busy.wait(timeout=10)
+        inner = fork_join(lambda: "ra", _on_thread(ran, "b", lambda: "rb"))
+        release.set()
+        return inner
+
+    with map_batches(lambda x: x, [[0]]):
+        inner, _ = fork_join(a, hold_the_lane)
+    assert inner == ("ra", "rb")
+    assert ran == [("b", threading.current_thread())]
+
+
+def test_fork_join_settles_b_before_a_failure_propagates(monkeypatch):
+    _pin_threads(monkeypatch, 2)
+    started, finished = threading.Event(), threading.Event()
+
+    def b():
+        started.set()
+        time.sleep(0.05)
+        finished.set()
+
+    def a():
+        assert started.wait(timeout=10)
+        raise ValueError("a failed")
+
+    with map_batches(lambda x: x, [[0]]):
+        with pytest.raises(ValueError, match="a failed"):
+            fork_join(a, b)
+        assert finished.is_set()  # waited for, not left running
+
+
+def test_fork_join_cancels_a_queued_b_when_a_fails(monkeypatch):
+    _pin_threads(monkeypatch, 2)
+    busy, release = threading.Event(), threading.Event()
+    ran = []
+
+    def a():
+        assert busy.wait(timeout=10)
+        try:
+            fork_join(lambda: 1 / 0, _on_thread(ran, "b"))
+        finally:
+            release.set()
+
+    with map_batches(lambda x: x, [[0]]):
+        with pytest.raises(ZeroDivisionError):
+            fork_join(a, lambda: busy.set() or release.wait(timeout=10))
+    assert ran == []  # the stream is closed: b was cancelled, not run late
+
+
+def test_fork_join_raises_the_exception_of_b_after_a_finishes(monkeypatch):
+    _pin_threads(monkeypatch, 2)
+    started = threading.Event()
+    finished = []
+
+    def b():
+        started.set()
+        raise KeyError("b failed")
+
+    def a():
+        assert started.wait(timeout=10)
+        time.sleep(0.02)
+        finished.append(True)
+
+    with map_batches(lambda x: x, [[0]]):
+        with pytest.raises(KeyError, match="b failed"):
+            fork_join(a, b)
+    assert finished == [True]
+
+
+def test_fork_join_nested_inside_the_lane_returns(monkeypatch):
+    _pin_threads(monkeypatch, 2)
+    results = []
+
+    def body():
+        started = threading.Event()
+
+        def b():
+            started.set()
+            return fork_join(lambda: "inner a", lambda: "inner b")
+
+        def a():
+            assert started.wait(timeout=10)
+
+        with map_batches(lambda x: x, [[0]]):
+            results.append(fork_join(a, b))
+
+    caller = threading.Thread(target=body)
+    caller.start()
+    caller.join(timeout=10)
+    assert not caller.is_alive()
+    assert results == [(None, ("inner a", "inner b"))]
 
 
 def test_worker_count_defaults_to_serial(monkeypatch):
