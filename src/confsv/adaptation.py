@@ -83,7 +83,6 @@ class LayerAdaptor(Module):
     """Per-layer map to 128 channels: linear -> layer norm -> ReLU -> linear."""
 
     def __init__(self, backbone_dim: int, out_dim: int = ADAPTOR_DIM):
-        super().__init__()
         self.lin1 = Linear(backbone_dim, out_dim)
         self.norm = LayerNorm(out_dim)
         self.lin2 = Linear(out_dim, out_dim)
@@ -105,7 +104,6 @@ class SpeakerAdaptation(Module):
 
     def __init__(self, backbone: ConformerEncoder, cfg: AdaptationConfig,
                  seed: Optional[int] = None):
-        super().__init__()
         bcfg = backbone.cfg
         if not 1 <= cfg.adapted_layers <= bcfg.layers:
             raise ConfigError(
@@ -236,17 +234,17 @@ def linear_probe(
 ADAPTATION_CKPT_KIND = "adaptation"
 
 
-def save_adaptation(path, module: SpeakerAdaptation, backbone_arrays: dict) -> None:
-    """Store only trainable arrays plus a hash binding them to the backbone."""
+def save_adaptation(path, module: SpeakerAdaptation) -> None:
+    """Store only the add-on's arrays plus a hash binding them to its backbone."""
     meta = {
         "kind": ADAPTATION_CKPT_KIND,
         "config": asdict(module.cfg),
-        "backbone_hash": ckpt.content_hash(backbone_arrays),
+        "backbone_hash": ckpt.content_hash(module.backbone.state_arrays()),
     }
     ckpt.save_checkpoint(path, meta, module.state_arrays())
 
 
-def load_adaptation(path, backbone: ConformerEncoder, backbone_arrays: dict,
+def load_adaptation(path, backbone: ConformerEncoder,
                     checkpoint: Optional[tuple[dict, dict]] = None) -> SpeakerAdaptation:
     """The stored add-on on `backbone`, frozen like its backbone.
 
@@ -255,7 +253,8 @@ def load_adaptation(path, backbone: ConformerEncoder, backbone_arrays: dict,
     meta, arrays = checkpoint or ckpt.load_checkpoint(path)
     if meta.get("kind") != ADAPTATION_CKPT_KIND:
         raise CheckpointError(f"{path}: not an adaptation checkpoint")
-    if ckpt.meta_value(meta, "backbone_hash", str, path) != ckpt.content_hash(backbone_arrays):
+    backbone_hash = ckpt.content_hash(backbone.state_arrays())
+    if ckpt.meta_value(meta, "backbone_hash", str, path) != backbone_hash:
         raise CheckpointError(f"{path}: backbone content hash mismatch")
     cfg = ckpt.config_from_meta(AdaptationConfig, meta, "config", path)
     module = SpeakerAdaptation(backbone, cfg, seed=None)

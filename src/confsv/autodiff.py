@@ -760,7 +760,10 @@ def backward(loss: Tensor) -> None:
                 continue
             pg = np.asarray(pg)
             if pg.shape != p.data.shape:
-                pg = pg.reshape(p.data.shape)
+                raise ContractError(
+                    f"backward: {node._grad_fn.__qualname__} gave a gradient of shape "
+                    f"{pg.shape} for a parent of shape {p.data.shape}"
+                )
             key = id(p)
             if key in grads:
                 grads[key] = grads[key] + pg

@@ -124,7 +124,7 @@ def cmd_adapt(args) -> int:
 def cmd_probe(args) -> int:
     if args.max_utts is not None and args.max_utts < 1:
         raise ConfigError(f"--max-utts must be >= 1, got {args.max_utts}")
-    encoder, _, _ = load_asr_model(args.ckpt)
+    encoder, _ = load_asr_model(args.ckpt)
     entries = read_manifest(args.manifest)
     if args.max_utts is not None:
         entries = entries[: args.max_utts]
@@ -156,8 +156,8 @@ def cmd_embed(args) -> int:
     elif kind == "adaptation":
         if args.teacher is None:
             raise ConfigError("embedding with an adaptation checkpoint needs --teacher")
-        backbone, _, _ = load_asr_model(args.teacher)
-        module = load_adaptation(args.ckpt, backbone, backbone.state_arrays(), checkpoint)
+        backbone, _ = load_asr_model(args.teacher)
+        module = load_adaptation(args.ckpt, backbone, checkpoint)
         embed_fn = module.embed_utterance
     else:
         raise ConfigError(f"{args.ckpt}: cannot embed with checkpoint kind {kind!r}")

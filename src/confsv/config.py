@@ -48,6 +48,7 @@ _RANGES = {
     "weight_decay": (0, math.inf),
     "warmup_epochs": (0, math.inf),
     "lmft_epochs": (0, math.inf),
+    "frozen_epochs": (0, math.inf),
     "alpha": (0, math.inf),
     "aam_margin": (0, math.pi / 2),
     "lmft_margin": (0, math.pi / 2),

@@ -114,7 +114,6 @@ class ConvSubsampling(Module):
     """
 
     def __init__(self, cfg: EncoderConfig):
-        super().__init__()
         self.cfg = cfg
         stages = cfg.subsample_stages
         self.convs = ModuleList(
@@ -144,7 +143,6 @@ class FeedForwardModule(Module):
     """Two linear maps around a Swish, dropout after each linear map."""
 
     def __init__(self, dim: int, hidden: int, dropout: float):
-        super().__init__()
         self.norm = LayerNorm(dim)
         self.linear1 = Linear(dim, hidden)
         self.linear2 = Linear(hidden, dim)
@@ -166,7 +164,6 @@ class AttentionModule(Module):
     """
 
     def __init__(self, dim: int, heads: int, dropout: float):
-        super().__init__()
         if dim % heads != 0:
             raise ConfigError(f"heads ({heads}) must divide dim ({dim})")
         self.dim, self.heads, self.d_head = dim, heads, dim // heads
@@ -205,7 +202,6 @@ class ConvolutionModule(Module):
     """Pointwise conv -> GLU -> depthwise conv -> batch norm -> Swish -> pointwise."""
 
     def __init__(self, dim: int, kernel: int, dropout: float):
-        super().__init__()
         if kernel % 2 == 0:
             raise ConfigError("conv kernel must be odd for same padding")
         self.norm = LayerNorm(dim)
@@ -228,7 +224,6 @@ class ConvolutionModule(Module):
 
 class ConformerBlock(Module):
     def __init__(self, cfg: EncoderConfig):
-        super().__init__()
         self.ffn1 = FeedForwardModule(cfg.dim, cfg.hidden, cfg.dropout)
         self.attn = AttentionModule(cfg.dim, cfg.heads, cfg.dropout)
         self.conv = ConvolutionModule(cfg.dim, cfg.conv_kernel, cfg.dropout)
@@ -248,7 +243,6 @@ class ConformerEncoder(Module):
     """Subsampling front-end plus `cfg.layers` Conformer blocks."""
 
     def __init__(self, cfg: EncoderConfig, seed: Optional[int] = None):
-        super().__init__()
         self.cfg = cfg
         self.subsampling = ConvSubsampling(cfg)
         self.blocks = ModuleList([ConformerBlock(cfg) for _ in range(cfg.layers)])

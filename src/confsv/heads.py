@@ -33,7 +33,6 @@ class AttentiveStatsPooling(Module):
     """
 
     def __init__(self, dim: int, bottleneck: int = ASP_BOTTLENECK):
-        super().__init__()
         self.dim = dim
         self.score1 = Linear(3 * dim, bottleneck)
         self.score2 = Linear(bottleneck, dim)
@@ -59,7 +58,6 @@ class EmbeddingHead(Module):
     """Batch norm over the pooled vector, then a linear map to 256."""
 
     def __init__(self, pooled_dim: int):
-        super().__init__()
         self.norm = BatchNorm(pooled_dim)
         self.proj = Linear(pooled_dim, EMBEDDING_DIM)
 
@@ -75,7 +73,6 @@ class MfaAggregator(Module):
     """Learned layer norm over the concatenated channel axis."""
 
     def __init__(self, total_dim: int):
-        super().__init__()
         self.norm = LayerNorm(total_dim)
 
     def forward(self, maps: Sequence[Tensor]) -> Tensor:
@@ -90,7 +87,6 @@ class SpeakerModel(Module):
     """Encoder + aggregation + pooling + embedding head."""
 
     def __init__(self, cfg: EncoderConfig, seed: Optional[int] = None):
-        super().__init__()
         self.cfg = cfg
         self.encoder = ConformerEncoder(cfg)
         total = cfg.layers * cfg.dim

@@ -31,7 +31,6 @@ class AamClassifier(Module):
     """Class weight matrix for the additive-angular-margin softmax."""
 
     def __init__(self, n_classes: int, emb_dim: int = 256):
-        super().__init__()
         self.weight = Parameter((n_classes, emb_dim), fan=emb_dim)
         self.n_classes = n_classes
 
@@ -215,7 +214,6 @@ class RateMatcher(Module):
     """Stride-2 conv (kernel 3, padding 1) that halves the student frame rate."""
 
     def __init__(self, dim: int):
-        super().__init__()
         self.conv = Conv1d(dim, dim, 3, stride=2, padding=1)
 
     def forward(self, frames: Tensor) -> Tensor:
@@ -229,7 +227,6 @@ class CtcDecoder(Module):
     """Linear frame classifier over the token inventory plus blank."""
 
     def __init__(self, dim: int, vocab: int):
-        super().__init__()
         self.proj = Linear(dim, vocab + 1)
         self.vocab = vocab
 

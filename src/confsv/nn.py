@@ -1,4 +1,10 @@
-"""Module system: named parameters, seeded init, and the standard layers.
+"""Module system: named parameters and buffers, seeded init, and the standard layers.
+
+A module's parameters, buffers and submodules are its attributes, and one
+walk of that tree lists every array a model holds: `state_arrays` gives all
+parameters in definition order, then all buffers, and `load_state_arrays`
+checks the shape of each.  A `Buffer` (batch-norm running statistics) is
+saved and loaded with the model but never trained.
 
 Parameters are re-initialized by name via `seed_parameters`, so a parameter's
 initial values depend only on (seed, qualified name, shape).  Adding or
@@ -15,6 +21,7 @@ callers at once.  No module carries a mode of its own.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Optional
 
 import numpy as np
@@ -66,17 +73,21 @@ class Parameter(Tensor):
             raise ValueError(f"unknown init {self.init!r}")
 
 
+class Buffer(Tensor):
+    """A leaf saved and loaded with its module but never trained.
+
+    Batch-norm running statistics are buffers: a training step replaces their
+    data, but autodiff sees a constant and the optimizer never sees them.
+    """
+
+    __slots__ = ()
+
+
 class Module:
-    """Minimal container with recursive named parameter/buffer traversal."""
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def register_buffer(self, name: str, value: np.ndarray) -> None:
-        self._buffers[name] = np.asarray(value, dtype=np.float64)
+    """Container whose parameters, buffers and submodules are its attributes."""
 
     def _members(self, prefix: str) -> Iterator[tuple[str, object]]:
-        """Qualified name and value of each parameter and submodule attribute.
+        """Qualified name and value of each parameter, buffer and submodule attribute.
 
         Attributes come in definition order, which checkpoint array order
         follows; underscore attributes are outside the module tree.
@@ -87,19 +98,18 @@ class Module:
             if isinstance(value, ModuleList):
                 for i, sub in enumerate(value):
                     yield f"{prefix}{key}.{i}", sub
-            elif isinstance(value, (Parameter, Module)):
+            elif isinstance(value, (Parameter, Buffer, Module)):
                 yield f"{prefix}{key}", value
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
+    def _leaves(self, kind: type, prefix: str) -> Iterator[tuple[str, Tensor]]:
         for name, value in self._members(prefix):
-            if isinstance(value, Parameter):
+            if isinstance(value, Module):
+                yield from value._leaves(kind, name + ".")
+            elif isinstance(value, kind):
                 yield name, value
-            else:
-                yield from value.named_parameters(name + ".")
 
-    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
-        for name, (owner, key) in self._buffer_owners().items():
-            yield name, owner._buffers[key]
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Parameter]]:
+        return self._leaves(Parameter, prefix)
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]
@@ -109,39 +119,28 @@ class Module:
             p.trainable = flag
         return self
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """All parameters and buffers keyed by qualified name."""
-        state = {name: p.data for name, p in self.named_parameters()}
-        for name, buf in self.named_buffers():
-            state[name] = buf
-        return state
+    def _arrays(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
+        """Every parameter, then every buffer: the checkpoint order."""
+        return itertools.chain(self._leaves(Parameter, prefix), self._leaves(Buffer, prefix))
 
-    def load_state_arrays(self, state: dict[str, np.ndarray]) -> None:
-        params = dict(self.named_parameters())
-        buffers = self._buffer_owners()
+    def state_arrays(self, prefix: str = "") -> dict[str, np.ndarray]:
+        """All parameters and buffers keyed by `prefix` + qualified name."""
+        return {name: leaf.data for name, leaf in self._arrays(prefix)}
+
+    def load_state_arrays(self, state: dict[str, np.ndarray], prefix: str = "") -> None:
+        """Copy in the array of each parameter and buffer, keyed as `state_arrays`
+        gives it; other keys are ignored."""
         missing = []
-        for name, p in params.items():
-            if name in state:
-                arr = np.asarray(state[name], dtype=np.float64)
-                if arr.shape != p.shape:
-                    raise DimensionError(f"{name}: shape {arr.shape} != {p.shape}")
-                p.data = arr.copy()
-            else:
+        for name, leaf in self._arrays(prefix):
+            if name not in state:
                 missing.append(name)
-        for name, (owner, key) in buffers.items():
-            if name in state:
-                owner._buffers[key] = np.asarray(state[name], dtype=np.float64).copy()
-            else:
-                missing.append(name)
+                continue
+            arr = np.asarray(state[name], dtype=np.float64)
+            if arr.shape != leaf.shape:
+                raise DimensionError(f"{name}: shape {arr.shape} != {leaf.shape}")
+            leaf.data = arr.copy()
         if missing:
             raise DimensionError(f"missing arrays in state: {missing[:5]}")
-
-    def _buffer_owners(self, prefix: str = "") -> dict[str, tuple["Module", str]]:
-        owners = {f"{prefix}{key}": (self, key) for key in self._buffers}
-        for name, value in self._members(prefix):
-            if isinstance(value, Module):
-                owners.update(value._buffer_owners(name + "."))
-        return owners
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
@@ -159,7 +158,6 @@ def seed_parameters(module: Module, seed: int, scope: str = "") -> None:
 
 class Linear(Module):
     def __init__(self, d_in: int, d_out: int, bias: bool = True):
-        super().__init__()
         self.weight = Parameter((d_in, d_out), fan=d_in)
         self.bias = Parameter((d_out,), fan=d_in) if bias else None
 
@@ -176,7 +174,6 @@ class Linear(Module):
 
 class LayerNorm(Module):
     def __init__(self, dim: int):
-        super().__init__()
         self.gamma = Parameter((dim,), init="ones")
         self.beta = Parameter((dim,), init="zeros")
 
@@ -195,11 +192,10 @@ class BatchNorm(Module):
     """
 
     def __init__(self, dim: int):
-        super().__init__()
         self.gamma = Parameter((dim,), init="ones")
         self.beta = Parameter((dim,), init="zeros")
-        self.register_buffer("running_mean", np.zeros(dim))
-        self.register_buffer("running_var", np.ones(dim))
+        self.running_mean = Buffer(np.zeros(dim))
+        self.running_var = Buffer(np.ones(dim))
 
     def forward(self, x: Tensor, rng: Optional[np.random.Generator] = None) -> Tensor:
         axes = tuple(range(x.ndim - 1))
@@ -208,17 +204,12 @@ class BatchNorm(Module):
             xc = x - mu
             var = ad.mean(xc * xc, axis=axes, keepdims=True)
             m = BN_MOMENTUM
-            self._buffers["running_mean"] = (
-                (1 - m) * self._buffers["running_mean"] + m * mu.data.reshape(-1)
-            )
-            self._buffers["running_var"] = (
-                (1 - m) * self._buffers["running_var"] + m * var.data.reshape(-1)
-            )
+            self.running_mean.data = (1 - m) * self.running_mean.data + m * mu.data.reshape(-1)
+            self.running_var.data = (1 - m) * self.running_var.data + m * var.data.reshape(-1)
             xhat = xc / ad.sqrt(var + ad.tensor(BN_EPS))
         else:
-            mu = self._buffers["running_mean"]
-            var = self._buffers["running_var"]
-            xhat = (x - ad.tensor(mu)) * ad.tensor(1.0 / np.sqrt(var + BN_EPS))
+            inv_std = 1.0 / np.sqrt(self.running_var.data + BN_EPS)
+            xhat = (x - self.running_mean) * ad.tensor(inv_std)
         return xhat * self.gamma + self.beta
 
 
@@ -234,7 +225,6 @@ class Conv1d(Module):
         padding: int = 0,
         groups: int = 1,
     ):
-        super().__init__()
         fan = (c_in // groups) * kernel
         self.weight = Parameter((c_out, c_in // groups, kernel), fan=fan)
         self.bias = Parameter((c_out,), fan=fan)
@@ -248,7 +238,6 @@ class Conv2d(Module):
     """Convolution followed by ReLU, channels-last: (B, H, W, C_in) -> (B, Ho, Wo, C_out)."""
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int = 1, padding: int = 0):
-        super().__init__()
         fan = c_in * kernel * kernel
         self.weight = Parameter((c_out, c_in, kernel, kernel), fan=fan)
         self.bias = Parameter((c_out,), fan=fan)

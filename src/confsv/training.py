@@ -70,7 +70,7 @@ from .losses import (
     ctc_loss_batch,
     distill_kl_loss,
 )
-from .nn import Module, Parameter, seed_parameters
+from .nn import Parameter, seed_parameters
 from .scoring import resolve_embedding
 from .util import check_finite, map_batches, parallel_map, rng_for, write_atomic
 
@@ -186,24 +186,7 @@ def _write_loss_csv(path: Path, header: list[str], rows: list[list[float]]) -> N
     write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-class _TrainableSet:
-    """Named parameters across the model and its training-only heads."""
-
-    def __init__(self, **modules: Optional[Module]):
-        self.modules = {k: m for k, m in modules.items() if m is not None}
-
-    def named_parameters(self) -> list[tuple[str, Parameter]]:
-        out = []
-        for prefix, module in self.modules.items():
-            out.extend((f"{prefix}.{n}", p) for n, p in module.named_parameters())
-        return out
-
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.grad = None
-
-
-def _train_epochs(cfg: RunConfig, trainset: _TrainableSet, opt: AdamW, n_items: int,
+def _train_epochs(cfg: RunConfig, params: list[tuple[str, Parameter]], opt: AdamW, n_items: int,
                   epochs: range, schedule: tuple[int, float, float], dropout_stream: str,
                   batches, loss_of, step: int = 0) -> tuple[list[list[float]], int]:
     """The training loop shared by every strategy.
@@ -213,7 +196,8 @@ def _train_epochs(cfg: RunConfig, trainset: _TrainableSet, opt: AdamW, n_items: 
     `util.map_batches` and may share across calls, so that the next batch is
     built while this one trains.  `loss_of(batch, rng)` returns the loss
     tensor and the extra loss.csv columns, with `rng` keyed by
-    `dropout_stream` and the step.  One backward and one AdamW step follow,
+    `dropout_stream` and the step.  One backward and one AdamW step over the
+    named `params` (the model's and its training-only heads') follow,
     at the `cosine_lr` of `schedule` = (epochs, warmup epochs, base lr); a
     schedule may span several calls, joined by `step`.  Returns one row per
     epoch (the epoch number, then the mean of the loss and of each extra
@@ -228,9 +212,10 @@ def _train_epochs(cfg: RunConfig, trainset: _TrainableSet, opt: AdamW, n_items: 
         for batch in itertools.islice(batches, steps_per_epoch):
             loss, extra = loss_of(batch, rng_for(cfg.seed, dropout_stream, step))
             value = float(check_finite(loss.data, "training loss"))
-            trainset.zero_grad()
+            for _, p in params:
+                p.grad = None
             ad.backward(loss)
-            opt.step(trainset.named_parameters(), cosine_lr(step, total, warmup, base_lr))
+            opt.step(params, cosine_lr(step, total, warmup, base_lr))
             columns.append([value, *extra])
             step += 1
         # means over 1-D lists, one per column, keep the summation order fixed
@@ -247,7 +232,7 @@ def load_speaker_model(path, checkpoint: Optional[tuple[dict, dict]] = None) -> 
     """The stored model, frozen; `checkpoint` is `path` already read, if it was."""
     meta, arrays = checkpoint or ckpt.load_checkpoint(path)
     if meta.get("kind") != "speaker":
-        raise ConfigError(f"{path}: not a speaker checkpoint")
+        raise ConfigError(f"{path}: not a speaker checkpoint (kind {meta.get('kind')!r})")
     model = SpeakerModel(ckpt.config_from_meta(EncoderConfig, meta, "encoder", path))
     model.load_state_arrays(arrays)
     return model.set_trainable(False)
@@ -255,8 +240,7 @@ def load_speaker_model(path, checkpoint: Optional[tuple[dict, dict]] = None) -> 
 
 def save_asr_checkpoint(path, encoder: ConformerEncoder, decoder: CtcDecoder,
                         run_cfg: RunConfig) -> None:
-    arrays = {f"encoder.{n}": a for n, a in encoder.state_arrays().items()}
-    arrays.update({f"decoder.{n}": a for n, a in decoder.state_arrays().items()})
+    arrays = {**encoder.state_arrays("encoder."), **decoder.state_arrays("decoder.")}
     meta = {
         "kind": "asr",
         "encoder": encoder.cfg.to_dict(),
@@ -266,23 +250,19 @@ def save_asr_checkpoint(path, encoder: ConformerEncoder, decoder: CtcDecoder,
     ckpt.save_checkpoint(path, meta, arrays)
 
 
-def load_asr_model(path) -> tuple[ConformerEncoder, CtcDecoder, dict]:
-    """The stored encoder and decoder, frozen, and the checkpoint metadata."""
+def load_asr_model(path) -> tuple[ConformerEncoder, CtcDecoder]:
+    """The stored encoder and decoder, frozen."""
     meta, arrays = ckpt.load_checkpoint(path)
     if meta.get("kind") != "asr":
-        raise ConfigError(f"{path}: not an ASR checkpoint")
+        raise ConfigError(f"{path}: not an ASR checkpoint (kind {meta.get('kind')!r})")
     encoder = ConformerEncoder(ckpt.config_from_meta(EncoderConfig, meta, "encoder", path))
     vocab = ckpt.meta_value(meta, "vocab", int, path)
     if vocab < 1:
         raise CheckpointError(f"{path}: metadata 'vocab' must be >= 1, got {vocab}")
     decoder = CtcDecoder(encoder.cfg.dim, vocab)
-    encoder.load_state_arrays(
-        {n[len("encoder."):]: a for n, a in arrays.items() if n.startswith("encoder.")}
-    )
-    decoder.load_state_arrays(
-        {n[len("decoder."):]: a for n, a in arrays.items() if n.startswith("decoder.")}
-    )
-    return encoder.set_trainable(False), decoder.set_trainable(False), meta
+    encoder.load_state_arrays(arrays, "encoder.")
+    decoder.load_state_arrays(arrays, "decoder.")
+    return encoder.set_trainable(False), decoder.set_trainable(False)
 
 
 # -- ASR pretraining ----------------------------------------------------------------
@@ -320,7 +300,8 @@ def pretrain_asr(cfg: RunConfig, manifest_path, out_dir) -> Path:
     plan = map(padded, _batch_plan(cfg, n, range(cfg.epochs), "asr_order"))
     with map_batches(asr_item, plan) as built:
         rows, _ = _train_epochs(
-            cfg, _TrainableSet(encoder=encoder, decoder=decoder), AdamW(cfg.weight_decay), n,
+            cfg, [*encoder.named_parameters("encoder."), *decoder.named_parameters("decoder.")],
+            AdamW(cfg.weight_decay), n,
             range(cfg.epochs), (cfg.epochs, cfg.warmup_epochs, cfg.lr), "asr_dropout",
             built, ctc_loss_of,
         )
@@ -363,7 +344,7 @@ def train_speaker(
     teacher_encoder = teacher_decoder = None
     student_decoder = rate_match = None
     if distilling:
-        teacher_encoder, teacher_decoder, _ = load_asr_model(teacher_ckpt)
+        teacher_encoder, teacher_decoder = load_asr_model(teacher_ckpt)
         if cfg.alpha > 0:
             student_decoder = CtcDecoder(cfg.encoder.dim, teacher_decoder.vocab)
             seed_parameters(student_decoder, cfg.seed, scope="student_decoder")
@@ -375,20 +356,20 @@ def train_speaker(
 
     frozen = 0  # epochs that train only the heads, with the encoder frozen
     if init_ckpt is not None:
-        if cfg.frozen_epochs < 0:
-            raise ConfigError("frozen_epochs must be >= 0")
         if cfg.frozen_epochs > cfg.epochs:
             raise ConfigError("frozen_epochs cannot exceed total epochs")
         frozen = cfg.frozen_epochs
-        encoder, _, _ = load_asr_model(init_ckpt)
+        encoder, _ = load_asr_model(init_ckpt)
         if cfg.truncate_layers is not None:
             encoder = truncate_encoder(encoder, cfg.truncate_layers)
         if encoder.cfg != cfg.encoder:
             raise ConfigError("run encoder config must match the checkpoint encoder")
         model.encoder.load_state_arrays(encoder.state_arrays())
 
-    trainset = _TrainableSet(model=model, classifier=classifier,
-                             student_decoder=student_decoder, rate_match=rate_match)
+    params = [*model.named_parameters("model."), *classifier.named_parameters("classifier.")]
+    for prefix, head in (("student_decoder.", student_decoder), ("rate_match.", rate_match)):
+        if head is not None:
+            params += head.named_parameters(prefix)
     opt = AdamW(cfg.weight_decay)
 
     def speaker_loss(margin: float, with_kl: bool):
@@ -426,14 +407,14 @@ def train_speaker(
         for epochs, trainable in ((range(frozen), False), (range(frozen, cfg.epochs), True)):
             model.encoder.set_trainable(trainable)
             part_rows, step = _train_epochs(
-                cfg, trainset, opt, len(items), epochs,
+                cfg, params, opt, len(items), epochs,
                 (cfg.epochs, cfg.warmup_epochs, cfg.lr), "dropout", batches,
                 speaker_loss(cfg.aam_margin, student_decoder is not None), step,
             )
             rows += part_rows
         if cfg.lmft:
             lmft_rows, _ = _train_epochs(
-                cfg, trainset, opt, len(entries), lmft_epochs,
+                cfg, params, opt, len(entries), lmft_epochs,
                 (cfg.lmft_epochs, 0, cfg.lr * 0.1), "lmft_dropout", batches,
                 speaker_loss(cfg.lmft_margin, False),
             )
@@ -458,7 +439,7 @@ def train_adaptation(cfg: RunConfig, manifest_path, backbone_ckpt, out_dir) -> P
     entries = read_manifest(manifest_path)
     items, labels = build_items(entries, cfg.speed_perturb)
 
-    backbone, _, _ = load_asr_model(backbone_ckpt)
+    backbone, _ = load_asr_model(backbone_ckpt)
     module = SpeakerAdaptation(backbone, cfg.adaptation, seed=cfg.seed)
     classifier = AamClassifier(len(labels))
     seed_parameters(classifier, cfg.seed, scope="classifier")
@@ -471,14 +452,15 @@ def train_adaptation(cfg: RunConfig, manifest_path, backbone_ckpt, out_dir) -> P
     plan = _batch_plan(cfg, len(items), range(cfg.epochs), "order", cfg.crop_seconds)
     with map_batches(_speaker_item(manifest_path, items, labels, cfg), plan) as built:
         rows, _ = _train_epochs(
-            cfg, _TrainableSet(adaptation=module, classifier=classifier),
+            cfg, [*module.named_parameters("adaptation."),
+                  *classifier.named_parameters("classifier.")],
             AdamW(cfg.weight_decay), len(items), range(cfg.epochs),
             (cfg.epochs, cfg.warmup_epochs, cfg.lr), "dropout",
             map(_stack_speaker_batch, built), aam_loss_of,
         )
     _write_loss_csv(out_dir / "loss.csv", ["epoch", "loss"], rows)
     path = out_dir / "adaptation.ckpt"
-    save_adaptation(path, module, backbone.state_arrays())
+    save_adaptation(path, module)
     return path
 
 

@@ -233,7 +233,7 @@ def test_criterion_07_distillation_contracts(small_corpus, toy_asr_ckpt, tmp_pat
         assert plain_arrays[name].tobytes() == distill_arrays[name].tobytes(), name
 
     # teacher parameters never receive gradients
-    teacher_enc, teacher_dec, _ = load_asr_model(toy_asr_ckpt)
+    teacher_enc, teacher_dec = load_asr_model(toy_asr_ckpt)
     student = SpeakerModel(toy_run_config().encoder, seed=9)
     from confsv.losses import CtcDecoder, combined_loss
 
@@ -260,7 +260,7 @@ def test_criterion_08_freezing_contracts(small_corpus, toy_asr_ckpt, tmp_path):
     t0 = time.time()
 
     # adaptation training: backbone parameters and forward outputs untouched
-    backbone_before, _, _ = load_asr_model(toy_asr_ckpt)
+    backbone_before, _ = load_asr_model(toy_asr_ckpt)
     probe_feats = log_mel(synth_corpus(2, 1, seed=5).utterance(0).waveform)
     maps_before = [m.data[0].copy() for m in backbone_before(ad.tensor(probe_feats[None]))]
     params_before = {
@@ -273,7 +273,7 @@ def test_criterion_08_freezing_contracts(small_corpus, toy_asr_ckpt, tmp_path):
     )
     train_adaptation(adapt_cfg, small_corpus, toy_asr_ckpt, tmp_path / "adapt")
 
-    backbone_after, _, _ = load_asr_model(toy_asr_ckpt)
+    backbone_after, _ = load_asr_model(toy_asr_ckpt)
     for n, p in backbone_after.named_parameters():
         assert p.data.tobytes() == params_before[n].tobytes(), n
     for a, b in zip(maps_before, backbone_after(ad.tensor(probe_feats[None]))):
@@ -342,7 +342,7 @@ def test_criterion_10_probe_harness(toy_data, toy_asr_ckpt, tmp_path):
     assert all(0.0 <= a <= 1.0 for a in accuracies)
 
     # probe vs an independent logistic-regression fit on pooled features
-    encoder, _, _ = load_asr_model(toy_asr_ckpt)
+    encoder, _ = load_asr_model(toy_asr_ckpt)
     entries = read_manifest(toy_data["train_manifest"])[:60]
     speakers = sorted({e.speaker_id for e in entries})
     labels = np.array([speakers.index(e.speaker_id) for e in entries])

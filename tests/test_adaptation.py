@@ -18,7 +18,7 @@ from confsv.conformer import ENCODER_PRESETS, ConformerBlock, ConformerEncoder, 
 from confsv.errors import CheckpointError, ConfigError, DegenerateLabelsError, NumericError
 from confsv.losses import AamClassifier, aam_softmax_loss
 from confsv.nn import seed_parameters
-from confsv.training import AdamW, _TrainableSet
+from confsv.training import AdamW
 
 from conftest import gradcheck, param_count
 
@@ -147,16 +147,17 @@ class TestAdaptationForward:
         module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=14)
         clf = AamClassifier(3)
         seed_parameters(clf, 15)
-        trainset = _TrainableSet(adaptation=module, classifier=clf)
+        params = [*module.named_parameters("adaptation."), *clf.named_parameters("classifier.")]
         opt = AdamW()
         rng = np.random.default_rng(16)
         for step in range(3):
             mel = ad.tensor(rng.normal(size=(3, 16, 80)))
             emb = module(mel, np.random.default_rng(step))
             loss = aam_softmax_loss(emb, [0, 1, 2], clf, 8.0, 0.1)
-            trainset.zero_grad()
+            for _, p in params:
+                p.grad = None
             ad.backward(loss)
-            opt.step(trainset.named_parameters(), 1e-3)
+            opt.step(params, 1e-3)
         for name, arr in backbone.state_arrays().items():
             np.testing.assert_array_equal(arr, state_before[name])
 
@@ -231,8 +232,8 @@ class TestAdaptationCheckpoint:
         backbone = toy_backbone()
         module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=22)
         path = tmp_path / "adapt.ckpt"
-        save_adaptation(path, module, backbone.state_arrays())
-        restored = load_adaptation(path, backbone, backbone.state_arrays())
+        save_adaptation(path, module)
+        restored = load_adaptation(path, backbone)
         for (n1, p1), (n2, p2) in zip(
             sorted(module.named_parameters()), sorted(restored.named_parameters())
         ):
@@ -243,7 +244,7 @@ class TestAdaptationCheckpoint:
         backbone = toy_backbone(seed=23)
         module = SpeakerAdaptation(backbone, toy_adapt_cfg(), seed=24)
         path = tmp_path / "adapt.ckpt"
-        save_adaptation(path, module, backbone.state_arrays())
+        save_adaptation(path, module)
         other = toy_backbone(seed=99)
         with pytest.raises(CheckpointError):
-            load_adaptation(path, other, other.state_arrays())
+            load_adaptation(path, other)

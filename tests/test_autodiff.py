@@ -174,6 +174,19 @@ class TestBackward:
         expected = [[2, 2, 2, 3], [1, 0, 1, 1], [2, 1, 2, 2]]
         np.testing.assert_array_equal(x.grad, expected)
 
+    def test_wrong_shaped_parent_gradient_rejected(self):
+        """A (3, 2) gradient for a (2, 3) parent used to be reshaped into place,
+        which would hide a transposed gradient from a faulty op."""
+        x = ad.tensor(np.zeros((2, 3)), requires_grad=True)
+
+        def transposed_grad(g):
+            return (np.ones((3, 2)),)
+
+        node = ad.Tensor(np.zeros(()), _parents=(x,), _grad_fn=transposed_grad)
+        with pytest.raises(ContractError, match=r"transposed_grad .*\(3, 2\).*\(2, 3\)"):
+            ad.backward(node)
+        assert x.grad is None
+
 
 @pytest.mark.parametrize("seed", range(20))
 def test_per_op_gradients(seed):

@@ -2,15 +2,22 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confsv.adaptation import AdaptationConfig, SpeakerAdaptation, save_adaptation
 from confsv.checkpoint import content_hash, load_checkpoint, save_checkpoint
 from confsv.conformer import ConformerEncoder, EncoderConfig
-from confsv.errors import CheckpointError
+from confsv.errors import CheckpointError, DimensionError
+from confsv.heads import SpeakerModel
+from confsv.losses import CtcDecoder
+from confsv.training import save_asr_checkpoint, save_speaker_checkpoint
+
+from conftest import toy_run_config
 
 
 def test_bit_exact_round_trip(tmp_path):
@@ -171,3 +178,75 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkey
         save_checkpoint(path, {"kind": "new"}, {"w": np.ones(3)})
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["x.ckpt"]
+
+
+# The array names of each checkpoint kind, in file order: every parameter in
+# attribute-definition order, then every batch-norm running statistic.  A
+# change to the module-tree walk that reorders them changes checkpoint bytes.
+SUBSAMPLING = [
+    "subsampling.convs.0.weight", "subsampling.convs.0.bias",
+    "subsampling.convs.1.weight", "subsampling.convs.1.bias",
+    "subsampling.proj.weight", "subsampling.proj.bias",
+]
+BLOCK = [
+    "ffn1.norm.gamma", "ffn1.norm.beta", "ffn1.linear1.weight", "ffn1.linear1.bias",
+    "ffn1.linear2.weight", "ffn1.linear2.bias",
+    "attn.norm.gamma", "attn.norm.beta", "attn.q_proj.weight", "attn.q_proj.bias",
+    "attn.k_proj.weight", "attn.k_proj.bias", "attn.v_proj.weight", "attn.v_proj.bias",
+    "attn.out_proj.weight", "attn.out_proj.bias", "attn.pos_proj.weight",
+    "attn.pos_bias_u", "attn.pos_bias_v",
+    "conv.norm.gamma", "conv.norm.beta", "conv.pointwise1.weight", "conv.pointwise1.bias",
+    "conv.depthwise.weight", "conv.depthwise.bias", "conv.batch_norm.gamma",
+    "conv.batch_norm.beta", "conv.pointwise2.weight", "conv.pointwise2.bias",
+    "ffn2.norm.gamma", "ffn2.norm.beta", "ffn2.linear1.weight", "ffn2.linear1.bias",
+    "ffn2.linear2.weight", "ffn2.linear2.bias",
+    "norm_out.gamma", "norm_out.beta",
+]
+BLOCK_STATS = ["conv.batch_norm.running_mean", "conv.batch_norm.running_var"]
+HEADS = [
+    "mfa.norm.gamma", "mfa.norm.beta", "pooling.score1.weight", "pooling.score1.bias",
+    "pooling.score2.weight", "pooling.score2.bias", "head.norm.gamma", "head.norm.beta",
+    "head.proj.weight", "head.proj.bias",
+]
+HEAD_STATS = ["head.norm.running_mean", "head.norm.running_var"]
+
+
+def prefixed(prefix, names):
+    return [prefix + name for name in names]
+
+
+def test_checkpoint_array_order_is_parameters_then_batch_norm_statistics(tmp_path):
+    cfg = EncoderConfig(1, 16, 4, 32, conv_kernel=7)
+    run_cfg = toy_run_config()
+    save_speaker_checkpoint(tmp_path / "speaker.ckpt", SpeakerModel(cfg), run_cfg)
+    encoder = ConformerEncoder(cfg)
+    save_asr_checkpoint(tmp_path / "asr.ckpt", encoder, CtcDecoder(16, 32), run_cfg)
+    adaptation = SpeakerAdaptation(encoder, AdaptationConfig(
+        "V3", 1, 1, light_dim=16, light_hidden=32, light_kernel=7))
+    save_adaptation(tmp_path / "adaptation.ckpt", adaptation)
+
+    expected = {
+        "speaker": prefixed("encoder.", SUBSAMPLING + prefixed("blocks.0.", BLOCK)) + HEADS
+        + prefixed("encoder.blocks.0.", BLOCK_STATS) + HEAD_STATS,
+        "asr": prefixed("encoder.", SUBSAMPLING + prefixed("blocks.0.", BLOCK + BLOCK_STATS))
+        + ["decoder.proj.weight", "decoder.proj.bias"],
+        "adaptation": prefixed("adaptors.0.", [
+            "lin1.weight", "lin1.bias", "norm.gamma", "norm.beta", "lin2.weight", "lin2.bias",
+        ]) + ["light_in.weight", "light_in.bias"] + prefixed("light_blocks.0.", BLOCK) + HEADS
+        + prefixed("light_blocks.0.", BLOCK_STATS) + HEAD_STATS,
+    }
+    for kind, names in expected.items():
+        _, arrays = load_checkpoint(tmp_path / f"{kind}.ckpt")
+        assert list(arrays) == names, kind
+
+
+@pytest.mark.parametrize("name", ["blocks.0.conv.batch_norm.running_mean",
+                                  "blocks.0.conv.batch_norm.gamma"])
+@pytest.mark.parametrize("shape", [(1,), (3,), (16, 1)])
+def test_loading_checks_the_shape_of_every_array(name, shape):
+    """A batch-norm statistic of shape (1,) used to load and broadcast silently."""
+    cfg = EncoderConfig(1, 16, 4, 32, conv_kernel=7)
+    state = dict(ConformerEncoder(cfg, seed=5).state_arrays())
+    state[name] = np.ones(shape)
+    with pytest.raises(DimensionError, match=re.escape(f"{name}: shape {shape} != (16,)")):
+        ConformerEncoder(cfg).load_state_arrays(state)

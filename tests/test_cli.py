@@ -108,6 +108,15 @@ class TestGenData:
         cfg.write_text("[optim]\nlearning_rate = 0.1\n", encoding="utf-8")
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_negative_frozen_epochs_exits_2(self, tmp_path, capsys):
+        """Only `train --init` used to check it; every other command ran."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINI_CONFIG + "\n[schedule]\nfrozen_epochs = -1\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "frozen_epochs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGenTrials:
     def test_manifest_that_is_not_utf8_exits_3(self, tmp_path, capsys):
@@ -312,6 +321,70 @@ class TestAdapt:
         assert code == EXIT_CONFIG
         assert "adaptation" in capsys.readouterr().err
         assert not (out / "adaptation.ckpt").exists()
+
+
+def _speaker_ckpt(path):
+    model = SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7), seed=3)
+    save_speaker_checkpoint(path, model, toy_run_config())
+    return path
+
+
+def _reshaped(src, dst, name, shape):
+    """`src` written to `dst` with array `name` replaced by ones of `shape`."""
+    meta, arrays = load_checkpoint(src)
+    arrays[name] = np.ones(shape)
+    save_checkpoint(dst, meta, arrays)
+    return dst
+
+
+class TestCheckpointContents:
+    """A checkpoint of the wrong kind is a config error that names the kind it
+    has; a wrong-shaped array, batch-norm statistics included, is a data error
+    that names the array."""
+
+    @pytest.mark.parametrize("command, flag", [("train", "--init"), ("distill", "--teacher")])
+    def test_training_from_a_speaker_checkpoint_exits_2(self, mini, tmp_path, capsys,
+                                                         command, flag):
+        out = tmp_path / "o"
+        code = main([command, "--config", str(mini["config"]), "--manifest",
+                     str(mini["manifest"]), "--out", str(out),
+                     flag, str(_speaker_ckpt(tmp_path / "speaker.ckpt"))])
+        assert code == EXIT_CONFIG
+        assert "not an ASR checkpoint (kind 'speaker')" in capsys.readouterr().err
+        assert not (out / "speaker.ckpt").exists()
+
+    def test_embedding_with_an_asr_checkpoint_exits_2(self, mini, tmp_path, capsys):
+        out = tmp_path / "e.bin"
+        code = main(["embed", "--ckpt", str(mini["asr_ckpt"]), "--manifest",
+                     str(mini["manifest"]), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "checkpoint kind 'asr'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, shape", [
+        ("head.norm.running_var", (1,)),  # used to exit 0 with wrong embeddings
+        ("encoder.blocks.0.conv.batch_norm.running_mean", (3,)),  # used to end in a traceback
+    ])
+    def test_embedding_with_a_wrong_shaped_statistic_exits_3(self, mini, tmp_path, capsys,
+                                                             name, shape):
+        path = _reshaped(_speaker_ckpt(tmp_path / "speaker.ckpt"), tmp_path / "bad.ckpt",
+                         name, shape)
+        out = tmp_path / "e.bin"
+        code = main(["embed", "--ckpt", str(path), "--manifest", str(mini["manifest"]),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert f"data error: {name}: shape {shape} != " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_init_from_a_wrong_shaped_asr_statistic_exits_3(self, mini, tmp_path, capsys):
+        name = "encoder.blocks.0.conv.batch_norm.running_var"
+        path = _reshaped(mini["asr_ckpt"], tmp_path / "bad.ckpt", name, (1,))
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(mini["config"]), "--manifest",
+                     str(mini["manifest"]), "--out", str(out), "--init", str(path)])
+        assert code == EXIT_DATA
+        assert f"data error: {name}: shape (1,) != (16,)" in capsys.readouterr().err
+        assert not (out / "speaker.ckpt").exists()
 
 
 class TestEmbedPipeline:

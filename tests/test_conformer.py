@@ -294,8 +294,8 @@ class TestConvModule:
         rng = np.random.default_rng(24)
         bn = conv.batch_norm
         bn.gamma.data, bn.beta.data = rng.normal(size=32), rng.normal(size=32)
-        bn._buffers["running_mean"] = rng.normal(size=32)
-        bn._buffers["running_var"] = rng.uniform(0.5, 2.0, size=32)
+        bn.running_mean.data = rng.normal(size=32)
+        bn.running_var.data = rng.uniform(0.5, 2.0, size=32)
         x = ad.tensor(rng.normal(size=(B, T, 32)))
         out = conv(x, np.random.default_rng(25) if train else None).data
         ref = channels_first_conv_module(conv, x, np.random.default_rng(25) if train else None)

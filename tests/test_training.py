@@ -20,7 +20,6 @@ from confsv.losses import AamClassifier, CtcDecoder, aam_softmax_loss
 from confsv.nn import Parameter, seed_parameters
 from confsv.training import (
     AdamW,
-    _TrainableSet,
     _write_loss_csv,
     load_asr_model,
     load_speaker_model,
@@ -52,18 +51,18 @@ class TestFrozenParameters:
         model = SpeakerModel(ENCODER, seed=3)
         clf = AamClassifier(2)
         seed_parameters(clf, 4)
-        trainset = _TrainableSet(model=model, classifier=clf)
+        params = [*model.named_parameters("model."), *clf.named_parameters("classifier.")]
         mel = ad.tensor(np.random.default_rng(5).normal(size=(2, 16, 80)))
         encoder_ids = {id(p) for p in model.encoder.parameters()}
 
         def head_grads(encoder_trainable):
             model.encoder.set_trainable(encoder_trainable)
-            trainset.zero_grad()
+            for _, p in params:
+                p.grad = None
             loss = aam_softmax_loss(model(mel, np.random.default_rng(6)), [0, 1], clf, 8.0, 0.1)
             nodes = {id(node) for node in ad.topo_order(loss)}
             ad.backward(loss)
-            grads = {n: p.grad for n, p in trainset.named_parameters()
-                     if not n.startswith("model.encoder.")}
+            grads = {n: p.grad for n, p in params if not n.startswith("model.encoder.")}
             return grads, nodes
 
         frozen_grads, frozen_nodes = head_grads(False)
@@ -80,24 +79,26 @@ class TestFrozenParameters:
         model = SpeakerModel(EncoderConfig(1, 8, 2, 16, conv_kernel=5, dropout=0.0), seed=19)
         clf = AamClassifier(2)
         seed_parameters(clf, 20)
-        trainset = _TrainableSet(model=model, classifier=clf)
+        params = [*model.named_parameters("model."), *clf.named_parameters("classifier.")]
         model.encoder.set_trainable(False)
         enc_before = {n: a.copy() for n, a in model.encoder.state_arrays().items()}
         opt = AdamW()
         for step in range(2):
             mel = ad.tensor(np.random.default_rng(step).normal(size=(2, 16, 80)))
             loss = aam_softmax_loss(model(mel, np.random.default_rng(step)), [0, 1], clf, 8.0, 0.1)
-            trainset.zero_grad()
+            for _, p in params:
+                p.grad = None
             ad.backward(loss)
-            opt.step(trainset.named_parameters(), 1e-3)
+            opt.step(params, 1e-3)
         for name, p in model.encoder.named_parameters():
             np.testing.assert_array_equal(p.data, enc_before[name])
         model.encoder.set_trainable(True)
         mel = ad.tensor(np.random.default_rng(9).normal(size=(2, 16, 80)))
         loss = aam_softmax_loss(model(mel, np.random.default_rng(9)), [0, 1], clf, 8.0, 0.1)
-        trainset.zero_grad()
+        for _, p in params:
+            p.grad = None
         ad.backward(loss)
-        opt.step(trainset.named_parameters(), 1e-3)
+        opt.step(params, 1e-3)
         changed = any(
             not np.array_equal(p.data, enc_before[n]) for n, p in model.encoder.named_parameters()
         )
@@ -127,11 +128,11 @@ class TestFrozenEpochs:
         calls = []
         real = training._train_epochs
 
-        def spy(cfg, trainset, opt, n_items, epoch_range, *rest):
-            flags = {p.trainable for p in trainset.modules["model"].encoder.parameters()}
+        def spy(cfg, params, opt, n_items, epoch_range, *rest):
+            flags = {p.trainable for n, p in params if n.startswith("model.encoder.")}
             if len(epoch_range):
                 calls.append((len(epoch_range), flags == {True}))
-            return real(cfg, trainset, opt, n_items, epoch_range, *rest)
+            return real(cfg, params, opt, n_items, epoch_range, *rest)
 
         monkeypatch.setattr(training, "_train_epochs", spy)
         manifest, asr = tiny_init
@@ -185,9 +186,8 @@ class TestLoadersReturnFrozenModules:
         seed_parameters(decoder, 10)
         path = tmp_path / "asr.ckpt"
         save_asr_checkpoint(path, encoder, decoder, toy_run_config())
-        loaded_encoder, loaded_decoder, meta = load_asr_model(path)
+        loaded_encoder, loaded_decoder = load_asr_model(path)
         assert frozen(loaded_encoder) and frozen(loaded_decoder)
-        assert meta["kind"] == "asr"
 
     def test_adaptation(self, tmp_path):
         backbone = toy_backbone()
@@ -195,8 +195,8 @@ class TestLoadersReturnFrozenModules:
         assert frozen(backbone)  # attaching an adaptation freezes its backbone
         assert not frozen(module)
         path = tmp_path / "adapt.ckpt"
-        save_adaptation(path, module, backbone.state_arrays())
-        loaded = load_adaptation(path, backbone, backbone.state_arrays())
+        save_adaptation(path, module)
+        loaded = load_adaptation(path, backbone)
         assert frozen(loaded) and frozen(loaded.backbone)
         feats = np.random.default_rng(13).normal(size=(80, 24)).T
         assert loaded.embed_utterance(feats).tobytes() == module.embed_utterance(feats).tobytes()
@@ -263,10 +263,10 @@ class TestIncompleteMetadata:
         backbone = toy_backbone()
         module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=12)
         path = tmp_path / "adapt.ckpt"
-        save_adaptation(path, module, backbone.state_arrays())
+        save_adaptation(path, module)
         _rewrite_meta(path, edit)
         with pytest.raises(CheckpointError):
-            load_adaptation(path, backbone, backbone.state_arrays())
+            load_adaptation(path, backbone)
 
     def test_already_read_checkpoint_is_not_read_again(self, tmp_path):
         path = tmp_path / "speaker.ckpt"
