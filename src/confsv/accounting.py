@@ -1,8 +1,11 @@
-"""Parameter and MACs estimation from configuration alone.
+"""Parameter counts of the built model and analytic MACs.
 
-Counts are exact integer arithmetic over layer shapes, independent of any
-instantiated model; tests assert integer equality against live parameter
-tallies.  Two size scopes matter in practice:
+A parameter count builds the model a configuration names and tallies the
+arrays of its submodules, so sizes follow the modules themselves.  The model
+is built unseeded: its arrays are zero pages that are never written, so even
+the largest preset costs little memory.  MACs stay analytic: they come from
+the configuration's layer shapes and frame counts, with no forward pass.
+Three size scopes matter in practice:
 
 * "encoder"           subsampling stack + Conformer blocks
 * "encoder+decoder"   adds the linear CTC frame classifier
@@ -24,15 +27,17 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .adaptation import ADAPTOR_DIM, AdaptationConfig
+from .adaptation import AdaptationConfig, SpeakerAdaptation
 from .autodiff import conv_out_len
-from .conformer import EncoderConfig
+from .conformer import ConformerEncoder, EncoderConfig
 from .datapipe import VOCAB_SIZE
 from .errors import ConfigError
-from .heads import ASP_BOTTLENECK, EMBEDDING_DIM
+from .heads import ASP_BOTTLENECK, EMBEDDING_DIM, SpeakerModel
+from .losses import CtcDecoder
+from .nn import Module
 
 MACS_INPUT_SECONDS = 5.0
 MEL_FRAMES_PER_SECOND = 100
@@ -78,78 +83,18 @@ class CountReport:
         return "\n".join(lines) + "\n"
 
 
-# -- primitive counts ------------------------------------------------------------
+# -- parameter counts --------------------------------------------------------------
 
 
-def linear_params(d_in: int, d_out: int, bias: bool = True) -> int:
-    return d_in * d_out + (d_out if bias else 0)
+def _size(module: Module) -> int:
+    return sum(p.size for p in module.parameters())
 
 
-def conv1d_params(c_in: int, c_out: int, kernel: int, groups: int = 1) -> int:
-    return c_out * (c_in // groups) * kernel + c_out
-
-
-def conv2d_params(c_in: int, c_out: int, kernel: int) -> int:
-    return c_out * c_in * kernel * kernel + c_out
-
-
-def norm_params(dim: int) -> int:
-    return 2 * dim
-
-
-# -- structural blocks -----------------------------------------------------------
-
-
-def _ffn_params(d: int, h: int) -> int:
-    return norm_params(d) + linear_params(d, h) + linear_params(h, d)
-
-
-def _attention_params(d: int) -> int:
-    qkvo = 4 * linear_params(d, d)
-    pos = linear_params(d, d, bias=False)
-    biases_uv = 2 * d
-    return norm_params(d) + qkvo + pos + biases_uv
-
-
-def _conv_module_params(d: int, kernel: int) -> int:
-    return (
-        norm_params(d)
-        + conv1d_params(d, 2 * d, 1)
-        + conv1d_params(d, d, kernel, groups=d)
-        + norm_params(d)  # batch norm affine
-        + conv1d_params(d, d, 1)
-    )
-
-
-def block_params(cfg: EncoderConfig) -> int:
-    return (
-        2 * _ffn_params(cfg.dim, cfg.hidden)
-        + _attention_params(cfg.dim)
-        + _conv_module_params(cfg.dim, cfg.conv_kernel)
-        + norm_params(cfg.dim)  # closing layer norm
-    )
-
-
-def subsampling_params(cfg: EncoderConfig) -> int:
-    total = 0
-    c_in = 1
-    for _ in range(cfg.subsample_stages):
-        total += conv2d_params(c_in, cfg.dim, 3)
-        c_in = cfg.dim
-    total += linear_params(cfg.dim * cfg.subsampled_mels, cfg.dim)
-    return total
-
-
-def pooling_params(d_channels: int) -> int:
-    return (linear_params(3 * d_channels, ASP_BOTTLENECK)
-            + linear_params(ASP_BOTTLENECK, d_channels))
-
-
-def decoder_params(d: int) -> int:
-    return linear_params(d, VOCAB_SIZE + 1)
-
-
-# -- public counting API -----------------------------------------------------------
+def _add_tail(report: CountReport, model: Module) -> None:
+    """The aggregation, pooling and embedding head every speaker model ends in."""
+    report.add("mfa_norm", _size(model.mfa))
+    report.add("pooling", _size(model.pooling))
+    report.add("embedding_head", _size(model.head))
 
 
 def count_params(
@@ -157,7 +102,7 @@ def count_params(
     scope: str = "speaker",
     layers: Optional[int] = None,
 ) -> CountReport:
-    """Exact parameter count for a configuration.
+    """Exact parameter count for a configuration, tallied on the built model.
 
     `layers` overrides cfg.layers to count truncated stacks.  The "speaker"
     scope sizes the full embedding model; "encoder" and "encoder+decoder"
@@ -168,51 +113,37 @@ def count_params(
     n_layers = cfg.layers if layers is None else layers
     if not 1 <= n_layers <= cfg.layers:
         raise ConfigError(f"layer override {n_layers} out of range")
+    cfg = replace(cfg, layers=n_layers)
+    model = SpeakerModel(cfg) if scope == "speaker" else None
+    encoder = model.encoder if model is not None else ConformerEncoder(cfg)
     report = CountReport(f"parameters ({scope}, {n_layers} layers, d={cfg.dim})")
-    report.add("subsampling", subsampling_params(cfg))
-    per_block = block_params(cfg)
+    report.add("subsampling", _size(encoder.subsampling))
+    per_block = _size(encoder.blocks[0])
     report.add(f"blocks ({n_layers} x {per_block})", n_layers * per_block)
     if scope == "encoder+decoder":
-        report.add("ctc_decoder", decoder_params(cfg.dim))
-    if scope == "speaker":
-        d_channels = n_layers * cfg.dim
-        report.add("mfa_norm", norm_params(d_channels))
-        report.add("pooling", pooling_params(d_channels))
-        report.add("embedding_head",
-                   norm_params(2 * d_channels) + linear_params(2 * d_channels, EMBEDDING_DIM))
+        report.add("ctc_decoder", _size(CtcDecoder(cfg.dim, VOCAB_SIZE)))
+    if model is not None:
+        _add_tail(report, model)
     return report
 
 
 def count_adaptation_params(cfg: AdaptationConfig, backbone: EncoderConfig) -> CountReport:
     """Trainable size of the adaptation add-on (backbone excluded)."""
-    if cfg.adapted_layers > backbone.layers:
-        raise ConfigError("adapted_layers exceeds backbone depth")
-    d = backbone.dim
+    module = SpeakerAdaptation(ConformerEncoder(backbone), cfg)
     L, K = cfg.adapted_layers, cfg.extra_layers
     report = CountReport(
-        f"adaptation {cfg.variant} L={L} K={K} on d={d} backbone"
+        f"adaptation {cfg.variant} L={L} K={K} on d={backbone.dim} backbone"
     )
-    if cfg.variant in ("V2", "V3") and L > 0:
-        per_adaptor = (
-            linear_params(d, ADAPTOR_DIM)
-            + norm_params(ADAPTOR_DIM)
-            + linear_params(ADAPTOR_DIM, ADAPTOR_DIM)
-        )
+    if cfg.variant != "V1":
+        per_adaptor = _size(module.adaptors[0])
         report.add(f"layer_adaptors ({L} x {per_adaptor})", L * per_adaptor)
-    if cfg.variant == "V3" and L > 0:
-        report.add("concat_linear", linear_params(d * L, cfg.light_dim))
-    elif cfg.variant != "V3" and L > 0 and d != cfg.light_dim:
-        # instantiated whenever widths differ, even at K = 0
-        report.add("light_input_linear", linear_params(d, cfg.light_dim))
+    if hasattr(module, "light_in"):
+        name = "concat_linear" if cfg.variant == "V3" else "light_input_linear"
+        report.add(name, _size(module.light_in))
     if K > 0:
-        light_cfg = cfg.light_encoder_config(backbone.subsample_rate)
-        report.add(f"light_blocks ({K} x {block_params(light_cfg)})",
-                   K * block_params(light_cfg))
-    d_channels = cfg.mfa_dim(d)
-    report.add("mfa_norm", norm_params(d_channels))
-    report.add("pooling", pooling_params(d_channels))
-    report.add("embedding_head",
-               norm_params(2 * d_channels) + linear_params(2 * d_channels, EMBEDDING_DIM))
+        per_block = _size(module.light_blocks[0])
+        report.add(f"light_blocks ({K} x {per_block})", K * per_block)
+    _add_tail(report, module)
     return report
 
 

@@ -54,10 +54,8 @@ class AdaptationConfig:
     def __post_init__(self):
         if self.variant not in ("V1", "V2", "V3"):
             raise ConfigError(f"variant must be V1/V2/V3, got {self.variant!r}")
-        # L = 0 is allowed for degenerate accounting (pooling + head only);
-        # building a module requires at least one tapped layer.
-        if self.adapted_layers < 0:
-            raise ConfigError("adapted_layers must be >= 0")
+        if self.adapted_layers < 1:
+            raise ConfigError("adapted_layers must be >= 1")
         if self.extra_layers < 0:
             raise ConfigError("extra_layers must be >= 0")
         if self.variant == "V3" and self.extra_layers < 1:
@@ -96,18 +94,17 @@ class SpeakerAdaptation(Module):
 
     Building one freezes `backbone`.
 
-    The published size tables instantiate the lightweight-branch input linear
-    whenever the backbone width differs from the lightweight width, even at
-    K = 0; this module mirrors that so its parameter set matches the
-    accounting module exactly.
+    The lightweight-branch input linear is built whenever the backbone width
+    differs from the lightweight width, even at K = 0, where no forward uses
+    it: the published size tables count it there.
     """
 
     def __init__(self, backbone: ConformerEncoder, cfg: AdaptationConfig,
                  seed: Optional[int] = None):
         bcfg = backbone.cfg
-        if not 1 <= cfg.adapted_layers <= bcfg.layers:
+        if cfg.adapted_layers > bcfg.layers:
             raise ConfigError(
-                f"adapted_layers {cfg.adapted_layers} must lie in [1, {bcfg.layers}]"
+                f"adapted_layers {cfg.adapted_layers} exceeds backbone depth {bcfg.layers}"
             )
         self.cfg = cfg
         self._backbone = backbone.set_trainable(False)  # underscore: not a submodule

@@ -98,6 +98,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be in [{lo}, {hi}), got {value}")
         if not self.aam_scale > 0:
             raise ConfigError(f"aam_scale must be positive, got {self.aam_scale}")
+        if not 0 <= self.augment_prob <= 1:  # closed at 1, which _RANGES cannot say
+            raise ConfigError(f"augment_prob must be in [0, 1], got {self.augment_prob}")
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}

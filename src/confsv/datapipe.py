@@ -244,6 +244,8 @@ class Corpus:
     def __post_init__(self):
         if self.n_speakers < 2:
             raise ConfigError("a corpus needs at least 2 speakers")
+        if self.utts_per_speaker < 1:
+            raise ConfigError("a corpus needs at least 1 utterance per speaker")
         self.speakers = [f"spk{idx:03d}" for idx in range(self.n_speakers)]
         self._profiles = {
             spk: SynthSpeakerProfile(stable_seed(self.seed, "profile", spk))

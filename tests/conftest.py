@@ -72,8 +72,7 @@ def gradcheck(build_loss, tensors, rtol: float = 1e-4, atol: float = 1e-8,
 
 
 def param_count(module, trainable_only: bool = False) -> int:
-    """Size of `module`'s parameters, counted from the instantiated arrays: the
-    oracle for the analytic counts of `confsv.accounting`."""
+    """Size of `module`'s parameters, counted from the instantiated arrays."""
     return sum(p.size for p in module.parameters() if p.trainable or not trainable_only)
 
 

@@ -1,15 +1,16 @@
 """Size/MACs accounting: published figures, live-model tallies, conventions."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from confsv.accounting import (
-    count_adaptation_params,
-    count_params,
-    estimate_macs,
-    linear_params,
-)
+import confsv
+from confsv.accounting import count_adaptation_params, count_params, estimate_macs
 from confsv.adaptation import AdaptationConfig, SpeakerAdaptation
+from confsv.cli import EXIT_CONFIG, EXIT_OK, main
 from confsv.conformer import ENCODER_PRESETS, ConformerEncoder, EncoderConfig
 from confsv.errors import ConfigError
 from confsv.heads import SpeakerModel
@@ -77,9 +78,6 @@ class TestEncoderSizes:
         report = count_params(ENCODER_PRESETS["medium"], scope="speaker")
         assert sum(e.params for e in report.entries) == report.total_params
 
-    def test_single_linear_layer(self):
-        assert linear_params(3, 2, bias=True) == 8
-
     def test_monotone_in_layers_dim_hidden(self):
         base = EncoderConfig(4, 32, 4, 64)
         total = count_params(base).total_params
@@ -117,11 +115,119 @@ class TestAdaptationSizes:
         with pytest.raises(ConfigError):
             count_adaptation_params(AdaptationConfig("V2", 20, 0), ENCODER_PRESETS["small"])
 
-    def test_degenerate_l0_k0_counts_pooling_and_head_only(self):
-        report = count_adaptation_params(AdaptationConfig("V2", 0, 0), ENCODER_PRESETS["small"])
-        names = {e.name for e in report.entries}
-        assert not any("adaptor" in n or "light" in n or "concat" in n for n in names)
-        assert {"pooling", "embedding_head", "mfa_norm"} == names
+    def test_degenerate_l0_k0_is_a_config_error(self, capsys):
+        """No add-on taps zero layers, so there is no L = 0 size to report."""
+        with pytest.raises(ConfigError):
+            AdaptationConfig("V2", 0, 0)
+        assert main(["count", "--preset", "small", "--variant", "V2",
+                     "--adapted-layers", "0"]) == EXIT_CONFIG
+        assert "adapted_layers" in capsys.readouterr().err
+
+
+# Exact totals, fixed integers that do not depend on the model code: any change
+# to a layer's shape shows here.  (preset) -> speaker, encoder, encoder+decoder.
+EXACT_PRESET_TOTALS = {
+    "small": (15876288, 12972608, 12974555),
+    "medium": (35256704, 30505472, 30508299),
+    "large": (130937216, 121435136, 121440779),
+    "half_small": (8729104, 7277072, 7279019),
+    "half_medium": (19300992, 16925184, 16928011),
+    "half_large": (72156032, 67404800, 67410443),
+}
+EXACT_LARGE_TRUNCATED = {(4, "speaker"): 35015040, (6, "speaker"): 48718208,
+                         (8, "speaker"): 62421376, (6, "encoder"): 45550592,
+                         (10, "encoder"): 70845440, (14, "encoder"): 96140288}
+EXACT_ADAPTATION = {
+    ("V2", 12, 0, "small"): 2057088,
+    ("V3", 10, 2, "large"): 4917616,
+    ("V3", 14, 2, "large"): 6135664,
+    ("V1", 4, 0, "small"): 726208,
+    ("V1", 8, 4, "small"): 5195904,
+    ("V2", 8, 2, "small"): 3243456,
+    ("V3", 12, 4, "small"): 6172848,
+    ("V2", 6, 0, "medium"): 1135408,
+    ("V3", 14, 2, "medium"): 5046128,
+    ("V1", 10, 0, "large"): 5369392,
+    ("V2", 14, 4, "large"): 6836144,
+    ("V3", 6, 2, "large"): 3699568,
+}
+SMALL_CSV = (
+    "component,params,macs\n"
+    "subsampling,900416,0\n"
+    "blocks (16 x 754512),12072192,0\n"
+    "mfa_norm,5632,0\n"
+    "pooling,1444736,0\n"
+    "embedding_head,1453312,0\n"
+    "total,15876288,0\n"
+)
+LARGE_V3_L10_K2_CSV = (
+    "component,params,macs\n"
+    "layer_adaptors (10 x 82432),824320,0\n"
+    "concat_linear,901296,0\n"
+    "light_blocks (2 x 754512),1509024,0\n"
+    "mfa_norm,3264,0\n"
+    "pooling,837344,0\n"
+    "embedding_head,842368,0\n"
+    "total,4917616,0\n"
+)
+
+
+class TestExactTotals:
+    @pytest.mark.parametrize("preset", sorted(EXACT_PRESET_TOTALS))
+    def test_preset_scopes(self, preset):
+        totals = tuple(count_params(ENCODER_PRESETS[preset], scope=scope).total_params
+                       for scope in ("speaker", "encoder", "encoder+decoder"))
+        assert totals == EXACT_PRESET_TOTALS[preset]
+
+    @pytest.mark.parametrize("layers,scope", sorted(EXACT_LARGE_TRUNCATED))
+    def test_truncated_large(self, layers, scope):
+        report = count_params(ENCODER_PRESETS["large"], scope=scope, layers=layers)
+        assert report.total_params == EXACT_LARGE_TRUNCATED[(layers, scope)]
+
+    @pytest.mark.parametrize("key", sorted(EXACT_ADAPTATION))
+    def test_adaptation_cells(self, key):
+        variant, L, K, backbone = key
+        report = count_adaptation_params(AdaptationConfig(variant, L, K),
+                                         ENCODER_PRESETS[backbone])
+        assert report.total_params == EXACT_ADAPTATION[key]
+
+    @pytest.mark.parametrize("args,expected", [
+        (["--preset", "small"], SMALL_CSV),
+        (["--preset", "large", "--variant", "V3", "--adapted-layers", "10",
+          "--extra-layers", "2"], LARGE_V3_L10_K2_CSV),
+    ], ids=["small", "large-V3-L10-K2"])
+    def test_count_csv_bytes(self, tmp_path, args, expected):
+        csv_path = tmp_path / "r.csv"
+        assert main(["count", *args, "--csv", str(csv_path)]) == EXIT_OK
+        assert csv_path.read_bytes() == expected.encode("utf-8")
+
+
+# Runs `count` in a child and reports the child's exit code and peak RSS (KiB),
+# read with wait4.  A process keeps the peak RSS of the image it exec'd from,
+# so this launcher, not the test process, is the count's parent.
+_MEASURE_COUNT = """
+import os, sys
+count = "import sys; from confsv.cli import main; sys.exit(main(sys.argv[1:]))"
+pid = os.posix_spawn(sys.executable, [sys.executable, "-c", count, "count", *sys.argv[1:]],
+                     os.environ, file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+class TestCountCost:
+    def test_largest_count_stays_small_in_memory(self):
+        """The counted model's arrays are never written, so their pages are
+        never backed: seeding them would cost about 1 GB here."""
+        src = os.path.dirname(os.path.dirname(confsv.__file__))
+        run = subprocess.run(
+            [sys.executable, "-c", _MEASURE_COUNT, "--preset", "large", "--variant", "V3",
+             "--adapted-layers", "14", "--extra-layers", "2"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        )
+        code, peak_kib = map(int, run.stdout.split())
+        assert code == 0
+        assert peak_kib / 1024 < 100
 
 
 class TestLiveTallies:

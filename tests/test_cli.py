@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from confsv import checkpoint as ckpt
 from confsv.checkpoint import load_checkpoint, save_checkpoint
 from confsv.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from confsv.config import load_run_config
 from confsv.conformer import EncoderConfig
 from confsv.datapipe import read_manifest
 from confsv.errors import DataError
@@ -116,6 +117,35 @@ class TestGenData:
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         assert "frozen_epochs" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("utts", ["0", "-3"])
+    def test_no_utterances_per_speaker_exits_2(self, tmp_path, capsys, utts):
+        """0 wrote a manifest of one newline that every later command failed on;
+        -3 ended in a traceback."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINI_CONFIG.replace("utts_per_speaker = 6", f"utts_per_speaker = {utts}"),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "utterance" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize("prob", ["-0.5", "1.5"])
+    def test_augment_prob_outside_0_1_exits_2(self, tmp_path, capsys, prob):
+        """-0.5 trained with no augmentation; 1.5 failed in the first batch worker."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINI_CONFIG.replace("augment_prob = 0.0", f"augment_prob = {prob}"),
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "augment_prob" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_augment_prob_of_1_loads(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINI_CONFIG.replace("augment_prob = 0.0", "augment_prob = 1.0"),
+                       encoding="utf-8")
+        assert load_run_config(cfg).augment_prob == 1.0
 
 
 class TestGenTrials:
