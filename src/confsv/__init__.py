@@ -15,8 +15,7 @@ frozen encoder.  Both embed one utterance's (T, 80) `log_mel` features with
 nothing; a forward with an rng is a training step.  Scoring takes whole
 trial lists: `scoring.score_trials` or `snorm_scores`, then `qmf_features`,
 `qmf_fit` and `QmfModel.calibrate`.  Every name re-exported below is used
-inside the package, except `ctc_loss`, the one-utterance CTC that the
-acceptance tests check by enumerating alignments.
+inside the package.
 """
 
 from .adaptation import (
@@ -39,7 +38,6 @@ from .datapipe import (
     log_mel,
     reverb,
     speed_perturb,
-    synth_corpus,
 )
 from .heads import AttentiveStatsPooling, EmbeddingHead, MfaAggregator, SpeakerModel
 from .losses import (
@@ -48,7 +46,6 @@ from .losses import (
     RateMatcher,
     aam_softmax_loss,
     combined_loss,
-    ctc_loss,
     distill_kl_loss,
 )
 from .scoring import TrialList, eer, min_dcf, parse_trials, qmf_fit

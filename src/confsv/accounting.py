@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 from .adaptation import AdaptationConfig, SpeakerAdaptation
 from .autodiff import conv_out_len
@@ -97,29 +96,21 @@ def _add_tail(report: CountReport, model: Module) -> None:
     report.add("embedding_head", _size(model.head))
 
 
-def count_params(
-    cfg: EncoderConfig,
-    scope: str = "speaker",
-    layers: Optional[int] = None,
-) -> CountReport:
+def count_params(cfg: EncoderConfig, scope: str = "speaker") -> CountReport:
     """Exact parameter count for a configuration, tallied on the built model.
 
-    `layers` overrides cfg.layers to count truncated stacks.  The "speaker"
-    scope sizes the full embedding model; "encoder" and "encoder+decoder"
-    cover the ASR-side stack.
+    The "speaker" scope sizes the full embedding model; "encoder" and
+    "encoder+decoder" cover the ASR-side stack.  A truncated stack is counted
+    as the configuration with fewer layers.
     """
     if scope not in ("encoder", "encoder+decoder", "speaker"):
         raise ConfigError(f"unknown scope {scope!r}")
-    n_layers = cfg.layers if layers is None else layers
-    if not 1 <= n_layers <= cfg.layers:
-        raise ConfigError(f"layer override {n_layers} out of range")
-    cfg = replace(cfg, layers=n_layers)
     model = SpeakerModel(cfg) if scope == "speaker" else None
     encoder = model.encoder if model is not None else ConformerEncoder(cfg)
-    report = CountReport(f"parameters ({scope}, {n_layers} layers, d={cfg.dim})")
+    report = CountReport(f"parameters ({scope}, {cfg.layers} layers, d={cfg.dim})")
     report.add("subsampling", _size(encoder.subsampling))
     per_block = _size(encoder.blocks[0])
-    report.add(f"blocks ({n_layers} x {per_block})", n_layers * per_block)
+    report.add(f"blocks ({cfg.layers} x {per_block})", cfg.layers * per_block)
     if scope == "encoder+decoder":
         report.add("ctc_decoder", _size(CtcDecoder(cfg.dim, VOCAB_SIZE)))
     if model is not None:

@@ -82,14 +82,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(other))
@@ -99,9 +93,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
 
     def __neg__(self):
         return mul(self, _wrap(-1.0))

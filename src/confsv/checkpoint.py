@@ -38,9 +38,7 @@ VERSION = 1
 def _array_section(arrays: dict[str, np.ndarray]) -> bytes:
     chunks = [struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
-        arr = np.asarray(arr, dtype="<f8")
-        if arr.ndim and not arr.flags.c_contiguous:  # ascontiguousarray would promote 0-d
-            arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr, dtype="<f8")  # tobytes() writes C order for any layout
         nb = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(nb)))
         chunks.append(nb)

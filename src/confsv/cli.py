@@ -22,11 +22,11 @@ from .adaptation import AdaptationConfig, load_adaptation, linear_probe
 from .config import RunConfig, load_run_config
 from .conformer import ENCODER_PRESETS, EncoderConfig
 from .datapipe import (
+    Corpus,
     load_utterance,
     log_mel,
     make_trials,
     read_manifest,
-    synth_corpus,
     write_corpus,
 )
 from .errors import ConfigError, ConfsvError, DataError, NumericError
@@ -76,7 +76,7 @@ def _load_config(args) -> RunConfig:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
-    corpus = synth_corpus(cfg.n_speakers, cfg.utts_per_speaker, cfg.seed)
+    corpus = Corpus(cfg.n_speakers, cfg.utts_per_speaker, cfg.seed)
     manifest = write_corpus(corpus, args.out)
     print(f"wrote {len(corpus)} utterances, manifest {manifest}")
     return EXIT_OK
@@ -128,9 +128,7 @@ def cmd_probe(args) -> int:
     entries = read_manifest(args.manifest)
     if args.max_utts is not None:
         entries = entries[: args.max_utts]
-    speakers = sorted({e.speaker_id for e in entries})
-    if len(speakers) < 2:
-        raise DataError("probe needs at least two speakers")
+    speakers = sorted({e.speaker_id for e in entries})  # one speaker: linear_probe raises
     label_of = {s: i for i, s in enumerate(speakers)}
     labels = [label_of[e.speaker_id] for e in entries]
     per_layer: list[list[np.ndarray]] = [[] for _ in range(encoder.cfg.layers)]

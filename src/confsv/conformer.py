@@ -199,11 +199,13 @@ class AttentionModule(Module):
 
 
 class ConvolutionModule(Module):
-    """Pointwise conv -> GLU -> depthwise conv -> batch norm -> Swish -> pointwise."""
+    """Pointwise conv -> GLU -> depthwise conv -> batch norm -> Swish -> pointwise.
+
+    The kernel is odd, which `EncoderConfig` checks, so the depthwise conv's
+    same padding keeps the frame count.
+    """
 
     def __init__(self, dim: int, kernel: int, dropout: float):
-        if kernel % 2 == 0:
-            raise ConfigError("conv kernel must be odd for same padding")
         self.norm = LayerNorm(dim)
         self.pointwise1 = Conv1d(dim, 2 * dim, 1)
         self.depthwise = Conv1d(dim, dim, kernel, padding=(kernel - 1) // 2, groups=dim)
@@ -213,8 +215,6 @@ class ConvolutionModule(Module):
         self.kernel = kernel  # read by perfbench/tracing.py for the block's MACs
 
     def forward(self, x: Tensor, rng=None) -> Tensor:
-        if x.shape[1] < 1:
-            raise DimensionError("convolution module needs T >= 1")
         h = self.norm(x)
         h = ad.glu(self.pointwise1(h))
         h = self.depthwise(h)

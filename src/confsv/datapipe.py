@@ -281,10 +281,6 @@ class Corpus:
         return Utterance(wave, spk, tokens, wave.size / SAMPLE_RATE)
 
 
-def synth_corpus(n_speakers: int, utts_per_speaker: int, seed: int) -> Corpus:
-    return Corpus(n_speakers, utts_per_speaker, seed)
-
-
 # -- features -------------------------------------------------------------------
 
 
@@ -474,9 +470,10 @@ AUGMENT_KINDS = ("ambient", "music", "babble", "reverb")
 
 
 def augment_plan(p: float, rng: np.random.Generator) -> Optional[str]:
-    """Draw the on-the-fly decision: None (identity) or one augmentation kind."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError("augmentation probability must be in [0, 1]")
+    """Draw the on-the-fly decision: None (identity) or one augmentation kind.
+
+    `p` is `RunConfig.augment_prob`, which the config checks lies in [0, 1].
+    """
     if rng.random() >= p:
         return None
     return AUGMENT_KINDS[int(rng.integers(0, len(AUGMENT_KINDS)))]

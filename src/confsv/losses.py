@@ -101,21 +101,14 @@ def _check_ctc_target(target: Sequence[int], T: int, n_symbols: int) -> list[int
     return target
 
 
-def ctc_loss(logits: Tensor, target: Sequence[int]) -> Tensor:
-    """Negative log probability of all alignments of `target` in (T, V+1) logits.
-
-    Index 0 is the blank.  Raises InfeasibleTargetError when the target (with
-    mandatory blanks between repeated tokens) cannot fit in T frames.
-    """
-    if logits.ndim != 2:
-        raise DimensionError(f"ctc_loss expects (T, V+1) logits, got {logits.shape}")
-    return ctc_loss_batch(ad.reshape(logits, (1,) + logits.shape), [target])
-
-
 def ctc_loss_batch(logits: Tensor, targets: Sequence[Sequence[int]]) -> Tensor:
     """Mean CTC loss over a batch of (B, T, V+1) logits, as one graph node.
 
-    The per-item losses are summed left to right and scaled by 1/B.
+    Each item's loss is the negative log probability of all alignments of its
+    target; index 0 is the blank.  A target that cannot fit in T frames, with
+    the blanks that must separate repeated tokens, raises
+    InfeasibleTargetError.  The per-item losses are summed left to right and
+    scaled by 1/B.
     """
     if logits.ndim != 3 or len(targets) != logits.shape[0]:
         raise DimensionError("need (B, T, V+1) logits and one target per item")

@@ -162,11 +162,7 @@ class Linear(Module):
         self.bias = Parameter((d_out,), fan=d_in) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.weight.shape[0]:
-            raise DimensionError(
-                f"linear: input dim {x.shape[-1]} != weight dim {self.weight.shape[0]}"
-            )
-        out = ad.matmul(x, self.weight)
+        out = ad.matmul(x, self.weight)  # a wrong input width raises DimensionError there
         if self.bias is not None:
             out = out + self.bias
         return out

@@ -142,12 +142,11 @@ def _operating_points(scores: Sequence[float], labels: Sequence[int]):
 def eer(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Equal error rate in percent, linearly interpolated at the FAR/FRR crossing."""
     tar, non, n_tar, n_non = _operating_points(scores, labels)
-    # prepend the reject-everything operating point
+    # reject-all first; the last operating point accepts every trial, so FAR
+    # ends at 1 and FRR at 0 and the difference crosses zero somewhere
     far = np.concatenate([[0.0], non / n_non])
     frr = np.concatenate([[1.0], 1.0 - tar / n_tar])
     diff = far - frr
-    if diff[-1] < 0:  # even accept-almost-everything rejects targets; take endpoint
-        return float(100.0 * max(far[-1], frr[-1]))
     idx = int(np.argmax(diff >= 0))
     if diff[idx] == 0:
         return float(100.0 * far[idx])
@@ -161,9 +160,9 @@ def min_dcf(scores: Sequence[float], labels: Sequence[int]) -> float:
     """Minimum normalized detection cost over all decision thresholds, at
     `P_TARGET` with unit miss and false-alarm costs."""
     tar, non, n_tar, n_non = _operating_points(scores, labels)
-    # accept-all (threshold below min) and reject-all (above max) endpoints
-    far = np.concatenate([non / n_non, [1.0], [0.0]])
-    frr = np.concatenate([(n_tar - tar) / n_tar, [0.0], [1.0]])
+    # the last operating point accepts every trial; add reject-all
+    far = np.concatenate([non / n_non, [0.0]])
+    frr = np.concatenate([(n_tar - tar) / n_tar, [1.0]])
     cost = P_TARGET * frr + (1.0 - P_TARGET) * far
     return float(cost.min() / min(P_TARGET, 1.0 - P_TARGET))
 

@@ -38,12 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
-from .adaptation import (
-    AdaptationConfig,
-    SpeakerAdaptation,
-    save_adaptation,
-    truncate_encoder,
-)
+from .adaptation import SpeakerAdaptation, save_adaptation, truncate_encoder
 from .config import RunConfig
 from .conformer import ConformerEncoder, EncoderConfig
 from .datapipe import (

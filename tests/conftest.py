@@ -14,7 +14,7 @@ import pytest
 from confsv import autodiff as ad
 from confsv.config import RunConfig
 from confsv.conformer import EncoderConfig
-from confsv.datapipe import make_trials, read_manifest, synth_corpus, write_corpus
+from confsv.datapipe import Corpus, make_trials, read_manifest, write_corpus
 from confsv.training import pretrain_asr
 
 
@@ -128,8 +128,8 @@ def toy_run_config(**overrides) -> RunConfig:
 def toy_data(tmp_path_factory):
     """Training corpus (20 x 50), held-out-speaker eval corpus, and trial lists."""
     root = tmp_path_factory.mktemp("toy_data")
-    train_manifest = write_corpus(synth_corpus(20, 50, seed=TOY_SEED), root / "train")
-    eval_manifest = write_corpus(synth_corpus(10, 10, seed=909), root / "eval")
+    train_manifest = write_corpus(Corpus(20, 50, seed=TOY_SEED), root / "train")
+    eval_manifest = write_corpus(Corpus(10, 10, seed=909), root / "eval")
     eval_entries = read_manifest(eval_manifest)
     trials = make_trials(eval_entries, seed=11, n_target=600, n_nontarget=600)
     trial_path = root / "trials.txt"

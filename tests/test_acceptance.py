@@ -16,7 +16,7 @@ from confsv.adaptation import AdaptationConfig, linear_probe
 from confsv.checkpoint import load_checkpoint
 from confsv.cli import EXIT_OK, main
 from confsv.conformer import ENCODER_PRESETS, EncoderConfig
-from confsv.datapipe import log_mel, read_manifest, synth_corpus, write_corpus
+from confsv.datapipe import Corpus, log_mel, read_manifest, write_corpus
 from confsv.heads import SpeakerModel
 from confsv.losses import AamClassifier, aam_softmax_loss, distill_kl_loss
 from confsv.nn import seed_parameters
@@ -43,7 +43,7 @@ def _report(number: int, description: str, t0: float, budget: float) -> None:
 def small_corpus(tmp_path_factory):
     """A 6-speaker corpus for the contract criteria (7 and 8)."""
     root = tmp_path_factory.mktemp("accept_small")
-    manifest = write_corpus(synth_corpus(6, 10, seed=313), root)
+    manifest = write_corpus(Corpus(6, 10, seed=313), root)
     return manifest
 
 
@@ -165,7 +165,7 @@ def test_criterion_05_metric_oracles():
 def test_criterion_06_ctc_oracle():
     """Exhaustive agreement with alignment enumeration for T<=6, |y|<=3, V<=3."""
     t0 = time.time()
-    from confsv.losses import ctc_loss
+    from confsv.losses import ctc_loss_batch
     from confsv.errors import InfeasibleTargetError
     from itertools import product
 
@@ -194,10 +194,10 @@ def test_criterion_06_ctc_oracle():
                     repeats = sum(a == b for a, b in zip(target, target[1:]))
                     if T < n_tok + repeats:
                         with pytest.raises(InfeasibleTargetError):
-                            ctc_loss(ad.tensor(logits), list(target))
+                            ctc_loss_batch(ad.tensor(logits[None]), [list(target)])
                         continue
                     expected = -by_collapse.get(target, -np.inf)
-                    got = float(ctc_loss(ad.tensor(logits), list(target)).data)
+                    got = float(ctc_loss_batch(ad.tensor(logits[None]), [list(target)]).data)
                     assert abs(got - expected) < 1e-10, (V, T, target)
                     checked += 1
     assert checked == 216  # all feasible (V, T, target) cells of the grid
@@ -261,7 +261,7 @@ def test_criterion_08_freezing_contracts(small_corpus, toy_asr_ckpt, tmp_path):
 
     # adaptation training: backbone parameters and forward outputs untouched
     backbone_before, _ = load_asr_model(toy_asr_ckpt)
-    probe_feats = log_mel(synth_corpus(2, 1, seed=5).utterance(0).waveform)
+    probe_feats = log_mel(Corpus(2, 1, seed=5).utterance(0).waveform)
     maps_before = [m.data[0].copy() for m in backbone_before(ad.tensor(probe_feats[None]))]
     params_before = {
         n: p.data.copy() for n, p in backbone_before.named_parameters()

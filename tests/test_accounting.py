@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,7 +88,8 @@ class TestEncoderSizes:
 
     @pytest.mark.parametrize("layers,scope", sorted(LARGE_TRUNCATED_M))
     def test_truncated_large_sizes(self, layers, scope):
-        total = count_params(ENCODER_PRESETS["large"], scope=scope, layers=layers).total_params
+        cfg = replace(ENCODER_PRESETS["large"], layers=layers)
+        total = count_params(cfg, scope=scope).total_params
         expected = LARGE_TRUNCATED_M[(layers, scope)]
         assert abs(total / 1e6 - expected) / expected < 0.10
         assert round(total / 1e6, 2) == expected
@@ -181,7 +183,7 @@ class TestExactTotals:
 
     @pytest.mark.parametrize("layers,scope", sorted(EXACT_LARGE_TRUNCATED))
     def test_truncated_large(self, layers, scope):
-        report = count_params(ENCODER_PRESETS["large"], scope=scope, layers=layers)
+        report = count_params(replace(ENCODER_PRESETS["large"], layers=layers), scope=scope)
         assert report.total_params == EXACT_LARGE_TRUNCATED[(layers, scope)]
 
     @pytest.mark.parametrize("key", sorted(EXACT_ADAPTATION))
@@ -286,6 +288,15 @@ class TestMacs:
         # one block at T'=125: 125 * (2dd + dk + dd) with d=8, k=3
         per_block = 125 * (2 * 64 + 24 + 64)
         assert any(e.macs == per_block for e in report.entries)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"convention": "flops"}, "unknown MACs convention 'flops'"),
+        ({"scope": "decoder"}, "unknown scope 'decoder'"),
+    ])
+    def test_unknown_convention_or_scope(self, kwargs, message):
+        """`count` offers only the valid choices; a Python caller gets a ConfigError."""
+        with pytest.raises(ConfigError, match=message):
+            estimate_macs(ENCODER_PRESETS["small"], **kwargs)
 
     def test_report_render(self):
         report = estimate_macs(ENCODER_PRESETS["small"])

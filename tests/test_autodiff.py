@@ -65,6 +65,10 @@ class TestSoftmax:
         with pytest.raises(DimensionError):
             ad.softmax(ad.tensor(np.zeros((3, 0))))
 
+    def test_log_softmax_empty_axis_errors(self):
+        with pytest.raises(DimensionError, match="log_softmax: empty axis"):
+            ad.log_softmax(ad.tensor(np.zeros((3, 0))))
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=20))
     def test_rows_sum_to_one(self, values):
@@ -95,6 +99,31 @@ class TestLayerNorm:
     def test_empty_errors(self):
         with pytest.raises(DimensionError):
             ad.layer_norm(ad.tensor(np.zeros((2, 0))), ad.tensor([]), ad.tensor([]))
+
+
+class TestPythonOnlyChecks:
+    """What only a Python caller reaches: the repr, and the shape checks that
+    raise DimensionError where the op would give an empty or wrong result."""
+
+    def test_tensor_repr(self):
+        t = ad.tensor(np.zeros((2, 3)), requires_grad=True)
+        assert repr(t) == "Tensor(shape=(2, 3), requires_grad=True)"
+
+    def test_glu_of_an_odd_axis_errors(self):
+        # a width of 1 would otherwise gate an empty half into an empty output
+        with pytest.raises(DimensionError, match="glu: axis length 1 is odd"):
+            ad.glu(ad.tensor(np.zeros((2, 1))))
+
+    def test_conv2d_relu_channel_mismatch_errors(self):
+        with pytest.raises(DimensionError, match="conv2d_relu: channel mismatch"):
+            ad.conv2d_relu(ad.tensor(np.zeros((1, 6, 6, 2))), ad.tensor(np.zeros((4, 1, 3, 3))),
+                           None, stride=2, padding=1)
+
+    def test_conv2d_relu_input_smaller_than_the_kernel_errors(self):
+        # the strided window view would otherwise read an empty output
+        with pytest.raises(DimensionError, match="conv2d_relu: input too small for kernel"):
+            ad.conv2d_relu(ad.tensor(np.zeros((1, 2, 6, 1))), ad.tensor(np.zeros((4, 1, 3, 3))),
+                           None)
 
 
 def depthwise(x, kernel, padding):

@@ -1,6 +1,7 @@
 """Command-line surface: determinism, exit codes, file outputs."""
 
 import os
+import wave
 
 import numpy as np
 import pytest
@@ -11,12 +12,20 @@ from confsv import checkpoint as ckpt
 from confsv.checkpoint import load_checkpoint, save_checkpoint
 from confsv.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from confsv.config import load_run_config
-from confsv.conformer import EncoderConfig
-from confsv.datapipe import read_manifest
+from confsv.conformer import ConformerEncoder, EncoderConfig
+from confsv.datapipe import SAMPLE_RATE, VOCAB_SIZE, read_manifest
 from confsv.errors import DataError
 from confsv.heads import SpeakerModel
+from confsv.losses import CtcDecoder
+from confsv.nn import seed_parameters
 from confsv.scoring import load_embeddings, parse_trials, save_embeddings
-from confsv.training import load_asr_model, load_speaker_model, save_speaker_checkpoint
+from confsv.training import (
+    load_asr_model,
+    load_speaker_model,
+    save_asr_checkpoint,
+    save_speaker_checkpoint,
+)
+from confsv.util import rng_for
 
 from conftest import toy_run_config
 
@@ -147,6 +156,26 @@ class TestGenData:
                        encoding="utf-8")
         assert load_run_config(cfg).augment_prob == 1.0
 
+    @pytest.mark.parametrize("text, message", [
+        ("[data]\nspeed_perturb = maybe\n", "expected a boolean, got 'maybe'"),
+        ("[encoder]\npreset = huge\n", "unknown encoder preset 'huge'"),
+        ("[encoder]\nlayers = 0\ndim = 16\nheads = 4\nhidden = 32\n",
+         "layers/dim/heads/hidden must be positive"),
+        ("[encoder]\nlayers = 1\ndim = 16\nheads = 4\nhidden = -32\n",
+         "layers/dim/heads/hidden must be positive"),
+        ("[encoder]\nlayers = 1\ndim = 16\nheads = 4\nhidden = 32\ndropout = 1.0\n",
+         "dropout must be in [0, 1)"),
+        ("[adaptation]\nvariant = V2\nadapted_layers = 1\nextra_layers = -1\n",
+         "extra_layers must be >= 0"),
+    ], ids=["bool", "preset", "layers", "hidden", "dropout", "extra_layers"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[experiment]\nseed = 1\n" + text, encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
 
 class TestGenTrials:
     def test_manifest_that_is_not_utf8_exits_3(self, tmp_path, capsys):
@@ -170,7 +199,64 @@ class TestGenTrials:
         assert not out.exists()
 
 
+def _asr_ckpt(path, enc_cfg):
+    """An ASR checkpoint of seeded, untrained weights."""
+    decoder = CtcDecoder(enc_cfg.dim, VOCAB_SIZE)
+    seed_parameters(decoder, 12)
+    save_asr_checkpoint(path, ConformerEncoder(enc_cfg, seed=11), decoder, toy_run_config())
+    return path
+
+
 class TestTrain:
+    def test_manifest_token_outside_the_inventory_exits_3(self, mini, tmp_path, capsys):
+        wav = mini["manifest"].parent / read_manifest(mini["manifest"])[0].path
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"{wav} spk000 aexo 2.300\n", encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["pretrain-asr", "--config", str(mini["config"]), "--manifest",
+                     str(manifest), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "data error: unknown token 'x'\n"
+        assert not (out / "asr.ckpt").exists()
+
+    def test_init_with_truncate_layers_starts_from_the_first_asr_blocks(self, mini, tmp_path):
+        """The truncated initialization: a 2-block ASR encoder starts a 1-block
+        run, and every epoch frozen keeps its subsampling and first block."""
+        asr = _asr_ckpt(tmp_path / "asr2.ckpt", EncoderConfig(2, 16, 4, 32, conv_kernel=7))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(MINI_CONFIG + "\n[schedule]\ntruncate_layers = 1\nfrozen_epochs = 2\n",
+                       encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--manifest", str(mini["manifest"]),
+                     "--out", str(out), "--init", str(asr)]) == EXIT_OK
+        trained = dict(load_speaker_model(out / "speaker.ckpt").encoder.named_parameters())
+        first = {name: p for name, p in load_asr_model(asr)[0].named_parameters()
+                 if not name.startswith("blocks.1.")}
+        assert trained.keys() == first.keys()
+        assert all(trained[name].data.tobytes() == p.data.tobytes() for name, p in first.items())
+
+    def test_init_from_another_encoder_than_the_runs_exits_2(self, mini, tmp_path, capsys):
+        asr = _asr_ckpt(tmp_path / "asr2.ckpt", EncoderConfig(2, 16, 4, 32, conv_kernel=7))
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(mini["config"]), "--manifest",
+                     str(mini["manifest"]), "--out", str(out), "--init", str(asr)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: run encoder config must match the checkpoint encoder\n")
+        assert not (out / "speaker.ckpt").exists()
+
+    def test_quarter_rate_student_under_a_half_rate_teacher_exits_2(self, mini, tmp_path,
+                                                                    capsys):
+        teacher = _asr_ckpt(tmp_path / "half.ckpt",
+                            EncoderConfig(1, 16, 4, 32, 0.5, conv_kernel=7))
+        out = tmp_path / "o"
+        code = main(["distill", "--config", str(mini["config"]), "--manifest",
+                     str(mini["manifest"]), "--out", str(out), "--teacher", str(teacher)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: unsupported student/teacher subsampling combination\n")
+        assert not (out / "speaker.ckpt").exists()
+
     def test_loss_decreases_and_is_reproducible(self, mini, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -406,6 +492,19 @@ class TestCheckpointContents:
         assert f"data error: {name}: shape {shape} != " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_embedding_with_a_missing_array_exits_3_naming_it(self, mini, tmp_path, capsys):
+        meta, arrays = load_checkpoint(_speaker_ckpt(tmp_path / "speaker.ckpt"))
+        del arrays["head.proj.bias"]
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, meta, arrays)
+        out = tmp_path / "e.bin"
+        code = main(["embed", "--ckpt", str(path), "--manifest", str(mini["manifest"]),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "data error: missing arrays in state: ['head.proj.bias']\n")
+        assert not out.exists()
+
     def test_init_from_a_wrong_shaped_asr_statistic_exits_3(self, mini, tmp_path, capsys):
         name = "encoder.blocks.0.conv.batch_norm.running_var"
         path = _reshaped(mini["asr_ckpt"], tmp_path / "bad.ckpt", name, (1,))
@@ -417,7 +516,34 @@ class TestCheckpointContents:
         assert not (out / "speaker.ckpt").exists()
 
 
+def _write_wav(path, seconds=1.0, channels=1, width=2, rate=SAMPLE_RATE):
+    """A silent WAV of the given layout."""
+    with wave.open(str(path), "wb") as f:
+        f.setnchannels(channels)
+        f.setsampwidth(width)
+        f.setframerate(rate)
+        f.writeframes(bytes(round(seconds * rate) * channels * width))
+
+
 class TestEmbedPipeline:
+    @pytest.mark.parametrize("layout, message", [
+        ({"seconds": 0.3}, "utterance shorter than 0.5s: 0.300"),
+        ({"channels": 2}, "expected 16-bit mono 16000 Hz WAV"),
+        ({"width": 1}, "expected 16-bit mono 16000 Hz WAV"),
+        ({"rate": 8000}, "expected 16-bit mono 16000 Hz WAV"),
+    ], ids=["short", "stereo", "8-bit", "8-kHz"])
+    def test_wav_that_is_short_or_not_16_bit_mono_16_khz_exits_3(self, tmp_path, capsys,
+                                                                 layout, message):
+        _write_wav(tmp_path / "x.wav", **layout)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("x.wav spk000 aei 1.000\n", encoding="utf-8")
+        out = tmp_path / "e.bin"
+        code = main(["embed", "--ckpt", str(_speaker_ckpt(tmp_path / "speaker.ckpt")),
+                     "--manifest", str(manifest), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("keep", [4, 14, 200, -8])
     def test_truncated_checkpoint_exits_3(self, mini, tmp_path, capsys, keep):
         ckpt = tmp_path / "cut.ckpt"
@@ -593,6 +719,14 @@ class TestProbe:
         assert not out.exists()
         assert "non-finite values in probe" in capsys.readouterr().err
 
+    def test_probe_of_one_speaker_exits_3(self, mini, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code = main(["probe", "--ckpt", str(mini["asr_ckpt"]), "--manifest",
+                     str(mini["manifest"]), "--out", str(out), "--max-utts", "3"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "data error: probe needs at least two speakers\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("max_utts", ["0", "-1", "-5"])
     def test_max_utts_below_one_exits_2(self, mini, tmp_path, capsys, max_utts):
         """-1 used to probe all but the last utterance and -5 to exit 3."""
@@ -702,6 +836,43 @@ class TestScoreEvaluate:
         assert code == EXIT_DATA
         assert not out.exists()
         assert "'s1_u1' holds non-finite values" in capsys.readouterr().err
+
+    def test_cohort_size_scores_against_a_seeded_sample_of_the_sorted_ids(
+            self, separated_store, tmp_path):
+        emb, trials = separated_store
+        rng = np.random.default_rng(2)
+        cohort = {f"c{i:02d}": rng.normal(size=256).astype(np.float32)
+                  for i in rng.permutation(40)}
+        full = tmp_path / "cohort.bin"
+        save_embeddings(full, cohort)
+        ids = sorted(cohort)
+        picked = rng_for(4, "cohort").choice(len(ids), size=12, replace=False)
+        sample = tmp_path / "sample.bin"
+        save_embeddings(sample, {ids[i]: cohort[ids[i]] for i in sorted(picked)})
+
+        def scores(cohort_path, size):
+            out = tmp_path / f"{cohort_path.stem}_{size}.txt"
+            assert main(["score", "--embeddings", str(emb), "--trials", str(trials),
+                         "--out", str(out), "--snorm", "--cohort", str(cohort_path),
+                         "--cohort-size", size, "--cohort-seed", "4", "--top-k", "5"]) == EXIT_OK
+            return out.read_bytes()
+
+        assert scores(full, "12") == scores(sample, "0")
+        assert scores(full, "12") != scores(full, "0")
+
+    def test_zero_cohort_embedding_exits_3(self, separated_store, tmp_path, capsys):
+        emb, trials = separated_store
+        rng = np.random.default_rng(3)
+        cohort = {f"c{i}": rng.normal(size=256).astype(np.float32) for i in range(10)}
+        cohort["c5"][:] = 0.0
+        cohort_path = tmp_path / "cohort.bin"
+        save_embeddings(cohort_path, cohort)
+        out = tmp_path / "s.txt"
+        code = main(["score", "--embeddings", str(emb), "--trials", str(trials),
+                     "--out", str(out), "--snorm", "--cohort", str(cohort_path), "--top-k", "5"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "data error: cohort contains a zero embedding\n"
+        assert not out.exists()
 
     def test_snorm_path_runs(self, separated_store, tmp_path):
         emb, trials = separated_store
@@ -885,6 +1056,25 @@ class TestCount:
     def test_macs_of_a_negative_or_nan_length_exit_2(self, seconds, capsys):
         assert main(["count", "--preset", "small", "--macs", "--seconds", seconds]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""  # no report, so no negative MACs
+
+    @pytest.mark.parametrize("args", [[], ["--layers", "2", "--dim", "16", "--heads", "4"]])
+    def test_neither_a_preset_nor_all_four_sizes_exits_2(self, capsys, args):
+        assert main(["count", *args]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: count needs --preset or all of --layers/--dim/--heads/--hidden\n")
+
+    @pytest.mark.parametrize("convention, rows", [
+        ("conv", ["subsampling,0,712800000", "blocks (16 x 12298000),0,196768000",
+                  "ctc_decoder,0,0", "total,0,909568000"]),
+        # the decoder maps 125 frames of d = 176 to 11 outputs
+        ("full", ["subsampling,0,790240000", "blocks (16 x 105701024),0,1691216384",
+                  "ctc_decoder,0,242000", "total,0,2481698384"]),
+    ])
+    def test_macs_of_the_encoder_and_decoder(self, tmp_path, convention, rows):
+        csv = tmp_path / "m.csv"
+        assert main(["count", "--preset", "small", "--macs", "--scope", "encoder+decoder",
+                     "--convention", convention, "--csv", str(csv)]) == EXIT_OK
+        assert csv.read_text().splitlines() == ["component,params,macs", *rows]
 
     def test_invalid_config_exits_2(self):
         assert main(["count", "--preset", "gigantic"]) == EXIT_CONFIG

@@ -9,6 +9,7 @@ from confsv import datapipe
 from confsv.datapipe import (
     SAMPLE_RATE,
     TOKENS,
+    Corpus,
     Utterance,
     add_noise,
     augment_onthefly,
@@ -26,7 +27,6 @@ from confsv.datapipe import (
     reverb,
     snr_estimate_db,
     speed_perturb,
-    synth_corpus,
     wav_length,
     write_corpus,
     write_wav,
@@ -44,21 +44,21 @@ def make_utt(seconds=1.0, seed=0, speaker="spkX"):
 
 class TestCorpus:
     def test_deterministic_generation(self):
-        a = synth_corpus(4, 3, seed=7)
-        b = synth_corpus(4, 3, seed=7)
+        a = Corpus(4, 3, seed=7)
+        b = Corpus(4, 3, seed=7)
         for i in (0, 5, 11):
             ua, ub = a.utterance(i), b.utterance(i)
             np.testing.assert_array_equal(ua.waveform, ub.waveform)
             assert ua.tokens == ub.tokens and ua.speaker_id == ub.speaker_id
 
     def test_speaker_count(self):
-        c = synth_corpus(6, 2, seed=1)
+        c = Corpus(6, 2, seed=1)
         assert len(c.speakers) == 6
         assert {c.utterance(i).speaker_id for i in range(len(c))} == set(c.speakers)
 
     def test_speakers_separable_by_long_term_spectrum(self):
         # generator sanity oracle: leave-one-out nearest centroid on mean log-mel
-        c = synth_corpus(5, 10, seed=7)
+        c = Corpus(5, 10, seed=7)
         feats = np.stack([log_mel(c.utterance(i).waveform).mean(axis=0) for i in range(50)])
         labels = np.array([c.item_key(i)[0] for i in range(50)])
         correct = 0
@@ -72,10 +72,10 @@ class TestCorpus:
 
     def test_too_few_speakers(self):
         with pytest.raises(ConfigError):
-            synth_corpus(1, 5, seed=0)
+            Corpus(1, 5, seed=0)
 
     def test_utterance_invariants(self):
-        c = synth_corpus(3, 2, seed=3)
+        c = Corpus(3, 2, seed=3)
         for i in range(len(c)):
             u = c.utterance(i)
             assert np.abs(u.waveform).max() <= 1.0
@@ -145,6 +145,28 @@ class TestSpeedPerturb:
         assert out.duration_sec == pytest.approx(2.0 / 0.9, abs=1e-4)
         assert out.speaker_id != utt.speaker_id
 
+    @pytest.mark.parametrize("factor", [0.0, -0.9])
+    def test_factor_must_be_positive(self, factor):
+        with pytest.raises(ConfigError, match="speed factor must be positive"):
+            speed_perturb(make_utt(), factor)
+
+
+class TestUtteranceChecks:
+    """A manifest line always has tokens and a WAV holds samples in [-1, 1);
+    these checks guard the samples a Python caller builds an utterance from."""
+
+    def test_empty_token_sequence(self):
+        with pytest.raises(DataError, match="nonempty token sequence"):
+            Utterance(np.zeros(SAMPLE_RATE), "spk", "", 1.0)
+
+    def test_shorter_than_half_a_second(self):
+        with pytest.raises(DataError, match=r"utterance shorter than 0.5s: 0.400"):
+            Utterance(np.zeros(6400), "spk", "a", 0.4)
+
+    def test_samples_outside_the_unit_range(self):
+        with pytest.raises(DataError, match=r"samples exceed \[-1, 1\] \(peak 1.5000\)"):
+            Utterance(np.full(SAMPLE_RATE, -1.5), "spk", "a", 1.0)
+
 
 class TestAddNoise:
     @pytest.mark.parametrize("kind", ["ambient", "music", "babble"])
@@ -178,6 +200,10 @@ class TestAddNoise:
         out = add_noise(utt, "ambient", 0.0, np.random.default_rng(3))
         assert np.abs(out.waveform).max() <= 1.0
         assert 0 < out.norm_gain <= 1.0
+
+    def test_unknown_noise_kind(self):
+        with pytest.raises(ConfigError, match="unknown noise kind 'hum'"):
+            make_noise("hum", 100, np.random.default_rng(0))
 
     def test_zero_power_noise_rejected(self):
         from confsv.datapipe import mix_noise
@@ -255,6 +281,13 @@ class TestCrop:
         np.testing.assert_array_equal(out.waveform[:16_000], utt.waveform)
         np.testing.assert_array_equal(out.waveform[16_000:], utt.waveform)
 
+    def test_crop_of_the_exact_length_keeps_the_samples_and_draws_nothing(self):
+        utt = make_utt(seconds=1.0, seed=23)
+        rng = np.random.default_rng(24)
+        out = crop(utt, 1.0, rng)
+        assert out.waveform.tobytes() == utt.waveform.tobytes()
+        assert rng.random() == np.random.default_rng(24).random()
+
     def test_crop_is_contiguous_slice(self):
         utt = make_utt(seconds=3.0, seed=21)
         out = crop(utt, 1.0, np.random.default_rng(22))
@@ -293,7 +326,7 @@ class TestIO:
                 wav_length(missing)
 
     def test_corpus_manifest_round_trip(self, tmp_path):
-        corpus = synth_corpus(3, 2, seed=24)
+        corpus = Corpus(3, 2, seed=24)
         manifest = write_corpus(corpus, tmp_path)
         entries = read_manifest(manifest)
         assert len(entries) == 6
@@ -328,7 +361,7 @@ def test_training_batches_deterministic(tmp_path):
     from confsv.training import _speaker_item, _stack_speaker_batch, build_items
     from confsv.util import map_batches
 
-    manifest = write_corpus(synth_corpus(3, 4, seed=6), tmp_path)
+    manifest = write_corpus(Corpus(3, 4, seed=6), tmp_path)
     entries = read_manifest(manifest)
     items, labels = build_items(entries, use_speed=True)
     cfg = RunConfig(seed=42, encoder=EncoderConfig(1, 16, 4, 32, conv_kernel=7),
@@ -342,7 +375,7 @@ def test_training_batches_deterministic(tmp_path):
 
 def test_snr_estimate_orders_noisiness():
     # the percentile estimator relies on speech-like energy modulation
-    clean = synth_corpus(2, 1, seed=25).utterance(0)
+    clean = Corpus(2, 1, seed=25).utterance(0)
     noisy = add_noise(clean, "ambient", 0.0, np.random.default_rng(26))
     assert snr_estimate_db(clean.waveform) > snr_estimate_db(noisy.waveform)
 

@@ -16,7 +16,6 @@ from confsv.losses import (
     RateMatcher,
     aam_softmax_loss,
     combined_loss,
-    ctc_loss,
     ctc_loss_batch,
     distill_kl_loss,
 )
@@ -185,6 +184,13 @@ class TestAamSoftmax:
         with pytest.raises(DataError):
             aam_softmax_loss(ad.tensor(np.ones(4)), 0, clf, margin=1.7)
 
+    def test_one_label_per_embedding(self):
+        """One label for two embeddings would otherwise score the first row only."""
+        clf = AamClassifier(3, emb_dim=4)
+        seed_parameters(clf, 19)
+        with pytest.raises(DimensionError, match="one label per embedding required"):
+            aam_softmax_loss(ad.tensor(np.ones((2, 4))), [1], clf)
+
     def test_gradients(self):
         clf = AamClassifier(4, emb_dim=6)
         seed_parameters(clf, 20)
@@ -216,41 +222,41 @@ def brute_force_ctc(logits: np.ndarray, target: list[int]) -> float:
 class TestCtc:
     def test_single_frame(self):
         logits = np.random.default_rng(22).normal(size=(1, 4))
-        loss = ctc_loss(ad.tensor(logits), [2])
+        loss = ctc_loss_batch(ad.tensor(logits[None]), [[2]])
         shifted = logits[0] - logits[0].max()
         expected = -(shifted[2] - np.log(np.exp(shifted).sum()))
         assert abs(float(loss.data) - expected) < 1e-12
 
     def test_against_brute_force(self):
         logits = np.random.default_rng(23).normal(size=(3, 4))
-        loss = ctc_loss(ad.tensor(logits), [1, 3])
+        loss = ctc_loss_batch(ad.tensor(logits[None]), [[1, 3]])
         assert abs(float(loss.data) - brute_force_ctc(logits, [1, 3])) < 1e-10
 
     def test_infeasible_target(self):
         with pytest.raises(InfeasibleTargetError):
-            ctc_loss(ad.tensor(np.zeros((2, 4))), [1, 2, 3])
+            ctc_loss_batch(ad.tensor(np.zeros((1, 2, 4))), [[1, 2, 3]])
 
     def test_repeat_needs_separator_frame(self):
         with pytest.raises(InfeasibleTargetError):
-            ctc_loss(ad.tensor(np.zeros((2, 4))), [1, 1])
+            ctc_loss_batch(ad.tensor(np.zeros((1, 2, 4))), [[1, 1]])
 
     def test_empty_target(self):
         with pytest.raises(DataError):
-            ctc_loss(ad.tensor(np.zeros((3, 4))), [])
+            ctc_loss_batch(ad.tensor(np.zeros((1, 3, 4))), [[]])
 
     def test_symbol_out_of_range(self):
         with pytest.raises(IndexError):
-            ctc_loss(ad.tensor(np.zeros((3, 4))), [4])
+            ctc_loss_batch(ad.tensor(np.zeros((1, 3, 4))), [[4]])
 
     def test_gradients(self):
         logits = ad.tensor(np.random.default_rng(24).normal(size=(4, 4)), requires_grad=True)
-        gradcheck(lambda: ctc_loss(logits, [2, 1]), [logits])
+        gradcheck(lambda: ctc_loss_batch(logits[None], [[2, 1]]), [logits])
 
     def test_batch_mean(self):
         rng = np.random.default_rng(25)
         logits = ad.tensor(rng.normal(size=(2, 4, 4)))
-        l0 = float(ctc_loss(logits[0], [1]).data)
-        l1 = float(ctc_loss(logits[1], [2, 3]).data)
+        l0 = float(ctc_loss_batch(logits[0][None], [[1]]).data)
+        l1 = float(ctc_loss_batch(logits[1][None], [[2, 3]]).data)
         lb = float(ctc_loss_batch(logits, [[1], [2, 3]]).data)
         assert abs(lb - 0.5 * (l0 + l1)) < 1e-12
 
@@ -271,7 +277,8 @@ class TestCtc:
         logits = ad.tensor(np.random.default_rng(43).normal(size=(5, 5, 4)), requires_grad=True)
         loss = ctc_loss_batch(logits, self.MIXED)
         assert ad.topo_order(loss) == [logits, loss]
-        items = [ctc_loss(ad.tensor(logits.data[b]), t).data for b, t in enumerate(self.MIXED)]
+        items = [ctc_loss_batch(ad.tensor(logits.data[b][None]), [t]).data
+                 for b, t in enumerate(self.MIXED)]
         total = items[0]
         for item in items[1:]:
             total = total + item

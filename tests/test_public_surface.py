@@ -6,8 +6,8 @@ function and class in `src/confsv`, must be used, as a name or an attribute,
 somewhere in `src/confsv` outside `__init__`; its own definition is not a
 use.  A helper that only the tests call is a second code path to keep in step
 with the module path, and an op whose last caller is gone is dead code; these
-tests keep both from growing back.  The allowlist holds the one unused name
-that stays on purpose.
+tests keep both from growing back.  The allowlist, empty now, would hold an
+unused name that stays on purpose.
 
 A parameter with a default in `src/confsv` must be passed, by keyword or by
 position, at some call in the package, the tests or the benchmark.  One that
@@ -25,9 +25,7 @@ SRC = Path(confsv.__file__).parent
 ROOT = Path(__file__).resolve().parent.parent
 
 # name -> why it stays without a caller in src/
-KEPT = {
-    "ctc_loss": "one-utterance CTC that acceptance criterion 6 checks by enumeration",
-}
+KEPT: dict[str, str] = {}
 
 
 def _trees():

@@ -333,6 +333,17 @@ class TestEmbeddingStore:
         for k in store:
             assert back[k].tobytes() == store[k].tobytes()
 
+    def test_id_of_more_than_65535_bytes_rejected(self, tmp_path):
+        """The store gives an id a u16 length; a longer one is a DataError."""
+        vec = np.ones(256, dtype=np.float32)
+        longest = "\u00e9" * 32767 + "a"  # 65535 UTF-8 bytes
+        save_embeddings(tmp_path / "ok.bin", {longest: vec})
+        assert list(load_embeddings(tmp_path / "ok.bin")) == [longest]
+        path = tmp_path / "emb.bin"
+        with pytest.raises(DataError, match="embedding id of 65536 bytes is longer than 65535"):
+            save_embeddings(path, {longest + "b": vec})
+        assert not path.exists()
+
     def test_missing_id(self, tmp_path):
         path = tmp_path / "emb.bin"
         save_embeddings(path, {"a": np.zeros(256, dtype=np.float32)})

@@ -13,7 +13,7 @@ from confsv import checkpoint as ckpt
 from confsv import training
 from confsv.adaptation import SpeakerAdaptation, load_adaptation, save_adaptation
 from confsv.conformer import EncoderConfig
-from confsv.datapipe import synth_corpus, write_corpus
+from confsv.datapipe import Corpus, write_corpus
 from confsv.errors import CheckpointError, ConfigError, NumericError
 from confsv.heads import SpeakerModel
 from confsv.losses import AamClassifier, CtcDecoder, aam_softmax_loss
@@ -46,6 +46,10 @@ class TestFrozenParameters:
         assert not p.requires_grad
         p.requires_grad = True
         assert p.trainable
+
+    def test_unknown_init_recipe(self):
+        with pytest.raises(ValueError, match="unknown init 'normal'"):
+            Parameter((2,), init="normal").initialize(np.random.default_rng(0))
 
     def test_head_only_backward_skips_the_encoder(self):
         model = SpeakerModel(ENCODER, seed=3)
@@ -109,7 +113,7 @@ class TestFrozenParameters:
 def tiny_init(tmp_path_factory):
     """A 2 x 3 corpus and a seeded (untrained) ASR checkpoint with the ENCODER."""
     root = tmp_path_factory.mktemp("tiny_init")
-    manifest = write_corpus(synth_corpus(2, 3, seed=31), root / "data")
+    manifest = write_corpus(Corpus(2, 3, seed=31), root / "data")
     encoder = SpeakerModel(ENCODER, seed=32).encoder
     decoder = CtcDecoder(ENCODER.dim, 6)
     seed_parameters(decoder, 33)
@@ -200,6 +204,23 @@ class TestLoadersReturnFrozenModules:
         assert frozen(loaded) and frozen(loaded.backbone)
         feats = np.random.default_rng(13).normal(size=(80, 24)).T
         assert loaded.embed_utterance(feats).tobytes() == module.embed_utterance(feats).tobytes()
+
+
+class TestLoadersRejectOtherKinds:
+    """`embed` picks the loader by kind itself; a Python caller gets a typed error."""
+
+    def test_speaker_model_from_an_asr_checkpoint(self, tmp_path):
+        path = tmp_path / "asr.ckpt"
+        save_asr_checkpoint(path, SpeakerModel(ENCODER, seed=9).encoder,
+                            CtcDecoder(ENCODER.dim, 6), toy_run_config())
+        with pytest.raises(ConfigError, match=r"not a speaker checkpoint \(kind 'asr'\)"):
+            load_speaker_model(path)
+
+    def test_adaptation_from_a_speaker_checkpoint(self, tmp_path):
+        path = tmp_path / "speaker.ckpt"
+        save_speaker_checkpoint(path, SpeakerModel(ENCODER, seed=7), toy_run_config())
+        with pytest.raises(CheckpointError, match="not an adaptation checkpoint"):
+            load_adaptation(path, toy_backbone())
 
 
 def _rewrite_meta(path, edit):
