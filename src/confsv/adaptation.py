@@ -182,10 +182,12 @@ def linear_probe(
     """Training accuracy of a per-layer probe on frozen (T', d) feature maps.
 
     Probe: two affine maps, average pooling over frames, and an affine
-    classifier, trained by full-batch gradient descent with a fixed budget.
-    Affine maps commute with average pooling, so frames are pooled first;
-    the function computed is identical.  A loss or logits that are not
-    finite (the descent diverged) raise `NumericError`.
+    classifier, trained by full-batch gradient descent with a fixed budget
+    at a step of `lr / max(1, λmax)`, λmax the largest eigenvalue of the
+    standardized features' xᵀx/n.  Affine maps commute with average pooling,
+    so frames are pooled first; the function computed is identical.
+    Features, a loss or logits that are not finite (the encoder overflowed,
+    or the descent diverged) raise `NumericError`.
     """
     labels = np.asarray(labels, dtype=np.int64)
     classes = np.unique(labels)
@@ -196,7 +198,10 @@ def linear_probe(
     for layer_idx, maps in enumerate(layer_maps):
         pooled = np.stack([np.asarray(m, dtype=np.float64).mean(axis=0) for m in maps])
         mu, sd = pooled.mean(axis=0), pooled.std(axis=0) + 1e-8
-        x = ad.tensor((pooled - mu) / sd)
+        x = check_finite((pooled - mu) / sd, f"probe features of layer {layer_idx + 1}")
+        # descent on a linear model is stable only for steps below 2 / λmax(xᵀx/n)
+        step = lr / max(1.0, float(np.linalg.eigvalsh(x.T @ x / len(x))[-1]))
+        x = ad.tensor(x)
         rng = rng_for(seed, "probe", layer_idx)
         dims = [pooled.shape[1], *PROBE_HIDDEN]
         weights = []
@@ -218,8 +223,8 @@ def linear_probe(
                 bias.grad = None
             ad.backward(loss)
             for w, bias in weights:
-                w.data = w.data - lr * w.grad
-                bias.data = bias.data - lr * bias.grad
+                w.data = w.data - step * w.grad
+                bias.data = bias.data - step * bias.grad
         h = x.data
         for w, bias in weights:
             h = h @ w.data + bias.data

@@ -520,11 +520,11 @@ def _open_wav(path: Union[str, Path], read):
     """`read(f)` on the opened 16-bit mono WAV; a missing or malformed file raises DataError."""
     try:
         with wave_mod.open(str(path), "rb") as f:
-            if f.getnchannels() != 1 or f.getsampwidth() != 2 or f.getframerate() != SAMPLE_RATE:
-                raise DataError(f"{path}: expected 16-bit mono {SAMPLE_RATE} Hz WAV")
-            return read(f)
+            if (f.getnchannels(), f.getsampwidth(), f.getframerate()) == (1, 2, SAMPLE_RATE):
+                return read(f)
     except (OSError, EOFError, ValueError, wave_mod.Error) as e:  # ValueError: a NUL in the path
         raise DataError(f"{path}: cannot read WAV: {e}") from None
+    raise DataError(f"{path}: expected 16-bit mono {SAMPLE_RATE} Hz WAV")
 
 
 def wav_length(path: Union[str, Path]) -> int:

@@ -13,9 +13,13 @@ A training command reads one stream of batches: a `_batch_plan` of item keys
 per batch, mapped through `util.map_batches`, which with CONFSV_THREADS > 1
 builds the next batch's items on worker threads while the current batch
 trains: for ASR pretraining, each utterance's log-mel, zero-padded to the
-batch maximum read from the WAV headers.  The stream also opens the lane on
-which the subsampling convs run half of each step's items (see
-`autodiff.conv2d_relu`).  `train_speaker` keeps one stream across its
+batch maximum.  ASR pretraining reads every utterance's length from its WAV
+header once and batches neighbouring lengths, so little of a batch is
+padding: a batch holds the same utterances in every epoch (up to ties in
+length), and only the order of the batches is reshuffled.  The speaker
+strategies draw new batches from a permutation each epoch.  The stream also
+opens the lane on which the subsampling convs run half of each step's items
+(see `autodiff.conv2d_relu`).  `train_speaker` keeps one stream across its
 frozen, trainable and LMFT epochs, so the first batch of each range is
 built while the previous range ends.
 
@@ -132,15 +136,28 @@ def build_items(entries: Sequence[ManifestEntry], use_speed: bool) -> tuple[list
     return items, {s: i for i, s in enumerate(speakers)}
 
 
-def _batch_plan(cfg: RunConfig, n_items: int, epochs: range, order_stream: str, *extra):
+def _batch_plan(cfg: RunConfig, n_items: int, epochs: range, order_stream: str, *extra,
+                lengths: Optional[np.ndarray] = None):
     """The item keys `(epoch, index, *extra)` of each batch of `epochs`.
 
-    Each epoch walks the `order_stream` permutation of its items in batches
-    of `cfg.batch_size`; the last batch of an epoch may be short.
+    Each epoch draws the `order_stream` permutation of its items and cuts it
+    into batches of `cfg.batch_size`; one batch of an epoch may be short.
+    Without `lengths`, the batches walk the permutation in turn, and the last
+    one is the short one.  With `lengths` (one per item), the permutation is
+    first stable-sorted by length, so the batches hold neighbouring lengths
+    and the short one the longest items, and the epoch's rng then draws the
+    order of the batches.  A batch thus holds the same items in every epoch,
+    except where equal lengths straddle a cut; only the order of the batches
+    is reshuffled each epoch.
     """
     for epoch in epochs:
-        order = rng_for(cfg.seed, order_stream, epoch).permutation(n_items)
-        for start in range(0, n_items, cfg.batch_size):
+        rng = rng_for(cfg.seed, order_stream, epoch)
+        order = rng.permutation(n_items)
+        starts = range(0, n_items, cfg.batch_size)
+        if lengths is not None:
+            order = order[np.argsort(lengths[order], kind="stable")]
+            starts = rng.permutation(starts)
+        for start in starts:
             yield [(epoch, int(idx), *extra) for idx in order[start:start + cfg.batch_size]]
 
 
@@ -275,10 +292,12 @@ def pretrain_asr(cfg: RunConfig, manifest_path, out_dir) -> Path:
     n = len(entries)
 
     root = Path(manifest_path).parent
+    # each utterance's sample count, read once from its WAV header
+    lengths = np.array([wav_length(root / e.path) for e in entries])
 
     def padded(keys):
-        # the batch maximum from the WAV headers, so each item can pad on its own
-        longest = max(wav_length(root / entries[idx].path) for _, idx in keys)
+        # the batch maximum, so each item can pad on its own
+        longest = int(max(lengths[idx] for _, idx in keys))
         return [(epoch, idx, longest) for epoch, idx in keys]
 
     def asr_item(key):
@@ -292,7 +311,7 @@ def pretrain_asr(cfg: RunConfig, manifest_path, out_dir) -> Path:
         logits = decoder(encoder(ad.tensor(np.stack(feats)), rng)[-1])
         return ctc_loss_batch(logits, targets), []
 
-    plan = map(padded, _batch_plan(cfg, n, range(cfg.epochs), "asr_order"))
+    plan = map(padded, _batch_plan(cfg, n, range(cfg.epochs), "asr_order", lengths=lengths))
     with map_batches(asr_item, plan) as built:
         rows, _ = _train_epochs(
             cfg, [*encoder.named_parameters("encoder."), *decoder.named_parameters("decoder.")],

@@ -154,11 +154,15 @@ def test_pretrain_asr_builds_its_features_on_the_workers(corpus, threads, tmp_pa
     assert len(feats_seen[0]) == len(feats_seen[1]) == 4
     for a, b in zip(*feats_seen):
         np.testing.assert_array_equal(a, b)
-    # the first batch: each utterance zero-padded to the batch maximum, then featurised
+    # the first batch of the length-sorted plan: each utterance zero-padded to
+    # the batch maximum, then featurised
     cfg = load_run_config(corpus["configs"]["train"])
     entries = read_manifest(corpus["manifest"])
-    keys = next(training._batch_plan(cfg, len(entries), range(cfg.epochs), "asr_order"))
-    waves = [read_wav(corpus["manifest"].parent / entries[idx].path) for _, idx in keys]
+    all_waves = [read_wav(corpus["manifest"].parent / e.path) for e in entries]
+    lengths = np.array([w.size for w in all_waves])
+    keys = next(training._batch_plan(cfg, len(entries), range(cfg.epochs), "asr_order",
+                                     lengths=lengths))
+    waves = [all_waves[idx] for _, idx in keys]
     longest = max(w.size for w in waves)
     expected = np.stack([log_mel(np.pad(w, (0, longest - w.size))) for w in waves])
     np.testing.assert_array_equal(feats_seen[0][0], expected)

@@ -1,5 +1,7 @@
 """Synthetic corpus, features, and augmentation contracts."""
 
+import wave
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,6 +326,18 @@ class TestIO:
         for missing in (tmp_path / "missing.wav", tmp_path):
             with pytest.raises(DataError, match="cannot read WAV"):
                 wav_length(missing)
+
+    def test_wav_of_another_layout_names_its_path_once(self, tmp_path):
+        path = tmp_path / "st.wav"
+        with wave.open(str(path), "wb") as f:
+            f.setnchannels(2)
+            f.setsampwidth(2)
+            f.setframerate(SAMPLE_RATE)
+            f.writeframes(bytes(4 * 8000))
+        for read in (read_wav, wav_length):
+            with pytest.raises(DataError) as info:
+                read(path)
+            assert str(info.value) == f"{path}: expected 16-bit mono 16000 Hz WAV"
 
     def test_corpus_manifest_round_trip(self, tmp_path):
         corpus = Corpus(3, 2, seed=24)
