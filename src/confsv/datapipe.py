@@ -7,7 +7,10 @@ is a pure function of seeds: the same (corpus seed, item index) always yields
 the same samples, which is what the reproducibility contracts lean on.
 
 Noise and room responses are procedurally generated stand-ins for the usual
-augmentation corpora.
+augmentation corpora.  Babble is summed from a fixed bank of `BABBLE_VOICES`
+seeded voices, as recipes sum recordings of a fixed speech set such as MUSAN:
+each voice depends on its bank index only, is built on its first draw and is
+reused for the rest of the process.
 """
 
 from __future__ import annotations
@@ -379,8 +382,34 @@ def expand_speed_labels(speakers: Sequence[str]) -> list[str]:
     return out
 
 
+BABBLE_VOICES = 12
+BABBLE_VOICE_SEC = 3.0
+
+
+@lru_cache(maxsize=BABBLE_VOICES)
+def babble_voice(index: int) -> np.ndarray:
+    """Voice `index` of the babble bank: a seeded speaker saying 12 seeded
+    tokens, stretched to `BABBLE_VOICE_SEC`.
+
+    Built once per process and shared, so the array is read-only.  It depends
+    on the index alone, not on the run seed, so babble comes out the same
+    whichever thread first builds a voice.
+    """
+    rng = rng_for("babble-voice", index)
+    profile = SynthSpeakerProfile(int(rng.integers(0, 2**32)))
+    tokens = "".join(TOKENS[i] for i in rng.integers(0, len(TOKENS), size=12))
+    voice = synth_utterance(profile, tokens, int(rng.integers(0, 2**32)),
+                            min_duration=BABBLE_VOICE_SEC)
+    voice.flags.writeable = False
+    return voice
+
+
 def make_noise(kind: str, n_samples: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Procedural noise of a given kind; returns (signal, source count)."""
+    """Procedural noise of a given kind; returns (signal, source count).
+
+    Babble sums 3 to 8 distinct voices of the bank, each read circularly from
+    a drawn offset, so an item longer than a voice wraps around it.
+    """
     if kind == "ambient":
         coeff = rng.uniform(0.9, 0.995)
         return _one_pole(rng.standard_normal(n_samples), coeff), 1
@@ -396,13 +425,10 @@ def make_noise(kind: str, n_samples: int, rng: np.random.Generator) -> tuple[np.
     if kind == "babble":
         k = int(rng.integers(3, 9))  # three to eight overlapping voices
         sig = np.zeros(n_samples)
-        for j in range(k):
-            prof = SynthSpeakerProfile(int(rng.integers(0, 2**32)))
-            toks = "".join(TOKENS[i] for i in rng.integers(0, len(TOKENS), size=8))
-            v = synth_utterance(prof, toks, int(rng.integers(0, 2**32)),
-                                min_duration=n_samples / SAMPLE_RATE)
-            reps = int(np.ceil(n_samples / v.size))
-            sig += np.tile(v, reps)[:n_samples]
+        for index in rng.choice(BABBLE_VOICES, k, replace=False):
+            voice = babble_voice(int(index))
+            start = int(rng.integers(0, voice.size))
+            sig += np.take(voice, np.arange(start, start + n_samples), mode="wrap")
         return sig, k
     raise ConfigError(f"unknown noise kind {kind!r}")
 

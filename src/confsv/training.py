@@ -168,6 +168,8 @@ def _speaker_item(manifest_path, items: Sequence[DatasetItem], labels: dict[str,
     An item is loaded, speed-perturbed, augmented, cropped and featurised with
     draws from its own `("item", epoch, index)` seed stream only, so it comes
     out the same whichever thread builds it and whatever was built before.
+    Babble reads the fixed voice bank of `datapipe.babble_voice`, whose
+    voices depend on their index alone, so that holds for babble too.
     """
 
     def build(key):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from confsv import autodiff as ad
+from confsv import datapipe
 from confsv.config import RunConfig
 from confsv.conformer import EncoderConfig
 from confsv.datapipe import Corpus, make_trials, read_manifest, write_corpus
@@ -150,3 +151,15 @@ def toy_asr_ckpt(toy_data, tmp_path_factory):
     out = tmp_path_factory.mktemp("toy_asr")
     cfg = toy_run_config(epochs=3, batch_size=50)
     return pretrain_asr(cfg, toy_data["train_manifest"], out)
+
+
+@pytest.fixture
+def cold_bank():
+    """Empties the babble voice bank before and after the test; yields the clear.
+
+    A test that builds voices another way (an oracle synthesis) leaves none
+    behind for later tests that compare bytes.
+    """
+    datapipe.babble_voice.cache_clear()
+    yield datapipe.babble_voice.cache_clear
+    datapipe.babble_voice.cache_clear()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from confsv import autodiff as ad
-from confsv import training
+from confsv import datapipe, training
 from confsv.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from confsv.config import load_run_config
 from confsv.datapipe import read_manifest, read_wav
@@ -113,6 +113,31 @@ def test_one_and_two_threads_write_the_same_bytes(corpus, threads, tmp_path):
     # a header, then the frozen, the full and the LMFT epoch
     assert outputs[1]["train/loss.csv"].count(b"\n") == 4
     assert outputs[1] == outputs[2]
+
+
+def test_train_with_babble_writes_the_same_bytes_at_one_and_two_threads_and_on_a_rerun(
+        corpus, threads, tmp_path, monkeypatch, cold_bank):
+    """Every crop augmented: the babble crops read the same voices whichever
+    worker builds them first, from a cold bank or a warm one."""
+    config = tmp_path / "babble.cfg"
+    config.write_text(CONFIG.replace("augment_prob = 0.6", "augment_prob = 1.0"),
+                      encoding="utf-8")
+    kinds = []
+    make_noise = datapipe.make_noise
+    monkeypatch.setattr(datapipe, "make_noise",
+                        lambda kind, n, rng: kinds.append(kind) or make_noise(kind, n, rng))
+    outputs = []
+    for run, (n, cold) in enumerate(((1, True), (2, True), (2, False))):
+        threads(n)
+        if cold:
+            cold_bank()
+        kinds.clear()
+        out = tmp_path / f"run{run}"
+        assert main(["train", "--config", str(config), "--manifest", str(corpus["manifest"]),
+                     "--out", str(out), "--lmft"]) == EXIT_OK
+        assert kinds.count("babble") >= 3
+        outputs.append({name: (out / name).read_bytes() for name in ("loss.csv", "speaker.ckpt")})
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_pretrain_asr_writes_the_same_bytes_at_one_and_two_threads_and_on_a_rerun(

@@ -1,5 +1,7 @@
 """Synthetic corpus, features, and augmentation contracts."""
 
+import sys
+import threading
 import wave
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from confsv import datapipe
 from confsv.datapipe import (
+    BABBLE_VOICES,
     SAMPLE_RATE,
     TOKENS,
     Corpus,
@@ -16,6 +19,7 @@ from confsv.datapipe import (
     add_noise,
     augment_onthefly,
     augment_plan,
+    babble_voice,
     crop,
     expand_speed_labels,
     frame_count,
@@ -212,6 +216,77 @@ class TestAddNoise:
 
         with pytest.raises(DegenerateNoiseError):
             mix_noise(make_utt(seed=30), np.zeros(1000), 10.0)
+
+
+def wrapped_babble(n_samples, seed):
+    """Babble by the draws `make_noise` documents, each voice tiled to length."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 9))
+    sig = np.zeros(n_samples)
+    for index in rng.choice(BABBLE_VOICES, k, replace=False):
+        voice = babble_voice(int(index))
+        start = int(rng.integers(0, voice.size))
+        reps = -(-(start + n_samples) // voice.size)
+        sig += np.tile(voice, reps)[start : start + n_samples]
+    return sig
+
+
+class TestBabbleBank:
+    def test_bank_voices_are_read_only_and_three_seconds_long(self):
+        for index in range(BABBLE_VOICES):
+            voice = babble_voice(index)
+            assert abs(voice.size - 3 * SAMPLE_RATE) <= 12  # 12 tokens, each rounded
+            assert not voice.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                voice[0] = 0.0
+
+    def test_an_items_voices_are_distinct_bank_voices(self, monkeypatch):
+        drawn = []
+        voice = datapipe.babble_voice
+        monkeypatch.setattr(datapipe, "babble_voice", lambda i: drawn.append(i) or voice(i))
+        counts = set()
+        for seed in range(20):
+            drawn.clear()
+            _, k = make_noise("babble", SAMPLE_RATE, np.random.default_rng(seed))
+            assert len(drawn) == len(set(drawn)) == k
+            assert set(drawn) <= set(range(BABBLE_VOICES))
+            counts.add(k)
+        assert len(counts) > 1
+
+    @pytest.mark.parametrize("seconds", [0.6, 2.3, 6.0])  # 6 s: twice a voice
+    def test_voices_are_read_circularly_with_no_zero_tail(self, seconds):
+        n = int(seconds * SAMPLE_RATE)
+        for seed in range(3):
+            sig, _ = make_noise("babble", n, np.random.default_rng(seed))
+            assert sig.shape == (n,)
+            np.testing.assert_array_equal(sig, wrapped_babble(n, seed))
+            # every 25 ms frame, the last ones too, carries the voices
+            assert (np.abs(sig.reshape(-1, 400)).max(axis=1) > 0.01).all()
+
+    def test_threads_filling_a_cold_bank_give_the_bytes_of_one(self, cold_bank):
+        serial = [babble_voice(i).tobytes() for i in range(BABBLE_VOICES)]
+        cold_bank()
+        n_threads = 4  # more than the cores of the reference machine
+        start = threading.Barrier(n_threads, timeout=60)
+        built = [None] * n_threads
+
+        def fill(slot):
+            start.wait()
+            built[slot] = [babble_voice(i).tobytes() for i in range(BABBLE_VOICES)]
+
+        workers = [threading.Thread(target=fill, args=(slot,)) for slot in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert built == [serial] * n_threads
+        assert babble_voice.cache_info().currsize == BABBLE_VOICES
 
 
 class TestReverb:
@@ -543,8 +618,9 @@ class TestSynthesisOracles:
         np.testing.assert_allclose(datapipe._one_pole(noise, coeff),
                                    direct_one_pole(noise, coeff), rtol=0, atol=1e-12)
 
-    def test_babble_matches_the_oracle(self, monkeypatch):
+    def test_babble_matches_the_oracle(self, monkeypatch, cold_bank):
         got = make_noise("babble", 3 * SAMPLE_RATE, np.random.default_rng(11))
+        cold_bank()  # else the oracle side would read the voices built above
         monkeypatch.setattr(datapipe, "synth_utterance", oracle_synth_utterance)
         want = make_noise("babble", 3 * SAMPLE_RATE, np.random.default_rng(11))
         assert got[1] == want[1]
