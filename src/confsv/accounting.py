@@ -1,11 +1,12 @@
-"""Parameter counts of the built model and analytic MACs.
+"""Parameter counts and MACs, both read from the built model.
 
-A parameter count builds the model a configuration names and tallies the
-arrays of its submodules, so sizes follow the modules themselves.  The model
-is built unseeded: its arrays are zero pages that are never written, so even
-the largest preset costs little memory.  MACs stay analytic: they come from
-the configuration's layer shapes and frame counts, with no forward pass.
-Three size scopes matter in practice:
+Each report builds the model a configuration names and reads its submodules,
+so sizes and MACs follow the modules themselves.  The model is built
+unseeded: its arrays are zero pages that are never written, so even the
+largest preset costs little memory.  A parameter count tallies the arrays.
+MACs need no forward pass: each layer weight counts once per position the
+layer runs at, and only the weightless attention score and context term,
+3 * T'^2 * d per block, is a formula.  Three size scopes matter in practice:
 
 * "encoder"           subsampling stack + Conformer blocks
 * "encoder+decoder"   adds the linear CTC frame classifier
@@ -30,11 +31,10 @@ import math
 from dataclasses import dataclass, field
 
 from .adaptation import AdaptationConfig, SpeakerAdaptation
-from .autodiff import conv_out_len
 from .conformer import ConformerEncoder, EncoderConfig
 from .datapipe import VOCAB_SIZE
 from .errors import ConfigError
-from .heads import ASP_BOTTLENECK, EMBEDDING_DIM, SpeakerModel
+from .heads import SpeakerModel
 from .losses import CtcDecoder
 from .nn import Module
 
@@ -85,6 +85,17 @@ class CountReport:
 # -- parameter counts --------------------------------------------------------------
 
 
+def _build(cfg: EncoderConfig, scope: str) -> tuple:
+    """The encoder, CTC decoder and speaker model a scope covers, built
+    unseeded; a part outside the scope is None."""
+    if scope not in ("encoder", "encoder+decoder", "speaker"):
+        raise ConfigError(f"unknown scope {scope!r}")
+    model = SpeakerModel(cfg) if scope == "speaker" else None
+    encoder = model.encoder if model is not None else ConformerEncoder(cfg)
+    decoder = CtcDecoder(cfg.dim, VOCAB_SIZE) if scope == "encoder+decoder" else None
+    return encoder, decoder, model
+
+
 def _size(module: Module) -> int:
     return sum(p.size for p in module.parameters())
 
@@ -103,16 +114,13 @@ def count_params(cfg: EncoderConfig, scope: str = "speaker") -> CountReport:
     "encoder+decoder" cover the ASR-side stack.  A truncated stack is counted
     as the configuration with fewer layers.
     """
-    if scope not in ("encoder", "encoder+decoder", "speaker"):
-        raise ConfigError(f"unknown scope {scope!r}")
-    model = SpeakerModel(cfg) if scope == "speaker" else None
-    encoder = model.encoder if model is not None else ConformerEncoder(cfg)
+    encoder, decoder, model = _build(cfg, scope)
     report = CountReport(f"parameters ({scope}, {cfg.layers} layers, d={cfg.dim})")
     report.add("subsampling", _size(encoder.subsampling))
     per_block = _size(encoder.blocks[0])
     report.add(f"blocks ({cfg.layers} x {per_block})", cfg.layers * per_block)
-    if scope == "encoder+decoder":
-        report.add("ctc_decoder", _size(CtcDecoder(cfg.dim, VOCAB_SIZE)))
+    if decoder is not None:
+        report.add("ctc_decoder", _size(decoder))
     if model is not None:
         _add_tail(report, model)
     return report
@@ -141,30 +149,9 @@ def count_adaptation_params(cfg: AdaptationConfig, backbone: EncoderConfig) -> C
 # -- MACs --------------------------------------------------------------------------
 
 
-def _frame_plan(cfg: EncoderConfig, input_seconds: float) -> tuple[int, list[tuple[int, int]], int]:
-    """Mel frames, per-stage (frames, freq) outputs, and final frame count."""
-    mel_frames = t = int(round(input_seconds * MEL_FRAMES_PER_SECOND))
-    stages = []
-    f = cfg.n_mels
-    for _ in range(cfg.subsample_stages):
-        t = conv_out_len(t, 3, 2, 1)
-        f = conv_out_len(f, 3, 2, 1)
-        stages.append((t, f))
-    return mel_frames, stages, t
-
-
-def _block_conv_macs(cfg: EncoderConfig, frames: int) -> int:
-    d, k = cfg.dim, cfg.conv_kernel
-    return frames * (2 * d * d + d * k + d * d)
-
-
-def _block_full_macs(cfg: EncoderConfig, frames: int) -> int:
-    d, h = cfg.dim, cfg.hidden
-    ffn = 2 * (frames * d * h * 2)
-    qkvo = 4 * frames * d * d
-    pos_proj = (2 * frames - 1) * d * d
-    attn = 3 * frames * frames * d  # content scores, position scores, context
-    return ffn + qkvo + pos_proj + attn + _block_conv_macs(cfg, frames)
+def _weight_size(module: Module) -> int:
+    """MACs per position of `module`'s layers: the size of every layer weight."""
+    return sum(p.size for name, p in module.named_parameters() if name.endswith("weight"))
 
 
 def estimate_macs(
@@ -179,38 +166,36 @@ def estimate_macs(
     """
     if convention not in ("conv", "full"):
         raise ConfigError(f"unknown MACs convention {convention!r}")
-    if scope not in ("encoder", "encoder+decoder", "speaker"):
-        raise ConfigError(f"unknown scope {scope!r}")
+    encoder, decoder, model = _build(cfg, scope)
     if not math.isfinite(input_seconds):
         raise ConfigError(f"input length must be finite, got {input_seconds}")
-    mel_frames, stages, frames = _frame_plan(cfg, input_seconds)
+    frames = mel_frames = int(round(input_seconds * MEL_FRAMES_PER_SECOND))
     if mel_frames < cfg.min_frames:
         raise ConfigError(
             f"{input_seconds:g}s is {mel_frames} mel frames; rate {cfg.subsample_rate} "
             f"needs >= {cfg.min_frames}"
         )
+    full = convention == "full"
     report = CountReport(
         f"MACs ({convention}, {scope}, {input_seconds:g}s input, {cfg.layers} layers, d={cfg.dim})"
     )
-    c_in = 1
-    sub = 0
-    for t_out, f_out in stages:
-        sub += cfg.dim * t_out * f_out * 9 * c_in
-        c_in = cfg.dim
-    if convention == "full":
-        sub += frames * (cfg.dim * cfg.subsampled_mels) * cfg.dim
+    sub, freq = 0, cfg.n_mels
+    for conv in encoder.subsampling.convs:  # each conv runs over its output grid
+        frames, freq = conv.out_len(frames), conv.out_len(freq)
+        sub += conv.weight.size * frames * freq
+    if full:
+        sub += frames * _weight_size(encoder.subsampling.proj)
     report.add("subsampling", macs=sub)
-    per_block = (
-        _block_conv_macs(cfg, frames) if convention == "conv" else _block_full_macs(cfg, frames)
-    )
+    block = encoder.blocks[0]  # later layers run once per frame T'; exceptions marked
+    per_block = frames * _weight_size(block if full else block.conv)
+    if full:
+        per_block += (frames - 1) * _weight_size(block.attn.pos_proj)  # 2T'-1 offsets
+        per_block += 3 * frames * frames * cfg.dim  # content scores, position scores, context
     report.add(f"blocks ({cfg.layers} x {per_block})", macs=cfg.layers * per_block)
-    if scope == "encoder+decoder":
-        dec = frames * cfg.dim * (VOCAB_SIZE + 1) if convention == "full" else 0
-        report.add("ctc_decoder", macs=dec)
-    if scope == "speaker":
-        d_channels = cfg.layers * cfg.dim
-        pool = frames * (3 * d_channels * ASP_BOTTLENECK + ASP_BOTTLENECK * d_channels)
-        report.add("pooling", macs=pool)
-        if convention == "full":
-            report.add("embedding_head", macs=2 * d_channels * EMBEDDING_DIM)
+    if decoder is not None:
+        report.add("ctc_decoder", macs=frames * _weight_size(decoder) if full else 0)
+    if model is not None:
+        report.add("pooling", macs=frames * _weight_size(model.pooling))
+        if full:
+            report.add("embedding_head", macs=_weight_size(model.head))  # once per utterance
     return report

@@ -253,8 +253,7 @@ def load_adaptation(path, backbone: ConformerEncoder,
     `checkpoint` is `path` already read, if it was.
     """
     meta, arrays = checkpoint or ckpt.load_checkpoint(path)
-    if meta.get("kind") != ADAPTATION_CKPT_KIND:
-        raise CheckpointError(f"{path}: not an adaptation checkpoint")
+    ckpt.check_kind(meta, ADAPTATION_CKPT_KIND, path)
     backbone_hash = ckpt.content_hash(backbone.state_arrays())
     if ckpt.meta_value(meta, "backbone_hash", str, path) != backbone_hash:
         raise CheckpointError(f"{path}: backbone content hash mismatch")

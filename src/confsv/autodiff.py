@@ -359,12 +359,16 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), grad_fn)
 
 
+def log_softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Log-softmax of a plain array along `axis`, shifted by the maximum."""
+    shifted = x - x.max(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     if a.shape[axis % a.ndim] == 0:
         raise DimensionError("log_softmax: empty axis")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
+    out = log_softmax_array(a.data, axis)
 
     def grad_fn(g):
         return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)

@@ -67,14 +67,6 @@ class EncoderConfig:
         """Fewest mel frames the subsampling accepts."""
         return 8 if self.subsample_stages == 2 else 4
 
-    @property
-    def subsampled_mels(self) -> int:
-        """Width of the mel axis after the subsampling's stride-2 stages."""
-        freq = self.n_mels
-        for _ in range(self.subsample_stages):
-            freq = ad.conv_out_len(freq, 3, 2, 1)
-        return freq
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -119,7 +111,10 @@ class ConvSubsampling(Module):
         self.convs = ModuleList(
             [Conv2d(1 if i == 0 else cfg.dim, cfg.dim, 3, stride=2, padding=1) for i in range(stages)]
         )
-        self.proj = Linear(cfg.dim * cfg.subsampled_mels, cfg.dim)
+        freq = cfg.n_mels
+        for conv in self.convs:
+            freq = conv.out_len(freq)
+        self.proj = Linear(cfg.dim * freq, cfg.dim)
 
     def forward(self, mel: Tensor) -> Tensor:
         """(B, T, n_mels) -> (B, T', d)."""

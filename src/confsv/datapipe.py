@@ -16,6 +16,7 @@ reused for the rest of the process.
 from __future__ import annotations
 
 import math
+import threading
 import wave as wave_mod
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -384,23 +385,28 @@ def expand_speed_labels(speakers: Sequence[str]) -> list[str]:
 
 BABBLE_VOICES = 12
 BABBLE_VOICE_SEC = 3.0
+_BABBLE_BANK: dict[int, np.ndarray] = {}  # index -> voice, built on its first draw
+_BABBLE_LOCKS = tuple(threading.Lock() for _ in range(BABBLE_VOICES))
 
 
-@lru_cache(maxsize=BABBLE_VOICES)
 def babble_voice(index: int) -> np.ndarray:
     """Voice `index` of the babble bank: a seeded speaker saying 12 seeded
     tokens, stretched to `BABBLE_VOICE_SEC`.
 
-    Built once per process and shared, so the array is read-only.  It depends
-    on the index alone, not on the run seed, so babble comes out the same
-    whichever thread first builds a voice.
+    Built once per process, under the index's own lock, and shared, so the
+    array is read-only.  It depends on the index alone, not on the run seed,
+    so babble comes out the same whichever thread first builds a voice.
     """
-    rng = rng_for("babble-voice", index)
-    profile = SynthSpeakerProfile(int(rng.integers(0, 2**32)))
-    tokens = "".join(TOKENS[i] for i in rng.integers(0, len(TOKENS), size=12))
-    voice = synth_utterance(profile, tokens, int(rng.integers(0, 2**32)),
-                            min_duration=BABBLE_VOICE_SEC)
-    voice.flags.writeable = False
+    with _BABBLE_LOCKS[index]:
+        voice = _BABBLE_BANK.get(index)
+        if voice is None:
+            rng = rng_for("babble-voice", index)
+            profile = SynthSpeakerProfile(int(rng.integers(0, 2**32)))
+            tokens = "".join(TOKENS[i] for i in rng.integers(0, len(TOKENS), size=12))
+            voice = synth_utterance(profile, tokens, int(rng.integers(0, 2**32)),
+                                    min_duration=BABBLE_VOICE_SEC)
+            voice.flags.writeable = False
+            _BABBLE_BANK[index] = voice
     return voice
 
 

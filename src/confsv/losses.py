@@ -20,6 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import DataError, DimensionError, InfeasibleTargetError, InputTooShortError
+from .heads import EMBEDDING_DIM
 from .nn import Conv1d, Linear, Module, Parameter
 
 NEG = -1e30
@@ -30,7 +31,7 @@ BLANK = 0
 class AamClassifier(Module):
     """Class weight matrix for the additive-angular-margin softmax."""
 
-    def __init__(self, n_classes: int, emb_dim: int = 256):
+    def __init__(self, n_classes: int, emb_dim: int = EMBEDDING_DIM):
         self.weight = Parameter((n_classes, emb_dim), fan=emb_dim)
         self.n_classes = n_classes
 
@@ -130,8 +131,7 @@ def ctc_loss_batch(logits: Tensor, targets: Sequence[Sequence[int]]) -> Tensor:
     last = np.array([2 * len(t) for t in checked])
     rows = np.arange(B)
 
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logp = ad.log_softmax_array(logits.data)
     emit = np.take_along_axis(logp, np.broadcast_to(ext[:, None, :], (B, T, S)), axis=-1)
     emit = np.where(live[:, None, :], emit, NEG)
 
@@ -187,8 +187,7 @@ def distill_kl_loss(student_logits: Tensor, teacher_logits: Union[Tensor, np.nda
         raise DimensionError(
             f"teacher {t_data.shape} and student {student_logits.shape} logits differ"
         )
-    shifted = t_data - t_data.max(axis=-1, keepdims=True)
-    t_logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    t_logp = ad.log_softmax_array(t_data)
     t_p = np.exp(t_logp)
     s_logp = ad.log_softmax(student_logits, axis=-1)
     per_frame = ad.sum_(ad.tensor(t_p) * (ad.tensor(t_logp) - s_logp), axis=-1)

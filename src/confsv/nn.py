@@ -239,5 +239,9 @@ class Conv2d(Module):
         self.bias = Parameter((c_out,), fan=fan)
         self.stride, self.padding = stride, padding
 
+    def out_len(self, n: int) -> int:
+        """Output length along either spatial axis for an input of length `n`."""
+        return ad.conv_out_len(n, self.weight.shape[-1], self.stride, self.padding)
+
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv2d_relu(x, self.weight, self.bias, self.stride, self.padding)

@@ -34,11 +34,11 @@ from .errors import (
     NumericError,
     TrialParseError,
 )
+from .heads import EMBEDDING_DIM
 from .util import ByteReader, read_text, write_atomic
 
 EMB_STORE_MAGIC = b"CFSVEMB1"
 EMB_STORE_VERSION = 1
-EMB_DIM = 256
 P_TARGET = 0.01
 QMF_TOL = 1e-8
 QMF_MAX_ITERS = 200000
@@ -248,11 +248,12 @@ def qmf_fit(x: np.ndarray, labels: Sequence[int]) -> QmfModel:
 
 def save_embeddings(path: Union[str, Path], embeddings: dict[str, np.ndarray]) -> None:
     """Write the store atomically: a failure leaves any existing file as it was."""
-    chunks = [EMB_STORE_MAGIC, struct.pack("<III", EMB_STORE_VERSION, len(embeddings), EMB_DIM)]
+    header = struct.pack("<III", EMB_STORE_VERSION, len(embeddings), EMBEDDING_DIM)
+    chunks = [EMB_STORE_MAGIC, header]
     for key, vec in embeddings.items():
         vec = np.asarray(vec, dtype="<f4")
-        if vec.shape != (EMB_DIM,):
-            raise DegenerateEmbeddingError(f"{key}: expected ({EMB_DIM},), got {vec.shape}")
+        if vec.shape != (EMBEDDING_DIM,):
+            raise DegenerateEmbeddingError(f"{key}: expected ({EMBEDDING_DIM},), got {vec.shape}")
         kb = key.encode("utf-8")
         if len(kb) > 0xFFFF:
             raise DataError(f"embedding id of {len(kb)} bytes is longer than 65535")
@@ -271,8 +272,8 @@ def load_embeddings(path: Union[str, Path]) -> dict[str, np.ndarray]:
     version, count, dim = read.unpack("<III", "header")
     if version != EMB_STORE_VERSION:
         raise DataError(f"{path}: unsupported embedding store version {version}")
-    if dim != EMB_DIM:
-        raise DataError(f"{path}: embedding dim {dim}, expected {EMB_DIM}")
+    if dim != EMBEDDING_DIM:
+        raise DataError(f"{path}: embedding dim {dim}, expected {EMBEDDING_DIM}")
     out: dict[str, np.ndarray] = {}
     for i in range(count):
         (klen,) = read.unpack("<H", f"entry {i} id length")

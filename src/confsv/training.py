@@ -245,8 +245,7 @@ def save_speaker_checkpoint(path, model: SpeakerModel, run_cfg: RunConfig) -> No
 def load_speaker_model(path, checkpoint: Optional[tuple[dict, dict]] = None) -> SpeakerModel:
     """The stored model, frozen; `checkpoint` is `path` already read, if it was."""
     meta, arrays = checkpoint or ckpt.load_checkpoint(path)
-    if meta.get("kind") != "speaker":
-        raise ConfigError(f"{path}: not a speaker checkpoint (kind {meta.get('kind')!r})")
+    ckpt.check_kind(meta, "speaker", path)
     model = SpeakerModel(ckpt.config_from_meta(EncoderConfig, meta, "encoder", path))
     model.load_state_arrays(arrays)
     return model.set_trainable(False)
@@ -267,8 +266,7 @@ def save_asr_checkpoint(path, encoder: ConformerEncoder, decoder: CtcDecoder,
 def load_asr_model(path) -> tuple[ConformerEncoder, CtcDecoder]:
     """The stored encoder and decoder, frozen."""
     meta, arrays = ckpt.load_checkpoint(path)
-    if meta.get("kind") != "asr":
-        raise ConfigError(f"{path}: not an ASR checkpoint (kind {meta.get('kind')!r})")
+    ckpt.check_kind(meta, "asr", path)
     encoder = ConformerEncoder(ckpt.config_from_meta(EncoderConfig, meta, "encoder", path))
     vocab = ckpt.meta_value(meta, "vocab", int, path)
     if vocab < 1:

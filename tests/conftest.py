@@ -160,6 +160,6 @@ def cold_bank():
     A test that builds voices another way (an oracle synthesis) leaves none
     behind for later tests that compare bytes.
     """
-    datapipe.babble_voice.cache_clear()
-    yield datapipe.babble_voice.cache_clear
-    datapipe.babble_voice.cache_clear()
+    datapipe._BABBLE_BANK.clear()
+    yield datapipe._BABBLE_BANK.clear
+    datapipe._BABBLE_BANK.clear()

@@ -304,3 +304,57 @@ class TestMacs:
         assert csv.startswith("component,params,macs")
         assert str(report.total_macs) in csv
         assert "total" in report.to_text()
+
+
+# Exact MACs, fixed integers captured before the counts were read from the
+# built model: any module change that moves a layer's MACs shows here.
+# (preset, seconds, convention) -> subsampling, one block, ctc_decoder, pooling,
+# embedding_head, and the speaker-scope total.
+EXACT_MACS = {
+    ("half_large", 1, "conv"): (9216000, 40115200, 0, 117964800, 0, 488217600),
+    ("half_large", 1, "full"): (533504000, 332051456, 281600, 117964800, 2359296, 3642291200),
+    ("half_large", 5, "conv"): (46080000, 200576000, 0, 589824000, 0, 2441088000),
+    ("half_large", 5, "full"): (2667520000, 1738105856, 1408000, 589824000, 2359296, 18902656000),
+    ("half_medium", 1, "conv"): (4608000, 10227200, 0, 58982400, 0, 155635200),
+    ("half_medium", 1, "full"): (135680000, 84171264, 140800, 58982400, 1179648, 953383424),
+    ("half_medium", 5, "conv"): (23040000, 51136000, 0, 294912000, 0, 778176000),
+    ("half_medium", 5, "full"): (678400000, 459518464, 704000, 294912000, 1179648, 5110157824),
+    ("half_small", 1, "conv"): (3168000, 4919200, 0, 36044800, 0, 78566400),
+    ("half_small", 1, "full"): (65120000, 40281824, 96800, 36044800, 720896, 424140288),
+    ("half_small", 5, "conv"): (15840000, 24596000, 0, 180224000, 0, 392832000),
+    ("half_small", 5, "full"): (325600000, 227933024, 484000, 180224000, 720896, 2330009088),
+    ("large", 1, "conv"): (1188864000, 20057600, 0, 117964800, 0, 1667865600),
+    ("large", 1, "full"): (1319936000, 164934656, 140800, 117964800, 4718592, 4411443200),
+    ("large", 5, "conv"): (5944320000, 100288000, 0, 589824000, 0, 8339328000),
+    ("large", 5, "full"): (6599680000, 844921856, 704000, 589824000, 4718592, 22402816000),
+    ("medium", 1, "conv"): (299520000, 5113600, 0, 58982400, 0, 450547200),
+    ("medium", 1, "full"): (332288000, 41572864, 70400, 58982400, 2359296, 1141941248),
+    ("medium", 5, "conv"): (1497600000, 25568000, 0, 294912000, 0, 2252736000),
+    ("medium", 5, "full"): (1661440000, 217726464, 352000, 294912000, 2359296, 5877787648),
+    ("small", 1, "conv"): (142560000, 2459600, 0, 36044800, 0, 217958400),
+    ("small", 1, "full"): (158048000, 19795424, 48400, 36044800, 1441792, 512261376),
+    ("small", 5, "conv"): (712800000, 12298000, 0, 180224000, 0, 1089792000),
+    ("small", 5, "full"): (790240000, 105701024, 242000, 180224000, 1441792, 2663122176),
+}
+
+
+class TestExactMacs:
+    @pytest.mark.parametrize("scope", ["encoder", "encoder+decoder", "speaker"])
+    @pytest.mark.parametrize("key", sorted(EXACT_MACS))
+    def test_entries_and_total(self, key, scope):
+        preset, seconds, convention = key
+        sub, block, decoder, pooling, head, speaker_total = EXACT_MACS[key]
+        layers = ENCODER_PRESETS[preset].layers
+        expected = [("subsampling", sub), (f"blocks ({layers} x {block})", layers * block)]
+        if scope == "encoder+decoder":
+            expected.append(("ctc_decoder", decoder))
+        if scope == "speaker":
+            expected.append(("pooling", pooling))
+            if convention == "full":
+                expected.append(("embedding_head", head))
+        report = estimate_macs(ENCODER_PRESETS[preset], seconds, convention, scope)
+        assert [(e.name, e.params, e.macs) for e in report.entries] == [
+            (name, 0, macs) for name, macs in expected]
+        assert report.total_macs == sum(macs for _, macs in expected)
+        if scope == "speaker":
+            assert report.total_macs == speaker_total

@@ -263,9 +263,13 @@ class TestBabbleBank:
             # every 25 ms frame, the last ones too, carries the voices
             assert (np.abs(sig.reshape(-1, 400)).max(axis=1) > 0.01).all()
 
-    def test_threads_filling_a_cold_bank_give_the_bytes_of_one(self, cold_bank):
+    def test_threads_filling_a_cold_bank_give_the_bytes_of_one(self, cold_bank, monkeypatch):
         serial = [babble_voice(i).tobytes() for i in range(BABBLE_VOICES)]
         cold_bank()
+        synth = datapipe.synth_utterance
+        calls = []
+        monkeypatch.setattr(datapipe, "synth_utterance",
+                            lambda *a, **k: calls.append(a) or synth(*a, **k))
         n_threads = 4  # more than the cores of the reference machine
         start = threading.Barrier(n_threads, timeout=60)
         built = [None] * n_threads
@@ -286,7 +290,8 @@ class TestBabbleBank:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert built == [serial] * n_threads
-        assert babble_voice.cache_info().currsize == BABBLE_VOICES
+        assert len(calls) == BABBLE_VOICES  # every voice is in the bank, so one call each
+        assert sorted(datapipe._BABBLE_BANK) == list(range(BABBLE_VOICES))
 
 
 class TestReverb:

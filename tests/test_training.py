@@ -221,7 +221,8 @@ class TestLoadersRejectOtherKinds:
     def test_adaptation_from_a_speaker_checkpoint(self, tmp_path):
         path = tmp_path / "speaker.ckpt"
         save_speaker_checkpoint(path, SpeakerModel(ENCODER, seed=7), toy_run_config())
-        with pytest.raises(CheckpointError, match="not an adaptation checkpoint"):
+        with pytest.raises(ConfigError,
+                           match=r"not an adaptation checkpoint \(kind 'speaker'\)"):
             load_adaptation(path, toy_backbone())
 
 
