@@ -32,14 +32,14 @@ from dataclasses import dataclass, field
 
 from .adaptation import AdaptationConfig, SpeakerAdaptation
 from .conformer import ConformerEncoder, EncoderConfig
-from .datapipe import VOCAB_SIZE
+from .datapipe import HOP_SEC, VOCAB_SIZE
 from .errors import ConfigError
 from .heads import SpeakerModel
 from .losses import CtcDecoder
 from .nn import Module
 
 MACS_INPUT_SECONDS = 5.0
-MEL_FRAMES_PER_SECOND = 100
+MEL_FRAMES_PER_SECOND = round(1 / HOP_SEC)
 
 
 @dataclass
@@ -167,8 +167,8 @@ def estimate_macs(
     if convention not in ("conv", "full"):
         raise ConfigError(f"unknown MACs convention {convention!r}")
     encoder, decoder, model = _build(cfg, scope)
-    if not math.isfinite(input_seconds):
-        raise ConfigError(f"input length must be finite, got {input_seconds}")
+    if not math.isfinite(input_seconds * MEL_FRAMES_PER_SECOND):
+        raise ConfigError(f"input length must give a finite mel frame count, got {input_seconds}")
     frames = mel_frames = int(round(input_seconds * MEL_FRAMES_PER_SECOND))
     if mel_frames < cfg.min_frames:
         raise ConfigError(

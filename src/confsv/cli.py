@@ -20,7 +20,7 @@ from . import checkpoint as ckpt
 from .accounting import count_adaptation_params, count_params, estimate_macs
 from .adaptation import AdaptationConfig, load_adaptation, linear_probe
 from .config import RunConfig, load_run_config
-from .conformer import ENCODER_PRESETS, EncoderConfig
+from .conformer import EncoderConfig, encoder_preset
 from .datapipe import (
     Corpus,
     load_utterance,
@@ -52,7 +52,7 @@ from .training import (
     train_adaptation,
     train_speaker,
 )
-from .util import rng_for, write_atomic
+from .util import rng_for, write_atomic, write_lines
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -86,7 +86,7 @@ def cmd_gen_trials(args) -> int:
     entries = read_manifest(args.manifest)
     trials = make_trials(entries, args.seed, args.n_target, args.n_nontarget)
     lines = [f"{label} {a} {b}" for label, a, b in trials]
-    write_atomic(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_lines(args.out, lines)
     print(f"wrote {len(trials)} trials to {args.out}")
     return EXIT_OK
 
@@ -140,7 +140,7 @@ def cmd_probe(args) -> int:
     accuracies = linear_probe(per_layer, labels, seed=args.seed)
     lines = ["layer,accuracy"]
     lines += [f"{i + 1},{acc:.6f}" for i, acc in enumerate(accuracies)]
-    write_atomic(args.out, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_lines(args.out, lines)
     print(f"wrote per-layer accuracies to {args.out}")
     return EXIT_OK
 
@@ -199,7 +199,9 @@ def _scored(args):
         scores = score_trials(store, both)
     if not args.qmf:
         return trials, scores
-    quality = quality_features(args.manifest, read_manifest(args.manifest), store)
+    used = {key for t in both for key in (t.enroll, t.test)}  # the manifest may list more
+    entries = [e for e in read_manifest(args.manifest) if e.path in used]
+    quality = quality_features(args.manifest, entries, store)
     features = qmf_features(both, scores, quality)
     model = qmf_fit(features[:len(calib)], calib.labels)
     return trials, model.calibrate(features[len(calib):])
@@ -220,15 +222,13 @@ def cmd_evaluate(args) -> int:
     print(f"EER[%] {e:.4f}")
     print(f"minDCF {d:.4f}")
     if args.out:
-        write_atomic(args.out, f"eer_percent,min_dcf\n{e:.17g},{d:.17g}\n".encode("utf-8"))
+        write_lines(args.out, ["eer_percent,min_dcf", f"{e:.17g},{d:.17g}"])
     return EXIT_OK
 
 
 def _encoder_from_args(args) -> EncoderConfig:
     if args.preset:
-        if args.preset not in ENCODER_PRESETS:
-            raise ConfigError(f"unknown preset {args.preset!r}")
-        return ENCODER_PRESETS[args.preset]
+        return encoder_preset(args.preset)
     if None in (args.layers, args.dim, args.heads, args.hidden):
         raise ConfigError("count needs --preset or all of --layers/--dim/--heads/--hidden")
     return EncoderConfig(args.layers, args.dim, args.heads, args.hidden, args.rate)

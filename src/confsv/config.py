@@ -18,9 +18,10 @@ Example file::
     batch_size = 32
     epochs = 5
 
-A key takes the type of the dataclass field it sets.  Unknown sections or
-keys and numbers that are not finite are configuration errors, so typos fail
-fast.  The command, not the file, picks the strategy.
+A key takes the type of the dataclass field it sets; a `RunConfig` field also
+declares the key's section and any valid range.  Unknown sections or keys and
+numbers that are not finite or out of range are configuration errors, so typos
+fail fast.  The command, not the file, picks the strategy.
 """
 
 from __future__ import annotations
@@ -32,88 +33,72 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .adaptation import AdaptationConfig
-from .conformer import ENCODER_PRESETS, EncoderConfig
+from .conformer import EncoderConfig, encoder_preset
 from .datapipe import MIN_UTT_SEC, VOCAB_SIZE
 from .errors import ConfigError
 from .util import read_text
 
-# RunConfig field -> [lowest, highest) of its values
-_RANGES = {
-    "vocab": (VOCAB_SIZE, math.inf),
-    "crop_seconds": (MIN_UTT_SEC, math.inf),
-    "lmft_crop_seconds": (MIN_UTT_SEC, math.inf),
-    "epochs": (1, math.inf),
-    "batch_size": (1, math.inf),
-    "lr": (0, math.inf),
-    "weight_decay": (0, math.inf),
-    "warmup_epochs": (0, math.inf),
-    "lmft_epochs": (0, math.inf),
-    "frozen_epochs": (0, math.inf),
-    "alpha": (0, math.inf),
-    "aam_margin": (0, math.pi / 2),
-    "lmft_margin": (0, math.pi / 2),
-}
+
+def _key(section: str, default, lo=None, hi=math.inf):
+    """A field the file sets under `[section]`; given `lo`, its values must lie in [lo, hi)."""
+    return field(default=default, metadata={"section": section, "range": (lo, hi)})
 
 
 @dataclass
 class RunConfig:
-    name: str = "run"
-    seed: int = 0
+    name: str = _key("experiment", "run")
+    seed: int = _key("experiment", 0)
     encoder: EncoderConfig = field(default_factory=lambda: EncoderConfig(2, 32, 4, 64))
-    vocab: int = VOCAB_SIZE
+    vocab: int = _key("experiment", VOCAB_SIZE, lo=VOCAB_SIZE)
 
-    # data
-    n_speakers: int = 20
-    utts_per_speaker: int = 50
-    crop_seconds: float = 2.0
-    augment_prob: float = 0.6
-    speed_perturb: bool = False
+    n_speakers: int = _key("data", 20)
+    utts_per_speaker: int = _key("data", 50)
+    crop_seconds: float = _key("data", 2.0, lo=MIN_UTT_SEC)
+    augment_prob: float = _key("data", 0.6)
+    speed_perturb: bool = _key("data", False)
 
-    # optimizer (decoupled weight decay, cosine annealing, 1-epoch warmup)
-    lr: float = 0.001
-    weight_decay: float = 1e-7
-    batch_size: int = 512
-    epochs: int = 5
-    warmup_epochs: float = 1.0
+    # decoupled weight decay, cosine annealing, 1-epoch warmup
+    lr: float = _key("optim", 0.001, lo=0)
+    weight_decay: float = _key("optim", 1e-7, lo=0)
+    batch_size: int = _key("optim", 512, lo=1)
+    epochs: int = _key("optim", 5, lo=1)
+    warmup_epochs: float = _key("optim", 1.0, lo=0)
 
-    # losses
-    aam_scale: float = 32.0
-    aam_margin: float = 0.2
-    alpha: float = 1.0
+    aam_scale: float = _key("loss", 32.0)
+    aam_margin: float = _key("loss", 0.2, lo=0, hi=math.pi / 2)
+    alpha: float = _key("loss", 1.0, lo=0)
 
-    # schedules
-    frozen_epochs: int = 2
-    truncate_layers: Optional[int] = None
-    lmft: bool = False
-    lmft_margin: float = 0.5
-    lmft_crop_seconds: float = 6.0
-    lmft_epochs: int = 2
+    frozen_epochs: int = _key("schedule", 2, lo=0)
+    truncate_layers: Optional[int] = _key("schedule", None)
+    lmft: bool = _key("schedule", False)
+    lmft_margin: float = _key("schedule", 0.5, lo=0, hi=math.pi / 2)
+    lmft_crop_seconds: float = _key("schedule", 6.0, lo=MIN_UTT_SEC)
+    lmft_epochs: int = _key("schedule", 2, lo=0)
 
     adaptation: Optional[AdaptationConfig] = None
 
     def __post_init__(self):
-        for name, (lo, hi) in _RANGES.items():
-            value = getattr(self, name)
-            if not lo <= value < hi:  # a NaN fails too
-                raise ConfigError(f"{name} must be in [{lo}, {hi}), got {value}")
+        for f in fields(self):
+            lo, hi = f.metadata.get("range", (None, None))
+            value = getattr(self, f.name)
+            if lo is not None and not lo <= value < hi:  # a NaN fails too
+                raise ConfigError(f"{f.name} must be in [{lo}, {hi}), got {value}")
         if not self.aam_scale > 0:
             raise ConfigError(f"aam_scale must be positive, got {self.aam_scale}")
-        if not 0 <= self.augment_prob <= 1:  # closed at 1, which _RANGES cannot say
+        if not 0 <= self.augment_prob <= 1:  # closed at 1, which a field range cannot say
             raise ConfigError(f"augment_prob must be in [0, 1], got {self.augment_prob}")
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
-# file section -> the RunConfig fields it holds; `encoder` and `adaptation` have
-# sections of their own, and the command, not the file, picks the strategy
-_SECTIONS = {
-    "experiment": ("name", "seed", "vocab"),
-    "data": ("n_speakers", "utts_per_speaker", "crop_seconds", "augment_prob", "speed_perturb"),
-    "optim": ("lr", "weight_decay", "batch_size", "epochs", "warmup_epochs"),
-    "loss": ("aam_scale", "aam_margin", "alpha"),
-    "schedule": ("frozen_epochs", "truncate_layers", "lmft", "lmft_margin",
-                 "lmft_crop_seconds", "lmft_epochs"),
-}
+# file section -> the RunConfig fields it holds, in field order; `encoder` and
+# `adaptation` have sections of their own, and the command, not the file, picks
+# the strategy
+_SECTIONS: dict[str, tuple[str, ...]] = {}
+for _field in fields(RunConfig):
+    if _field.metadata:
+        _section = _field.metadata["section"]
+        _SECTIONS[_section] = _SECTIONS.get(_section, ()) + (_field.name,)
 
 
 def _convert(raw: str, kind: type):
@@ -176,9 +161,7 @@ def load_run_config(path: Union[str, Path]) -> RunConfig:
 
     enc_section = sections.pop("encoder", {})
     preset = enc_section.pop("preset", None)
-    if preset is not None and preset not in ENCODER_PRESETS:
-        raise ConfigError(f"unknown encoder preset {preset!r}")
-    values = ENCODER_PRESETS[preset].to_dict() if preset is not None else {}
+    values = encoder_preset(preset).to_dict() if preset is not None else {}
     values.update(_values("encoder", enc_section, typing.get_type_hints(EncoderConfig)))
     if values:
         kwargs["encoder"] = _build(EncoderConfig, "encoder", values)

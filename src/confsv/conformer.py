@@ -83,6 +83,13 @@ ENCODER_PRESETS: dict[str, EncoderConfig] = {
 }
 
 
+def encoder_preset(name: str) -> EncoderConfig:
+    """The preset `name`; an unknown name is a ConfigError."""
+    if name not in ENCODER_PRESETS:
+        raise ConfigError(f"unknown encoder preset {name!r}")
+    return ENCODER_PRESETS[name]
+
+
 @lru_cache(maxsize=256)
 def sinusoid_positions(n_frames: int, dim: int) -> np.ndarray:
     """Sinusoidal embeddings for relative distances T-1 ... -(T-1), shape (2T-1, d).

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateNoiseError, InputTooShortError
-from .util import read_text, rng_for, stable_seed, write_atomic
+from .util import read_text, rng_for, stable_seed, write_lines
 
 SAMPLE_RATE = 16000
 TOKENS = "aeioumnsrz"  # toy phoneme inventory; CTC ids are 1-based, 0 = blank
@@ -591,7 +591,7 @@ def write_corpus(corpus: Corpus, out_dir: Union[str, Path]) -> Path:
         write_wav(out_dir / rel, utt.waveform)
         lines.append(f"{rel} {utt.speaker_id} {utt.tokens} {utt.duration_sec:.3f}")
     manifest = out_dir / "manifest.txt"
-    write_atomic(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_lines(manifest, lines)
     return manifest
 
 
@@ -624,7 +624,11 @@ def load_utterance(manifest_path: Union[str, Path], entry: ManifestEntry) -> Utt
 
 def make_trials(entries: Sequence[ManifestEntry], seed: int, n_target: int,
                 n_nontarget: int) -> list[tuple[int, str, str]]:
-    """Sample (label, enroll, test) trials from manifest entries."""
+    """Sample (label, enroll, test) trials from manifest entries; a negative
+    count, or a total of 0, is a ConfigError."""
+    if n_target < 0 or n_nontarget < 0 or n_target + n_nontarget == 0:
+        raise ConfigError(f"trial counts must be >= 0 and not both 0, got {n_target} target "
+                          f"and {n_nontarget} non-target")
     rng = rng_for(seed, "trials")
     by_spk: dict[str, list[str]] = {}
     for e in entries:

@@ -35,7 +35,7 @@ from .errors import (
     TrialParseError,
 )
 from .heads import EMBEDDING_DIM
-from .util import ByteReader, read_text, write_atomic
+from .util import ByteReader, read_text, write_atomic, write_lines
 
 EMB_STORE_MAGIC = b"CFSVEMB1"
 EMB_STORE_VERSION = 1
@@ -338,4 +338,4 @@ def snorm_scores(store: dict[str, np.ndarray], trials: TrialList,
 
 def write_score_file(path: Union[str, Path], trials: TrialList, scores: np.ndarray) -> None:
     lines = [f"{t.enroll} {t.test} {s:.17g}" for t, s in zip(trials, scores)]
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_lines(path, lines)

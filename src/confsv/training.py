@@ -71,7 +71,7 @@ from .losses import (
 )
 from .nn import Parameter, seed_parameters
 from .scoring import resolve_embedding
-from .util import check_finite, map_batches, parallel_map, rng_for, write_atomic
+from .util import check_finite, map_batches, parallel_map, rng_for, write_lines
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -197,7 +197,7 @@ def _write_loss_csv(path: Path, header: list[str], rows: list[list[float]]) -> N
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_lines(path, lines)
 
 
 def _train_epochs(cfg: RunConfig, params: list[tuple[str, Parameter]], opt: AdamW, n_items: int,

@@ -161,6 +161,11 @@ def write_atomic(path: Union[str, Path], data: bytes) -> None:
         raise
 
 
+def write_lines(path: Union[str, Path], lines: Iterable[str]) -> None:
+    """Write `lines` as UTF-8 text, each ending in a newline, through `write_atomic`."""
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
+
+
 def read_text(path: Union[str, Path], error: type) -> str:
     """The UTF-8 text of `path`; bytes that are not UTF-8 raise `error`."""
     try:

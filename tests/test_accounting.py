@@ -298,6 +298,14 @@ class TestMacs:
         with pytest.raises(ConfigError, match=message):
             estimate_macs(ENCODER_PRESETS["small"], **kwargs)
 
+    @pytest.mark.parametrize("seconds", [1e308, float("inf"), float("nan")])
+    def test_length_without_a_finite_frame_count(self, seconds):
+        """1e308 s is a finite length whose frame count overflows to inf."""
+        with pytest.raises(ConfigError) as err:
+            estimate_macs(ENCODER_PRESETS["small"], input_seconds=seconds)
+        assert str(err.value) == (
+            f"input length must give a finite mel frame count, got {seconds}")
+
     def test_report_render(self):
         report = estimate_macs(ENCODER_PRESETS["small"])
         csv = report.to_csv()

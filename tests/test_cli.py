@@ -178,6 +178,23 @@ class TestGenData:
 
 
 class TestGenTrials:
+    @pytest.mark.parametrize("n_target, n_nontarget, message", [
+        ("-3", "4", "got -3 target and 4 non-target"),
+        ("0", "0", "got 0 target and 0 non-target"),
+    ], ids=["negative", "empty"])
+    def test_negative_or_empty_counts_exit_2_and_write_no_file(
+            self, tmp_path, capsys, n_target, n_nontarget, message):
+        """-3 wrote a list with no target trials; 0 and 0 wrote one empty line."""
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(f"wavs/{s}{i}.wav spk{s} ae 1.000\n"
+                                    for s in "ab" for i in range(2)), encoding="utf-8")
+        out = tmp_path / "t"
+        assert main(["gen-trials", "--manifest", str(manifest), "--out", str(out),
+                     "--n-target", n_target, "--n-nontarget", n_nontarget]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"config error: trial counts must be >= 0 and not both 0, {message}\n")
+        assert not out.exists()
+
     def test_manifest_that_is_not_utf8_exits_3(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.txt"
         manifest.write_bytes(b"wavs/a.wav spk0 ae 1.000\nwavs/b\xff.wav spk1 ae 1.000\n")
@@ -940,6 +957,40 @@ class TestQmfCli:
             "--qmf", "--calib-trials", str(calib), "--manifest", str(mini["manifest"]),
         ]) == EXIT_OK
 
+    def test_manifest_may_list_utterances_the_store_lacks(self, mini, tmp_path, capsys):
+        """Quality features are read only for the keys the trials name, so a
+        manifest listing more than was embedded scores the same bytes; a trial
+        key the manifest lacks still exits 3."""
+        (tmp_path / "wavs").symlink_to(mini["manifest"].parent / "wavs")
+        lines = mini["manifest"].read_text(encoding="utf-8").splitlines()
+        full, subset = tmp_path / "full.txt", tmp_path / "subset.txt"
+        full.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        subset.write_text("\n".join(lines[::2]) + "\n", encoding="utf-8")
+        emb = tmp_path / "emb.bin"
+        assert main(["embed", "--ckpt", str(_speaker_ckpt(tmp_path / "spk.ckpt")),
+                     "--manifest", str(subset), "--out", str(emb)]) == EXIT_OK
+        calib, trials = tmp_path / "calib.txt", tmp_path / "trials.txt"
+        for path, seed in ((calib, "1"), (trials, "2")):
+            assert main(["gen-trials", "--manifest", str(subset), "--out", str(path),
+                         "--seed", seed, "--n-target", "15", "--n-nontarget", "15"]) == EXIT_OK
+
+        def score(manifest):
+            out = tmp_path / f"scores_{manifest.stem}.txt"
+            code = main(["score", "--embeddings", str(emb), "--trials", str(trials),
+                         "--out", str(out), "--qmf", "--calib-trials", str(calib),
+                         "--manifest", str(manifest)])
+            return code, out.read_bytes() if code == EXIT_OK else None
+
+        scored = score(full)
+        assert scored[0] == EXIT_OK and scored == score(subset)
+        key = trials.read_text(encoding="utf-8").split()[1]
+        short = tmp_path / "short.txt"
+        short.write_text("".join(f"{line}\n" for line in lines if line.split()[0] != key),
+                         encoding="utf-8")
+        capsys.readouterr()
+        assert score(short) == (EXIT_DATA, None)
+        assert capsys.readouterr().err == f"data error: no quality features for id {key!r}\n"
+
     @pytest.mark.parametrize("command", ["score", "evaluate"])
     @pytest.mark.parametrize("present, missing", [("--manifest", "--calib-trials"),
                                                   ("--calib-trials", "--manifest")])
@@ -958,9 +1009,10 @@ class TestQmfCli:
     def test_manifest_path_with_a_nul_byte_exits_3(self, tmp_path, capsys):
         emb = tmp_path / "emb.bin"
         rng = np.random.default_rng(0)
-        save_embeddings(emb, {k: rng.normal(size=256).astype(np.float32) for k in "ab"})
-        trials = tmp_path / "t.txt"
-        trials.write_text("1 a a\n0 a b\n", encoding="utf-8")
+        save_embeddings(emb, {k: rng.normal(size=256).astype(np.float32)
+                              for k in ("a\x00.wav", "b")})
+        trials = tmp_path / "t.txt"  # quality features are read for trial keys only
+        trials.write_text("1 a\x00.wav a\x00.wav\n0 a\x00.wav b\n", encoding="utf-8")
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("a\x00.wav spk0 ae 1.000\n", encoding="utf-8")
         assert main(["score", "--embeddings", str(emb), "--trials", str(trials),
@@ -1075,7 +1127,7 @@ class TestCount:
         assert "mel frames" in capsys.readouterr().err
         assert main(["count", "--preset", preset, "--macs", "--seconds", shortest]) == EXIT_OK
 
-    @pytest.mark.parametrize("seconds", ["-1", "nan"])
+    @pytest.mark.parametrize("seconds", ["-1", "nan", "1e308"])
     def test_macs_of_a_negative_or_nan_length_exit_2(self, seconds, capsys):
         assert main(["count", "--preset", "small", "--macs", "--seconds", seconds]) == EXIT_CONFIG
         assert capsys.readouterr().out == ""  # no report, so no negative MACs
@@ -1099,8 +1151,10 @@ class TestCount:
                      "--convention", convention, "--csv", str(csv)]) == EXIT_OK
         assert csv.read_text().splitlines() == ["component,params,macs", *rows]
 
-    def test_invalid_config_exits_2(self):
+    def test_invalid_config_exits_2(self, capsys):
         assert main(["count", "--preset", "gigantic"]) == EXIT_CONFIG
+        # the message of an unknown `[encoder] preset` in a config file
+        assert capsys.readouterr() == ("", "config error: unknown encoder preset 'gigantic'\n")
         assert main(["count", "--layers", "2", "--dim", "10", "--heads", "3",
                      "--hidden", "16"]) == EXIT_CONFIG
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsv.adaptation import AdaptationConfig
-from confsv.config import _SECTIONS, RunConfig, load_run_config
+from confsv.config import _SECTIONS, RunConfig, _key, load_run_config
 from confsv.conformer import EncoderConfig
 from confsv.errors import ConfigError
 
@@ -102,6 +102,45 @@ def test_bad_value_type(tmp_path, line):
     path = write(tmp_path, f"[experiment]\nseed = 1\n[optim]\n{line}\n")
     with pytest.raises(ConfigError):
         load_run_config(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("vocab", "9", "vocab must be in [10, inf), got 9"),
+    ("crop_seconds", "0.25", "crop_seconds must be in [0.5, inf), got 0.25"),
+    ("lmft_crop_seconds", "0.4", "lmft_crop_seconds must be in [0.5, inf), got 0.4"),
+    ("epochs", "0", "epochs must be in [1, inf), got 0"),
+    ("batch_size", "0", "batch_size must be in [1, inf), got 0"),
+    ("lr", "-0.001", "lr must be in [0, inf), got -0.001"),
+    ("weight_decay", "-1e-7", "weight_decay must be in [0, inf), got -1e-07"),
+    ("warmup_epochs", "-1", "warmup_epochs must be in [0, inf), got -1.0"),
+    ("lmft_epochs", "-3", "lmft_epochs must be in [0, inf), got -3"),
+    ("frozen_epochs", "-1", "frozen_epochs must be in [0, inf), got -1"),
+    ("alpha", "-0.5", "alpha must be in [0, inf), got -0.5"),
+    ("aam_margin", "1.6", "aam_margin must be in [0, 1.5707963267948966), got 1.6"),
+    ("lmft_margin", "-0.1", "lmft_margin must be in [0, 1.5707963267948966), got -0.1"),
+    ("aam_scale", "0", "aam_scale must be positive, got 0.0"),
+    ("augment_prob", "1.5", "augment_prob must be in [0, 1], got 1.5"),
+])
+def test_out_of_range_value_names_its_key_and_range(tmp_path, key, value, message):
+    section = next(name for name, keys in _SECTIONS.items() if key in keys)
+    path = write(tmp_path, f"[experiment]\nseed = 1\n[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as err:
+        load_run_config(path)
+    assert str(err.value) == message
+
+
+def test_a_key_declared_on_its_field_is_range_checked():
+    """A new key needs one line: `_key` gives it a section and a range that
+    `RunConfig.__post_init__` checks with no table to update."""
+    @dataclasses.dataclass
+    class Extended(RunConfig):
+        extra: float = _key("loss", 1.0, lo=0)
+
+    assert dict(dataclasses.fields(Extended)[-1].metadata) == {
+        "section": "loss", "range": (0, math.inf)}
+    with pytest.raises(ConfigError) as err:
+        Extended(extra=-1.0)
+    assert str(err.value) == "extra must be in [0, inf), got -1.0"
 
 
 def test_line_outside_section_rejected(tmp_path):

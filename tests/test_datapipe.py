@@ -447,6 +447,15 @@ class TestIO:
         with pytest.raises(DataError):
             make_trials(single, 0, 2, 2)
 
+    @pytest.mark.parametrize("n_target, n_nontarget", [(-3, 4), (4, -1), (0, 0)])
+    def test_trial_counts_must_be_non_negative_and_not_both_zero(self, n_target, n_nontarget):
+        from confsv.datapipe import ManifestEntry
+
+        entries = [ManifestEntry(f"{s}{i}.wav", s, "ae") for s in "ab" for i in range(2)]
+        with pytest.raises(ConfigError, match="trial counts must be >= 0 and not both 0"):
+            make_trials(entries, 0, n_target, n_nontarget)
+        assert len(make_trials(entries, 0, 0, 1)) == 1  # one kind alone is enough
+
 
 def test_training_batches_deterministic(tmp_path):
     """Same (seed, epoch, index) yields bit-identical batches across processes."""
