@@ -6,11 +6,14 @@ CTC-logit distillation, and a frozen-backbone speaker adaptation module.
 Includes the full training recipe, scoring/calibration stack, and a
 parameter/MACs accounting subsystem.
 
-The Python API is the module classes, one path per job: `ConformerEncoder`
-(its forward maps (B, T, 80) log-mel features to per-block (B, T', d)
-feature maps), then `MfaAggregator`, `AttentiveStatsPooling` and
-`EmbeddingHead`, composed as `SpeakerModel`; or `SpeakerAdaptation` on a
-frozen encoder.  Both embed one utterance's (T, 80) `log_mel` features with
+The Python API is the module classes, one path per job:
+`ConformerEncoder(cfg)` (its forward maps (B, T, 80) log-mel features to
+per-block (B, T', d) feature maps), then `MfaAggregator`,
+`AttentiveStatsPooling` and `EmbeddingHead`, composed as
+`SpeakerModel(cfg)`; or `SpeakerAdaptation(backbone, cfg)` on a frozen
+encoder.  No constructor takes a seed: a module is seeded with
+`nn.seed_parameters(module, seed, scope)` or loaded from a checkpoint.
+Both embed one utterance's (T, 80) `log_mel` features with
 `embed_utterance`.  A forward with `rng=None` is inference and changes
 nothing; a forward with an rng is a training step.  Scoring takes whole
 trial lists: `scoring.score_trials` or `snorm_scores`, then `qmf_features`,

@@ -29,7 +29,7 @@ from .autodiff import Tensor
 from .conformer import ConformerBlock, ConformerEncoder, EncoderConfig
 from .errors import CheckpointError, ConfigError, DegenerateLabelsError
 from .heads import AttentiveStatsPooling, EmbeddingHead, MfaAggregator
-from .nn import LayerNorm, Linear, Module, ModuleList, seed_parameters
+from .nn import LayerNorm, Linear, Module, ModuleList
 from .util import check_finite, rng_for
 
 ADAPTOR_DIM = 128
@@ -38,6 +38,7 @@ LIGHT_HEADS = 4
 LIGHT_HIDDEN = 704
 PROBE_HIDDEN = (64, 64)
 PROBE_ITERS = 400
+PROBE_LR = 0.5
 
 
 @dataclass
@@ -80,10 +81,10 @@ class AdaptationConfig:
 class LayerAdaptor(Module):
     """Per-layer map to 128 channels: linear -> layer norm -> ReLU -> linear."""
 
-    def __init__(self, backbone_dim: int, out_dim: int = ADAPTOR_DIM):
-        self.lin1 = Linear(backbone_dim, out_dim)
-        self.norm = LayerNorm(out_dim)
-        self.lin2 = Linear(out_dim, out_dim)
+    def __init__(self, backbone_dim: int):
+        self.lin1 = Linear(backbone_dim, ADAPTOR_DIM)
+        self.norm = LayerNorm(ADAPTOR_DIM)
+        self.lin2 = Linear(ADAPTOR_DIM, ADAPTOR_DIM)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.lin2(ad.relu(self.norm(self.lin1(x))))
@@ -99,8 +100,7 @@ class SpeakerAdaptation(Module):
     it: the published size tables count it there.
     """
 
-    def __init__(self, backbone: ConformerEncoder, cfg: AdaptationConfig,
-                 seed: Optional[int] = None):
+    def __init__(self, backbone: ConformerEncoder, cfg: AdaptationConfig):
         bcfg = backbone.cfg
         if cfg.adapted_layers > bcfg.layers:
             raise ConfigError(
@@ -127,8 +127,6 @@ class SpeakerAdaptation(Module):
         self.mfa = MfaAggregator(total)
         self.pooling = AttentiveStatsPooling(total)
         self.head = EmbeddingHead(2 * total)
-        if seed is not None:
-            seed_parameters(self, seed, scope="adaptation")
 
     @property
     def backbone(self) -> ConformerEncoder:
@@ -176,14 +174,13 @@ def truncate_encoder(encoder: ConformerEncoder, n: int) -> ConformerEncoder:
 def linear_probe(
     layer_maps: Sequence[Sequence[np.ndarray]],
     labels: Sequence[int],
-    lr: float = 0.5,
     seed: int = 0,
 ) -> list[float]:
     """Training accuracy of a per-layer probe on frozen (T', d) feature maps.
 
     Probe: two affine maps, average pooling over frames, and an affine
     classifier, trained by full-batch gradient descent with a fixed budget
-    at a step of `lr / max(1, λmax)`, λmax the largest eigenvalue of the
+    at a step of `PROBE_LR / max(1, λmax)`, λmax the largest eigenvalue of the
     standardized features' xᵀx/n.  Affine maps commute with average pooling,
     so frames are pooled first; the function computed is identical.
     Features, a loss or logits that are not finite (the encoder overflowed,
@@ -200,7 +197,7 @@ def linear_probe(
         mu, sd = pooled.mean(axis=0), pooled.std(axis=0) + 1e-8
         x = check_finite((pooled - mu) / sd, f"probe features of layer {layer_idx + 1}")
         # descent on a linear model is stable only for steps below 2 / λmax(xᵀx/n)
-        step = lr / max(1.0, float(np.linalg.eigvalsh(x.T @ x / len(x))[-1]))
+        step = PROBE_LR / max(1.0, float(np.linalg.eigvalsh(x.T @ x / len(x))[-1]))
         x = ad.tensor(x)
         rng = rng_for(seed, "probe", layer_idx)
         dims = [pooled.shape[1], *PROBE_HIDDEN]
@@ -258,6 +255,6 @@ def load_adaptation(path, backbone: ConformerEncoder,
     if ckpt.meta_value(meta, "backbone_hash", str, path) != backbone_hash:
         raise CheckpointError(f"{path}: backbone content hash mismatch")
     cfg = ckpt.config_from_meta(AdaptationConfig, meta, "config", path)
-    module = SpeakerAdaptation(backbone, cfg, seed=None)
+    module = SpeakerAdaptation(backbone, cfg)
     module.load_state_arrays(arrays)
     return module.set_trainable(False)

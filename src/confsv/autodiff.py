@@ -9,10 +9,9 @@ Everything runs in float64.  The op set is exactly what the Conformer stack
 and its losses need: elementwise add/sub/mul/div, sqrt, tanh, clip, matmul,
 channels-last 1-D convolution (dense/depthwise), a fused channels-last 2-D
 convolution + bias + ReLU, relative-position attention from the projected
-heads to the context, softmax and log-softmax, layer norm, Swish/ReLU/GLU
-(sigmoid inside Swish and GLU), dropout, sum/mean, the shape ops (reshape,
-transpose, concat, getitem), and the pair indexing used by the AAM-softmax
-loss.
+heads to the context, softmax and log-softmax, layer norm, Swish/ReLU/GLU,
+dropout, sum/mean, the shape ops (reshape, transpose, concat), and the pair
+indexing used by the AAM-softmax loss.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ from .errors import ContractError, DimensionError
 from .util import fork_join
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
+
+LAYER_NORM_EPS = 1e-5
 
 
 def _as_f64(data: ArrayLike) -> np.ndarray:
@@ -99,9 +100,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
 
 def _wrap(x) -> Tensor:
@@ -185,15 +183,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def grad_fn(g):
         return (g * (1.0 - out * out),)
-
-    return _make(out, (a,), grad_fn)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def grad_fn(g):
-        return (g * out * (1.0 - out),)
 
     return _make(out, (a,), grad_fn)
 
@@ -293,24 +282,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out, tuple(tensors), grad_fn)
 
 
-def getitem(a: Tensor, idx) -> Tensor:
-    out = a.data[idx]
-    # a basic index (ints, slices, Ellipsis) gives a view, which holds each
-    # element at most once; an advanced index copies and may repeat elements,
-    # whose gradients must add up
-    view = np.may_share_memory(out, a.data)
-
-    def grad_fn(g):
-        ga = np.zeros_like(a.data)
-        if view:
-            ga[idx] = g
-        else:
-            np.add.at(ga, idx, g)
-        return (ga,)
-
-    return _make(np.array(out, copy=True), (a,), grad_fn)
-
-
 def take_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Gather over the last two axes: out[..., i, j] = a[..., rows[i,j], cols[i,j]].
 
@@ -376,7 +347,7 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), grad_fn)
 
 
-def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     d = a.shape[-1] if a.ndim else 0
     if d == 0:
@@ -384,7 +355,7 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = a.data.mean(axis=-1, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = gamma.data * xhat + beta.data
 
@@ -408,9 +379,14 @@ def glu(a: Tensor) -> Tensor:
     n = a.shape[-1]
     if n % 2 != 0:
         raise DimensionError(f"glu: axis length {n} is odd")
-    half = getitem(a, (..., slice(0, n // 2)))
-    gate = getitem(a, (..., slice(n // 2, n)))
-    return mul(half, sigmoid(gate))
+    half, gate = a.data[..., : n // 2], a.data[..., n // 2 :]
+    s = 1.0 / (1.0 + np.exp(-gate))
+    out = half * s
+
+    def grad_fn(g):
+        return (np.concatenate([g * s, g * half * s * (1.0 - s)], axis=-1),)
+
+    return _make(out, (a,), grad_fn)
 
 
 def dropout_keep(shape: tuple[int, ...], p: float,
@@ -517,7 +493,7 @@ def conv_out_len(n: int, kernel: int, stride: int, padding: int) -> int:
 def conv1d(
     x: Tensor,
     weight: Tensor,
-    bias: Optional[Tensor],
+    bias: Tensor,
     stride: int = 1,
     padding: int = 0,
     groups: int = 1,
@@ -550,10 +526,7 @@ def conv1d(
     else:
         cols = np.ascontiguousarray(win).reshape(B * Tout, C * K)
         out = (cols @ weight.data.reshape(Cout, C * K).T).reshape(B, Tout, Cout)
-    if bias is not None:
-        out = out + bias.data
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = out + bias.data
 
     def _scatter_1d(taps: Iterator[np.ndarray]) -> np.ndarray:
         # tap k: the gradient reaching every window's k-th input; taps add in k order from zero
@@ -573,12 +546,9 @@ def conv1d(
             gwin = (g2 @ weight.data.reshape(Cout, C * K)).reshape(B, Tout, C, K)
             taps = (gwin[..., k] for k in range(K))
         # no input gradient for a constant input
-        grads = [_scatter_1d(taps) if x._needs_graph() else None, gw]
-        if bias is not None:
-            grads.append(g.sum(axis=(0, 1)))
-        return tuple(grads)
+        return _scatter_1d(taps) if x._needs_graph() else None, gw, g.sum(axis=(0, 1))
 
-    return _make(out, parents, grad_fn)
+    return _make(out, (x, weight, bias), grad_fn)
 
 
 def _fork_items(task, B: int) -> None:
@@ -597,8 +567,7 @@ def _conv_items(win, wcols, bias, cols, out, lo: int, hi: int) -> None:
     cols[lo:hi] = win[lo:hi]
     rows = out[lo:hi].reshape(-1, out.shape[-1])
     np.matmul(cols[lo:hi].reshape(rows.shape[0], -1), wcols, out=rows)
-    if bias is not None:
-        rows += bias
+    rows += bias
     np.maximum(rows, 0.0, out=rows)
 
 
@@ -629,7 +598,7 @@ def _col2im_items(gm, wtaps, gtaps, gxp, stride: int, lo: int, hi: int) -> None:
 def conv2d_relu(
     x: Tensor,
     weight: Tensor,
-    bias: Optional[Tensor],
+    bias: Tensor,
     stride: int = 1,
     padding: int = 0,
 ) -> Tensor:
@@ -670,13 +639,10 @@ def conv2d_relu(
         writeable=False,
     )
     wtaps = weight.data.transpose(0, 2, 3, 1).reshape(Cout, KH * KW * C)
-    b = None if bias is None else bias.data
     cols = np.empty(win.shape)
     out = np.empty((B, Hout, Wout, Cout))
-    _fork_items(partial(_conv_items, win, wtaps.T, b, cols, out), B)
+    _fork_items(partial(_conv_items, win, wtaps.T, bias.data, cols, out), B)
     cols = cols.reshape(B * Hout * Wout, KH * KW * C)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
 
     def grad_fn(g):
         gm = np.empty(out.shape)
@@ -698,14 +664,14 @@ def conv2d_relu(
         def there():
             if gxp is not None:
                 col2im(0, k)
-            return None if bias is None else gm_rows.sum(axis=0)
+            return gm_rows.sum(axis=0)
 
         gw, gb = (here(), there()) if B == 1 else fork_join(here, there)
         gw = np.ascontiguousarray(gw.reshape(Cout, KH, KW, C).transpose(0, 3, 1, 2))
         gx = None if gxp is None else gxp[:, padding : padding + H, padding : padding + W]
-        return (gx, gw) if bias is None else (gx, gw, gb)
+        return gx, gw, gb
 
-    return _make(out, parents, grad_fn)
+    return _make(out, (x, weight, bias), grad_fn)
 
 
 # -- backward ------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .nn import (
     Module,
     ModuleList,
     Parameter,
-    seed_parameters,
 )
 
 
@@ -244,12 +243,10 @@ class ConformerBlock(Module):
 class ConformerEncoder(Module):
     """Subsampling front-end plus `cfg.layers` Conformer blocks."""
 
-    def __init__(self, cfg: EncoderConfig, seed: Optional[int] = None):
+    def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
         self.subsampling = ConvSubsampling(cfg)
         self.blocks = ModuleList([ConformerBlock(cfg) for _ in range(cfg.layers)])
-        if seed is not None:
-            seed_parameters(self, seed, scope="encoder")
 
     def forward(self, mel: Tensor, rng=None, depth: Optional[int] = None) -> list[Tensor]:
         """(B, T, n_mels) -> [h_1 ... h_L], each (B, T', d); only the first

@@ -58,7 +58,6 @@ class Utterance:
     waveform: np.ndarray
     speaker_id: str
     tokens: str
-    duration_sec: float
     norm_gain: float = 1.0  # gain applied by clipping protection, if any
 
     def __post_init__(self):
@@ -74,6 +73,10 @@ class Utterance:
     @property
     def n_samples(self) -> int:
         return self.waveform.size
+
+    @property
+    def duration_sec(self) -> float:
+        return self.n_samples / SAMPLE_RATE
 
     def token_id_seq(self) -> list[int]:
         return token_ids(self.tokens)
@@ -282,7 +285,7 @@ class Corpus:
             self._profiles[spk], tokens, stable_seed(self.seed, "synth", s, u),
             min_duration=self.min_duration,
         )
-        return Utterance(wave, spk, tokens, wave.size / SAMPLE_RATE)
+        return Utterance(wave, spk, tokens)
 
 
 # -- features -------------------------------------------------------------------
@@ -370,9 +373,7 @@ def speed_perturb(utt: Utterance, factor: float) -> Utterance:
     n_new = int(round(utt.n_samples / factor))
     positions = np.arange(n_new) * factor
     wave = np.interp(positions, np.arange(utt.n_samples), utt.waveform)
-    return Utterance(
-        wave, f"{utt.speaker_id}@sp{factor}", utt.tokens, n_new / SAMPLE_RATE, utt.norm_gain
-    )
+    return Utterance(wave, f"{utt.speaker_id}@sp{factor}", utt.tokens, utt.norm_gain)
 
 
 def expand_speed_labels(speakers: Sequence[str]) -> list[str]:
@@ -521,18 +522,18 @@ def augment_onthefly(utt: Utterance, p: float, rng: np.random.Generator) -> Utte
     return add_noise(utt, kind, snr_db=float(rng.uniform(0.0, 20.0)), rng=rng)
 
 
-def crop(utt: Utterance, seconds: float, rng: Optional[np.random.Generator] = None) -> Utterance:
+def crop(utt: Utterance, seconds: float, rng: np.random.Generator) -> Utterance:
     """Random contiguous crop when longer; loop-pad when shorter."""
     n = int(round(seconds * SAMPLE_RATE))
     if utt.n_samples > n:
-        start = int(rng.integers(0, utt.n_samples - n + 1)) if rng is not None else 0
+        start = int(rng.integers(0, utt.n_samples - n + 1))
         wave = utt.waveform[start : start + n]
     elif utt.n_samples < n:
         reps = int(np.ceil(n / utt.n_samples))
         wave = np.tile(utt.waveform, reps)[:n]
     else:
         wave = utt.waveform
-    return replace(utt, waveform=wave, duration_sec=n / SAMPLE_RATE)
+    return replace(utt, waveform=wave)
 
 
 # -- corpus on disk --------------------------------------------------------------
@@ -619,7 +620,7 @@ def read_manifest(path: Union[str, Path]) -> list[ManifestEntry]:
 
 def load_utterance(manifest_path: Union[str, Path], entry: ManifestEntry) -> Utterance:
     wave = read_wav(Path(manifest_path).parent / entry.path)
-    return Utterance(wave, entry.speaker_id, entry.tokens, wave.size / SAMPLE_RATE)
+    return Utterance(wave, entry.speaker_id, entry.tokens)
 
 
 def make_trials(entries: Sequence[ManifestEntry], seed: int, n_target: int,

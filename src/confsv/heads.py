@@ -9,7 +9,7 @@ down to the fixed 256-dim speaker embedding.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .conformer import ConformerEncoder, EncoderConfig
 from .errors import DimensionError
-from .nn import BatchNorm, LayerNorm, Linear, Module, seed_parameters
+from .nn import BatchNorm, LayerNorm, Linear, Module
 
 EMBEDDING_DIM = 256
 ASP_BOTTLENECK = 128
@@ -32,10 +32,10 @@ class AttentiveStatsPooling(Module):
     channel per frame; softmax over frames gives per-channel weights.
     """
 
-    def __init__(self, dim: int, bottleneck: int = ASP_BOTTLENECK):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.score1 = Linear(3 * dim, bottleneck)
-        self.score2 = Linear(bottleneck, dim)
+        self.score1 = Linear(3 * dim, ASP_BOTTLENECK)
+        self.score2 = Linear(ASP_BOTTLENECK, dim)
 
     def forward(self, x: Tensor) -> Tensor:
         """(B, T, D) -> (B, 2D): weighted mean then weighted std."""
@@ -86,15 +86,13 @@ class MfaAggregator(Module):
 class SpeakerModel(Module):
     """Encoder + aggregation + pooling + embedding head."""
 
-    def __init__(self, cfg: EncoderConfig, seed: Optional[int] = None):
+    def __init__(self, cfg: EncoderConfig):
         self.cfg = cfg
         self.encoder = ConformerEncoder(cfg)
         total = cfg.layers * cfg.dim
         self.mfa = MfaAggregator(total)
         self.pooling = AttentiveStatsPooling(total)
         self.head = EmbeddingHead(2 * total)
-        if seed is not None:
-            seed_parameters(self, seed, scope="speaker_model")
 
     def forward(self, mel: Tensor, rng=None, return_maps: bool = False):
         maps = self.encoder(mel, rng)

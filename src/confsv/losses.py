@@ -31,8 +31,8 @@ BLANK = 0
 class AamClassifier(Module):
     """Class weight matrix for the additive-angular-margin softmax."""
 
-    def __init__(self, n_classes: int, emb_dim: int = EMBEDDING_DIM):
-        self.weight = Parameter((n_classes, emb_dim), fan=emb_dim)
+    def __init__(self, n_classes: int):
+        self.weight = Parameter((n_classes, EMBEDDING_DIM), fan=EMBEDDING_DIM)
         self.n_classes = n_classes
 
 
@@ -43,7 +43,7 @@ def _l2_rows(x: Tensor) -> Tensor:
 
 def aam_softmax_loss(
     emb: Tensor,
-    labels: Union[int, Sequence[int], np.ndarray],
+    labels: Union[Sequence[int], np.ndarray],
     classifier: AamClassifier,
     scale: float = 32.0,
     margin: float = 0.2,
@@ -53,14 +53,12 @@ def aam_softmax_loss(
     Embeddings and class weights are L2-normalized internally.  The margin is
     applied in the arccos-free form cos(t+m) = cos t * cos m - sin t * sin m,
     with cosines clamped away from +-1 before the sine.  margin = 0, scale = 1
-    reduces exactly to softmax cross-entropy on cosine logits.
+    reduces exactly to softmax cross-entropy on cosine logits.  `emb` is
+    (B, D), one label per row.
     """
     if not 0.0 <= margin < math.pi / 2:
         raise DataError(f"margin must be in [0, pi/2), got {margin}")
-    single = emb.ndim == 1
-    if single:
-        emb = ad.reshape(emb, (1, emb.shape[0]))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < 0 or labels.max() >= classifier.n_classes:
         raise IndexError(f"label out of range [0, {classifier.n_classes})")
     if emb.shape[0] != labels.shape[0]:
@@ -175,27 +173,23 @@ def ctc_loss_batch(logits: Tensor, targets: Sequence[Sequence[int]]) -> Tensor:
     return ad._make(out, (logits,), grad_fn)
 
 
-def distill_kl_loss(student_logits: Tensor, teacher_logits: Union[Tensor, np.ndarray]) -> Tensor:
+def distill_kl_loss(student_logits: Tensor, teacher_logits: np.ndarray) -> Tensor:
     """Frame-averaged KL(teacher || student) between softmax distributions.
 
-    The teacher side is treated as a constant: no gradient ever flows into it.
+    The teacher logits are a plain array, so no gradient can flow into them.
     """
-    t_data = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(
-        teacher_logits, dtype=np.float64
-    )
-    if t_data.shape != student_logits.shape:
+    if teacher_logits.shape != student_logits.shape:
         raise DimensionError(
-            f"teacher {t_data.shape} and student {student_logits.shape} logits differ"
+            f"teacher {teacher_logits.shape} and student {student_logits.shape} logits differ"
         )
-    t_logp = ad.log_softmax_array(t_data)
+    t_logp = ad.log_softmax_array(teacher_logits)
     t_p = np.exp(t_logp)
     s_logp = ad.log_softmax(student_logits, axis=-1)
     per_frame = ad.sum_(ad.tensor(t_p) * (ad.tensor(t_logp) - s_logp), axis=-1)
     return ad.mean(per_frame)
 
 
-def combined_loss(l_spk: Union[Tensor, float], l_distill: Union[Tensor, float],
-                  alpha: float) -> Union[Tensor, float]:
+def combined_loss(l_spk: Tensor, l_distill: Tensor, alpha: float) -> Tensor:
     """Speaker loss plus alpha-weighted distillation loss."""
     if alpha < 0:
         raise DataError(f"alpha must be nonnegative, got {alpha}")

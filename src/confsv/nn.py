@@ -6,8 +6,8 @@ parameters in definition order, then all buffers, and `load_state_arrays`
 checks the shape of each.  A `Buffer` (batch-norm running statistics) is
 saved and loaded with the model but never trained.
 
-Parameters are re-initialized by name via `seed_parameters`, so a parameter's
-initial values depend only on (seed, qualified name, shape).  Adding or
+Parameters are initialized by name via `seed_parameters`, so a parameter's
+initial values depend only on (seed, scope, qualified name, shape).  Adding or
 removing sibling modules never perturbs anyone else's init, which is what lets
 two training variants share bit-identical starting points for their common
 parts.
@@ -151,7 +151,14 @@ class ModuleList(list):
 
 
 def seed_parameters(module: Module, seed: int, scope: str = "") -> None:
-    """Deterministically initialize every parameter from (seed, name)."""
+    """Deterministically initialize every parameter from (seed, scope, name).
+
+    This is how every module is seeded; no constructor takes a seed, and a
+    built module's parameters are zeros until it is seeded or loaded.
+    `training.py` names each scope it seeds: "asr_encoder", "asr_decoder",
+    "speaker_model", "classifier", "student_decoder", "rate_match" and
+    "adaptation".
+    """
     for name, p in module.named_parameters():
         p.initialize(rng_for(seed, scope, name, p.shape))
 

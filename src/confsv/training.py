@@ -454,8 +454,9 @@ def train_adaptation(cfg: RunConfig, manifest_path, backbone_ckpt, out_dir) -> P
     items, labels = build_items(entries, cfg.speed_perturb)
 
     backbone, _ = load_asr_model(backbone_ckpt)
-    module = SpeakerAdaptation(backbone, cfg.adaptation, seed=cfg.seed)
+    module = SpeakerAdaptation(backbone, cfg.adaptation)
     classifier = AamClassifier(len(labels))
+    seed_parameters(module, cfg.seed, scope="adaptation")
     seed_parameters(classifier, cfg.seed, scope="classifier")
 
     def aam_loss_of(batch, rng):
@@ -481,13 +482,12 @@ def train_adaptation(cfg: RunConfig, manifest_path, backbone_ckpt, out_dir) -> P
 # -- embeddings ---------------------------------------------------------------------
 
 
-def extract_embeddings(embed_fn, manifest_path,
-                       entries: Optional[Sequence[ManifestEntry]] = None) -> dict[str, np.ndarray]:
+def extract_embeddings(embed_fn, manifest_path) -> dict[str, np.ndarray]:
     """Embed every manifest entry (full utterance, one inference forward each).
 
     An embedding that is not finite in float32 raises `NumericError`.
     """
-    entries = read_manifest(manifest_path) if entries is None else list(entries)
+    entries = read_manifest(manifest_path)
 
     def one(entry: ManifestEntry) -> np.ndarray:
         utt = load_utterance(manifest_path, entry)

@@ -16,6 +16,7 @@ from confsv import datapipe
 from confsv.config import RunConfig
 from confsv.conformer import EncoderConfig
 from confsv.datapipe import Corpus, make_trials, read_manifest, write_corpus
+from confsv.nn import seed_parameters
 from confsv.training import pretrain_asr
 
 
@@ -70,6 +71,12 @@ def gradcheck(build_loss, tensors, rtol: float = 1e-4, atol: float = 1e-8,
                 f"grad mismatch at flat index {i}: fd={fd:.6e} "
                 f"analytic={analytic.flat[int(i)]:.6e}"
             )
+
+
+def seeded(module, seed: int, scope: str):
+    """`module` with its parameters seeded from (seed, scope), as a training command seeds."""
+    seed_parameters(module, seed, scope)
+    return module
 
 
 def param_count(module, trainable_only: bool = False) -> int:

@@ -3,20 +3,21 @@
     PYTHONPATH=src:tests python -m pytest -p linecov
 
 Traces every thread with `sys.settrace` and, at the end of the session, lists
-each never-run line as `path:line` with its count.  Only statements inside
-function bodies count: module-level and class-body lines run at import,
-before tracing starts.  Docstrings and `global`/`nonlocal` compile to no code.
-The plugin never loads unless asked for.
+each never-run line as `path:line` with its count.  Tracing starts when the
+plugin is imported, before `confsv` is, so a function that runs only at
+import time, such as a helper called from a class body, counts as run.  Only
+statements inside function bodies count; docstrings and `global`/`nonlocal`
+compile to no code.  The plugin never loads unless asked for.
 """
 
 import ast
+import importlib.util
 import sys
 import threading
 from pathlib import Path
 
-import confsv
-
-ROOT = str(Path(confsv.__file__).parent)
+# the package's directory, found without importing it
+ROOT = importlib.util.find_spec("confsv").submodule_search_locations[0]
 _ran: set[tuple[str, int]] = set()
 
 
@@ -43,9 +44,8 @@ def body_lines(path: Path) -> set[int]:
             and not isinstance(node, (ast.Global, ast.Nonlocal))}
 
 
-def pytest_configure(config):
-    threading.settrace(_trace)
-    sys.settrace(_trace)
+threading.settrace(_trace)
+sys.settrace(_trace)
 
 
 def pytest_terminal_summary(terminalreporter):

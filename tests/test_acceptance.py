@@ -29,7 +29,7 @@ from confsv.training import (
     train_speaker,
 )
 
-from conftest import fd_matches, toy_run_config
+from conftest import fd_matches, seeded, toy_run_config
 from test_scoring import brute_force_eer, brute_force_min_dcf, random_score_set
 
 
@@ -117,7 +117,7 @@ def test_criterion_04_gradient_integrity():
     cfg = EncoderConfig(2, 4, 2, 8, 0.25, conv_kernel=3, dropout=0.1)
     mel_frames = 24
     for seed in range(20):
-        model = SpeakerModel(cfg, seed=seed)
+        model = seeded(SpeakerModel(cfg), seed, "speaker_model")
         clf = AamClassifier(3)
         seed_parameters(clf, seed + 1000)
         rng = np.random.default_rng(seed)
@@ -234,7 +234,7 @@ def test_criterion_07_distillation_contracts(small_corpus, toy_asr_ckpt, tmp_pat
 
     # teacher parameters never receive gradients
     teacher_enc, teacher_dec = load_asr_model(toy_asr_ckpt)
-    student = SpeakerModel(toy_run_config().encoder, seed=9)
+    student = seeded(SpeakerModel(toy_run_config().encoder), 9, "speaker_model")
     from confsv.losses import CtcDecoder, combined_loss
 
     sdec = CtcDecoder(student.cfg.dim, teacher_dec.vocab)
@@ -304,7 +304,6 @@ def test_criterion_09_end_to_end_toy_verification(toy_data, toy_asr_ckpt, tmp_pa
         toy_data["train_manifest"],
         tmp_path / "pretrained", init_ckpt=str(toy_asr_ckpt),
     )
-    eval_entries = read_manifest(toy_data["eval_manifest"])
     trials = TrialList([
         Trial(int(line.split()[0]), line.split()[1], line.split()[2])
         for line in toy_data["trials"].read_text().splitlines()
@@ -312,8 +311,7 @@ def test_criterion_09_end_to_end_toy_verification(toy_data, toy_asr_ckpt, tmp_pa
     results = {}
     for name, ck in [("scratch", scratch_ck), ("pretrained", pretrained_ck)]:
         model = load_speaker_model(ck)
-        store = extract_embeddings(model.embed_utterance, toy_data["eval_manifest"],
-                                   eval_entries)
+        store = extract_embeddings(model.embed_utterance, toy_data["eval_manifest"])
         results[name] = eer(score_trials(store, trials), trials.labels)
     print(f"  held-out EER: scratch {results['scratch']:.2f}%, "
           f"pretrained-init {results['pretrained']:.2f}% (chance 50%)")

@@ -259,7 +259,7 @@ class TestLiveTallies:
         backbone = ConformerEncoder(EncoderConfig(3, 16, 4, 32, 0.25, conv_kernel=7))
         cfg = AdaptationConfig(variant, 2, k, light_dim=24, light_heads=4,
                                light_hidden=32, light_kernel=7)
-        module = SpeakerAdaptation(backbone, cfg, seed=None)
+        module = SpeakerAdaptation(backbone, cfg)
         assert param_count(module) == count_adaptation_params(cfg, backbone.cfg).total_params
 
 

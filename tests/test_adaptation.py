@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from confsv import adaptation
 from confsv import autodiff as ad
 from confsv.accounting import count_adaptation_params
 from confsv.adaptation import (
@@ -20,12 +21,12 @@ from confsv.losses import AamClassifier, aam_softmax_loss
 from confsv.nn import seed_parameters
 from confsv.training import AdamW
 
-from conftest import gradcheck, param_count
+from conftest import gradcheck, param_count, seeded
 
 
 def toy_backbone(layers=3, dim=32, seed=11):
     cfg = EncoderConfig(layers, dim, 4, 48, 0.25, conv_kernel=7, dropout=0.0)
-    return ConformerEncoder(cfg, seed=seed)
+    return seeded(ConformerEncoder(cfg), seed, "encoder")
 
 
 def toy_adapt_cfg(**kw):
@@ -47,8 +48,9 @@ class TestLayerAdaptor:
         out = adaptor(ad.tensor(np.random.default_rng(3).normal(size=(16, 4)).T[None]))
         np.testing.assert_array_equal(out.data, np.zeros((1, 4, 128)))
 
-    def test_gradients(self):
-        adaptor = LayerAdaptor(6, out_dim=5)
+    def test_gradients(self, monkeypatch):
+        monkeypatch.setattr(adaptation, "ADAPTOR_DIM", 5)
+        adaptor = LayerAdaptor(6)
         seed_parameters(adaptor, 4)
         x = ad.tensor(np.random.default_rng(5).normal(size=(1, 3, 6)), requires_grad=True)
         params = [p for _, p in adaptor.named_parameters()]
@@ -61,7 +63,7 @@ class TestBuildAdaptation:
     def test_trainable_count_matches_accounting_exactly(self, variant, k):
         backbone = toy_backbone()
         cfg = toy_adapt_cfg(variant=variant, extra_layers=k)
-        module = SpeakerAdaptation(backbone, cfg, seed=None)
+        module = SpeakerAdaptation(backbone, cfg)
         expected = count_adaptation_params(cfg, backbone.cfg).total_params
         assert param_count(module) == expected
 
@@ -69,23 +71,23 @@ class TestBuildAdaptation:
         # trainable size of the 16-layer/176-dim backbone's V2 L=12 K=0 add-on
         backbone = ConformerEncoder(ENCODER_PRESETS["small"])
         cfg = AdaptationConfig("V2", 12, 0)
-        module = SpeakerAdaptation(backbone, cfg, seed=None)
+        module = SpeakerAdaptation(backbone, cfg)
         assert param_count(module) == count_adaptation_params(cfg, backbone.cfg).total_params
         assert abs(param_count(module) / 1e6 - 2.06) / 2.06 < 0.10
 
     def test_v1_k0_has_pooling_and_head_only(self):
         backbone = toy_backbone()
-        module = SpeakerAdaptation(backbone, toy_adapt_cfg(variant="V1"), seed=0)
+        module = seeded(SpeakerAdaptation(backbone, toy_adapt_cfg(variant="V1")), 0, "adaptation")
         names = {n.split(".")[0] for n, _ in module.named_parameters()}
         assert names == {"light_in", "mfa", "pooling", "head"}  # d != light width quirk
         cfg_match = toy_adapt_cfg(variant="V1", light_dim=32)
-        module2 = SpeakerAdaptation(toy_backbone(dim=32), cfg_match, seed=0)
+        module2 = seeded(SpeakerAdaptation(toy_backbone(dim=32), cfg_match), 0, "adaptation")
         names2 = {n.split(".")[0] for n, _ in module2.named_parameters()}
         assert names2 == {"mfa", "pooling", "head"}
 
     def test_depth_exceeded(self):
         with pytest.raises(ConfigError):
-            SpeakerAdaptation(toy_backbone(layers=2), toy_adapt_cfg(adapted_layers=5), seed=0)
+            SpeakerAdaptation(toy_backbone(layers=2), toy_adapt_cfg(adapted_layers=5))
 
     def test_v3_requires_lightweight_layers(self):
         with pytest.raises(ConfigError):
@@ -97,7 +99,7 @@ class TestAdaptationForward:
         backbone = toy_backbone()
         feats = np.random.default_rng(7).normal(size=(80, 20)).T
         before = [m.data[0].copy() for m in backbone(ad.tensor(feats[None]))]
-        module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=8)
+        module = seeded(SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1)), 8, "adaptation")
         module.embed_utterance(feats)
         after = [m.data[0] for m in backbone(ad.tensor(feats[None]))]
         for a, b in zip(before, after):
@@ -109,7 +111,7 @@ class TestAdaptationForward:
         backbone = toy_backbone()
         cfg = toy_adapt_cfg(variant=variant, adapted_layers=layers,
                             extra_layers=1 if variant == "V3" else 0)
-        module = SpeakerAdaptation(backbone, cfg, seed=17)
+        module = seeded(SpeakerAdaptation(backbone, cfg), 17, "adaptation")
         mel = ad.tensor(np.random.default_rng(18).normal(size=(2, 24, 80)))
         full = backbone(mel)
         calls = []
@@ -124,18 +126,19 @@ class TestAdaptationForward:
     def test_mfa_width(self):
         backbone = toy_backbone()
         cfg = toy_adapt_cfg(variant="V3", adapted_layers=2, extra_layers=2)
-        module = SpeakerAdaptation(backbone, cfg, seed=9)
+        module = seeded(SpeakerAdaptation(backbone, cfg), 9, "adaptation")
         assert module.mfa.norm.gamma.shape == (128 * 2 + cfg.light_dim * 2,)
 
     def test_embedding_length(self):
         backbone = toy_backbone()
-        module = SpeakerAdaptation(backbone, toy_adapt_cfg(), seed=10)
+        module = seeded(SpeakerAdaptation(backbone, toy_adapt_cfg()), 10, "adaptation")
         emb = module.embed_utterance(np.random.default_rng(11).normal(size=(80, 16)).T)
         assert emb.shape == (256,)
 
     def test_no_gradient_reaches_backbone(self):
         backbone = toy_backbone()
-        module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=12)
+        module = seeded(SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1)), 12,
+                        "adaptation")
         emb = module(ad.tensor(np.random.default_rng(13).normal(size=(2, 20, 80))),
                      np.random.default_rng(0))
         ad.backward(ad.sum_(emb * emb))
@@ -144,7 +147,8 @@ class TestAdaptationForward:
     def test_frozen_training_never_mutates_backbone(self):
         backbone = toy_backbone()
         state_before = {n: a.copy() for n, a in backbone.state_arrays().items()}
-        module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=14)
+        module = seeded(SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1)), 14,
+                        "adaptation")
         clf = AamClassifier(3)
         seed_parameters(clf, 15)
         params = [*module.named_parameters("adaptation."), *clf.named_parameters("classifier.")]
@@ -218,19 +222,21 @@ class TestLinearProbe:
         with pytest.raises(DegenerateLabelsError):
             linear_probe([[np.zeros((4, 3))]], [0])
 
-    def test_diverging_descent_raises_instead_of_reporting_an_accuracy(self):
+    def test_diverging_descent_raises_instead_of_reporting_an_accuracy(self, monkeypatch):
+        monkeypatch.setattr(adaptation, "PROBE_LR", 1e6)
         labels = [0, 1, 2, 3] * 2
         rng = np.random.default_rng(23)
         maps = [rng.normal(size=(10, 5)).T for _ in labels]
         with pytest.raises(NumericError, match="probe"):
             with np.errstate(over="ignore", invalid="ignore"):
-                linear_probe([maps], labels, lr=1e6, seed=1)
+                linear_probe([maps], labels, seed=1)
 
 
 class TestAdaptationCheckpoint:
     def test_round_trip_and_hash_binding(self, tmp_path):
         backbone = toy_backbone()
-        module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=22)
+        module = seeded(SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1)), 22,
+                        "adaptation")
         path = tmp_path / "adapt.ckpt"
         save_adaptation(path, module)
         restored = load_adaptation(path, backbone)
@@ -242,7 +248,7 @@ class TestAdaptationCheckpoint:
 
     def test_wrong_backbone_rejected(self, tmp_path):
         backbone = toy_backbone(seed=23)
-        module = SpeakerAdaptation(backbone, toy_adapt_cfg(), seed=24)
+        module = seeded(SpeakerAdaptation(backbone, toy_adapt_cfg()), 24, "adaptation")
         path = tmp_path / "adapt.ckpt"
         save_adaptation(path, module)
         other = toy_backbone(seed=99)

@@ -17,7 +17,7 @@ from confsv.heads import SpeakerModel
 from confsv.losses import CtcDecoder
 from confsv.training import save_asr_checkpoint, save_speaker_checkpoint
 
-from conftest import toy_run_config
+from conftest import seeded, toy_run_config
 
 
 def test_bit_exact_round_trip(tmp_path):
@@ -40,7 +40,7 @@ def test_bit_exact_round_trip(tmp_path):
 
 def test_model_state_round_trip(tmp_path):
     cfg = EncoderConfig(2, 16, 4, 32, conv_kernel=7)
-    enc = ConformerEncoder(cfg, seed=5)
+    enc = seeded(ConformerEncoder(cfg), 5, "encoder")
     path = tmp_path / "enc.ckpt"
     save_checkpoint(path, {"kind": "asr", "encoder": cfg.to_dict()}, enc.state_arrays())
     _, arrays = load_checkpoint(path)
@@ -246,7 +246,7 @@ def test_checkpoint_array_order_is_parameters_then_batch_norm_statistics(tmp_pat
 def test_loading_checks_the_shape_of_every_array(name, shape):
     """A batch-norm statistic of shape (1,) used to load and broadcast silently."""
     cfg = EncoderConfig(1, 16, 4, 32, conv_kernel=7)
-    state = dict(ConformerEncoder(cfg, seed=5).state_arrays())
+    state = dict(seeded(ConformerEncoder(cfg), 5, "encoder").state_arrays())
     state[name] = np.ones(shape)
     with pytest.raises(DimensionError, match=re.escape(f"{name}: shape {shape} != (16,)")):
         ConformerEncoder(cfg).load_state_arrays(state)

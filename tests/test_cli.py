@@ -27,7 +27,7 @@ from confsv.training import (
 )
 from confsv.util import rng_for
 
-from conftest import toy_run_config
+from conftest import seeded, toy_run_config
 
 MINI_CONFIG = """
 [experiment]
@@ -220,7 +220,8 @@ def _asr_ckpt(path, enc_cfg):
     """An ASR checkpoint of seeded, untrained weights."""
     decoder = CtcDecoder(enc_cfg.dim, VOCAB_SIZE)
     seed_parameters(decoder, 12)
-    save_asr_checkpoint(path, ConformerEncoder(enc_cfg, seed=11), decoder, toy_run_config())
+    encoder = seeded(ConformerEncoder(enc_cfg), 11, "encoder")
+    save_asr_checkpoint(path, encoder, decoder, toy_run_config())
     return path
 
 
@@ -476,7 +477,7 @@ class TestAdapt:
 
 
 def _speaker_ckpt(path):
-    model = SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7), seed=3)
+    model = seeded(SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7)), 3, "speaker_model")
     save_speaker_checkpoint(path, model, toy_run_config())
     return path
 
@@ -605,7 +606,7 @@ class TestEmbedPipeline:
             self, mini, tmp_path, capsys):
         """One inf in the head used to give exit 0 and a store of NaN embeddings."""
         path = tmp_path / "speaker.ckpt"
-        model = SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7), seed=3)
+        model = seeded(SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7)), 3, "speaker_model")
         model.head.proj.weight.data[0, 0] = np.inf
         save_speaker_checkpoint(path, model, toy_run_config())
         out = tmp_path / "e.bin"
@@ -619,7 +620,7 @@ class TestEmbedPipeline:
             self, mini, tmp_path, capsys):
         """Finite weights whose embeddings pass float32's range used to store infinities."""
         path = tmp_path / "speaker.ckpt"
-        model = SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7), seed=3)
+        model = seeded(SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7)), 3, "speaker_model")
         model.head.proj.weight.data *= 1e40
         save_speaker_checkpoint(path, model, toy_run_config())
         out = tmp_path / "e.bin"
@@ -632,7 +633,7 @@ class TestEmbedPipeline:
 
     def test_embed_reads_the_checkpoint_once(self, mini, tmp_path, monkeypatch):
         path = tmp_path / "speaker.ckpt"
-        model = SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7), seed=3)
+        model = seeded(SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7)), 3, "speaker_model")
         save_speaker_checkpoint(path, model, toy_run_config())
         reads = []
         real = ckpt.load_checkpoint

@@ -18,7 +18,7 @@ from confsv.conformer import (
 from confsv.errors import ConfigError, DimensionError, InputTooShortError
 from confsv.nn import seed_parameters
 
-from conftest import conv1d_channels_first, gradcheck
+from conftest import conv1d_channels_first, gradcheck, seeded
 
 
 def tiny_cfg(**kw):
@@ -41,7 +41,7 @@ def subsample(features, cfg, seed=0):
 class TestSubsampling:
     def test_quarter_rate_5s_input(self):
         # 5 s at a 10 ms shift is 500 frames; two stride-2 stages give 125
-        enc = ConformerEncoder(tiny_cfg(dim=8), seed=0)
+        enc = seeded(ConformerEncoder(tiny_cfg(dim=8)), 0, "encoder")
         fm = enc(ad.tensor(rand_features(500, 1)[None]))[0].data[0]
         assert fm.shape[0] == 125
 
@@ -348,14 +348,14 @@ class TestConformerBlock:
 
 class TestEncoder:
     def test_full_small_stack_yields_16_maps(self):
-        enc = ConformerEncoder(ENCODER_PRESETS["small"], seed=1)
+        enc = seeded(ConformerEncoder(ENCODER_PRESETS["small"]), 1, "encoder")
         maps = enc(ad.tensor(rand_features(16, 25)[None]))
         assert len(maps) == 16
         assert all(m.data[0].shape[1] == 176 for m in maps)
 
     def test_single_block_composition(self):
         cfg = tiny_cfg(layers=1)
-        enc = ConformerEncoder(cfg, seed=2)
+        enc = seeded(ConformerEncoder(cfg), 2, "encoder")
         x = ad.tensor(np.random.default_rng(26).normal(size=(1, 12, 80)))
         maps = enc(x)
         manual = enc.blocks[0](enc.subsampling(x))
@@ -363,7 +363,7 @@ class TestEncoder:
         np.testing.assert_array_equal(maps[0].data, manual.data)
 
     def test_deterministic_across_runs(self):
-        enc = ConformerEncoder(tiny_cfg(), seed=3)
+        enc = seeded(ConformerEncoder(tiny_cfg()), 3, "encoder")
         feats = rand_features(20, 27)
         a = enc(ad.tensor(feats[None]))
         b = enc(ad.tensor(feats[None]))
@@ -371,13 +371,13 @@ class TestEncoder:
             np.testing.assert_array_equal(ma.data[0], mb.data[0])
 
     def test_blocks_shape_preserving(self):
-        enc = ConformerEncoder(tiny_cfg(), seed=4)
+        enc = seeded(ConformerEncoder(tiny_cfg()), 4, "encoder")
         outs = enc(ad.tensor(np.random.default_rng(28).normal(size=(2, 16, 80))))
         shapes = {tuple(m.shape) for m in outs}
         assert shapes == {(2, 4, 8)}  # 16 frames, two stride-2 stages
 
     def test_bad_feature_dim(self):
-        enc = ConformerEncoder(tiny_cfg(), seed=5)
+        enc = seeded(ConformerEncoder(tiny_cfg()), 5, "encoder")
         with pytest.raises(DimensionError):
             enc(ad.tensor(np.zeros((20, 40))[None]))
 
@@ -385,7 +385,7 @@ class TestEncoder:
 def test_two_block_encoder_gradients():
     """Full-stack check at d=8, heads=2, hidden=16, six output frames."""
     cfg = tiny_cfg(layers=2, dim=8, heads=2, hidden=16, conv_kernel=3)
-    enc = ConformerEncoder(cfg, seed=31)
+    enc = seeded(ConformerEncoder(cfg), 31, "encoder")
     x = ad.tensor(np.random.default_rng(32).normal(size=(1, 24, 80)), requires_grad=True)
     params = [p for _, p in enc.named_parameters()]
     rng = np.random.default_rng(5)

@@ -13,6 +13,7 @@ from confsv.adaptation import SpeakerAdaptation
 from confsv.conformer import ConformerEncoder, EncoderConfig
 from confsv.heads import SpeakerModel
 
+from conftest import seeded
 from test_adaptation import toy_adapt_cfg, toy_backbone
 
 TOY = EncoderConfig(2, 32, 4, 64)
@@ -23,16 +24,17 @@ def snapshot(module) -> dict[str, bytes]:
 
 
 def encoder():
-    return ConformerEncoder(TOY, seed=1), None
+    return seeded(ConformerEncoder(TOY), 1, "encoder"), None
 
 
 def speaker_model():
-    return SpeakerModel(TOY, seed=2), None
+    return seeded(SpeakerModel(TOY), 2, "speaker_model"), None
 
 
 def adaptation():
     backbone = toy_backbone()
-    return SpeakerAdaptation(backbone, toy_adapt_cfg(variant="V3", extra_layers=1), seed=3), backbone
+    module = SpeakerAdaptation(backbone, toy_adapt_cfg(variant="V3", extra_layers=1))
+    return seeded(module, 3, "adaptation"), backbone
 
 
 BUILDERS = [encoder, speaker_model, adaptation]
@@ -64,7 +66,7 @@ def test_training_step_updates_each_batch_norm(build):
 def test_threads_embed_bitwise_after_a_training_step():
     """Embedding used to flip the shared model to eval mode and back, so one
     thread could run (and update batch norm) in the other's restored training mode."""
-    model = SpeakerModel(TOY, seed=7)
+    model = seeded(SpeakerModel(TOY), 7, "speaker_model")
     rng = np.random.default_rng(8)
     model(ad.tensor(rng.normal(size=(2, 40, 80))), np.random.default_rng(9))
     feats = [rng.normal(size=(80, 24 + 4 * i)).T for i in range(8)]

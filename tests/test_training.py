@@ -30,7 +30,7 @@ from confsv.training import (
     train_speaker,
 )
 
-from conftest import param_count, toy_run_config
+from conftest import param_count, seeded, toy_run_config
 from test_adaptation import toy_adapt_cfg, toy_backbone
 
 ENCODER = EncoderConfig(1, 8, 2, 16, conv_kernel=5, dropout=0.1)
@@ -54,7 +54,7 @@ class TestFrozenParameters:
             Parameter((2,), init="normal").initialize(np.random.default_rng(0))
 
     def test_head_only_backward_skips_the_encoder(self):
-        model = SpeakerModel(ENCODER, seed=3)
+        model = seeded(SpeakerModel(ENCODER), 3, "speaker_model")
         clf = AamClassifier(2)
         seed_parameters(clf, 4)
         params = [*model.named_parameters("model."), *clf.named_parameters("classifier.")]
@@ -82,7 +82,8 @@ class TestFrozenParameters:
             assert grad.tobytes() == full_grads[name].tobytes(), name
 
     def test_frozen_encoder_stays_fixed(self):
-        model = SpeakerModel(EncoderConfig(1, 8, 2, 16, conv_kernel=5, dropout=0.0), seed=19)
+        cfg = EncoderConfig(1, 8, 2, 16, conv_kernel=5, dropout=0.0)
+        model = seeded(SpeakerModel(cfg), 19, "speaker_model")
         clf = AamClassifier(2)
         seed_parameters(clf, 20)
         params = [*model.named_parameters("model."), *clf.named_parameters("classifier.")]
@@ -116,7 +117,7 @@ def tiny_init(tmp_path_factory):
     """A 2 x 3 corpus and a seeded (untrained) ASR checkpoint with the ENCODER."""
     root = tmp_path_factory.mktemp("tiny_init")
     manifest = write_corpus(Corpus(2, 3, seed=31), root / "data")
-    encoder = SpeakerModel(ENCODER, seed=32).encoder
+    encoder = seeded(SpeakerModel(ENCODER), 32, "speaker_model").encoder
     decoder = CtcDecoder(ENCODER.dim, 6)
     seed_parameters(decoder, 33)
     asr = root / "asr.ckpt"
@@ -178,7 +179,7 @@ class TestFrozenEpochs:
 
 class TestLoadersReturnFrozenModules:
     def test_speaker_model(self, tmp_path):
-        model = SpeakerModel(ENCODER, seed=7)
+        model = seeded(SpeakerModel(ENCODER), 7, "speaker_model")
         path = tmp_path / "speaker.ckpt"
         save_speaker_checkpoint(path, model, toy_run_config())
         loaded = load_speaker_model(path)
@@ -187,7 +188,7 @@ class TestLoadersReturnFrozenModules:
         assert loaded.embed_utterance(feats).tobytes() == model.embed_utterance(feats).tobytes()
 
     def test_asr_model(self, tmp_path):
-        encoder = SpeakerModel(ENCODER, seed=9).encoder
+        encoder = seeded(SpeakerModel(ENCODER), 9, "speaker_model").encoder
         decoder = CtcDecoder(ENCODER.dim, 6)
         seed_parameters(decoder, 10)
         path = tmp_path / "asr.ckpt"
@@ -197,7 +198,8 @@ class TestLoadersReturnFrozenModules:
 
     def test_adaptation(self, tmp_path):
         backbone = toy_backbone()
-        module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=12)
+        module = seeded(SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1)), 12,
+                        "adaptation")
         assert frozen(backbone)  # attaching an adaptation freezes its backbone
         assert not frozen(module)
         path = tmp_path / "adapt.ckpt"
@@ -213,14 +215,15 @@ class TestLoadersRejectOtherKinds:
 
     def test_speaker_model_from_an_asr_checkpoint(self, tmp_path):
         path = tmp_path / "asr.ckpt"
-        save_asr_checkpoint(path, SpeakerModel(ENCODER, seed=9).encoder,
+        save_asr_checkpoint(path, seeded(SpeakerModel(ENCODER), 9, "speaker_model").encoder,
                             CtcDecoder(ENCODER.dim, 6), toy_run_config())
         with pytest.raises(ConfigError, match=r"not a speaker checkpoint \(kind 'asr'\)"):
             load_speaker_model(path)
 
     def test_adaptation_from_a_speaker_checkpoint(self, tmp_path):
         path = tmp_path / "speaker.ckpt"
-        save_speaker_checkpoint(path, SpeakerModel(ENCODER, seed=7), toy_run_config())
+        model = seeded(SpeakerModel(ENCODER), 7, "speaker_model")
+        save_speaker_checkpoint(path, model, toy_run_config())
         with pytest.raises(ConfigError,
                            match=r"not an adaptation checkpoint \(kind 'speaker'\)"):
             load_adaptation(path, toy_backbone())
@@ -262,7 +265,8 @@ class TestIncompleteMetadata:
     @pytest.mark.parametrize("edit", ENCODER_META_EDITS)
     def test_speaker_model(self, tmp_path, edit):
         path = tmp_path / "speaker.ckpt"
-        save_speaker_checkpoint(path, SpeakerModel(ENCODER, seed=7), toy_run_config())
+        model = seeded(SpeakerModel(ENCODER), 7, "speaker_model")
+        save_speaker_checkpoint(path, model, toy_run_config())
         _rewrite_meta(path, edit)
         with pytest.raises(CheckpointError):
             load_speaker_model(path)
@@ -272,7 +276,7 @@ class TestIncompleteMetadata:
     ])
     def test_asr_model(self, tmp_path, edit):
         path = tmp_path / "asr.ckpt"
-        save_asr_checkpoint(path, SpeakerModel(ENCODER, seed=9).encoder,
+        save_asr_checkpoint(path, seeded(SpeakerModel(ENCODER), 9, "speaker_model").encoder,
                             CtcDecoder(ENCODER.dim, 6), toy_run_config())
         _rewrite_meta(path, edit)
         with pytest.raises(CheckpointError):
@@ -285,7 +289,8 @@ class TestIncompleteMetadata:
     ])
     def test_adaptation(self, tmp_path, edit):
         backbone = toy_backbone()
-        module = SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1), seed=12)
+        module = seeded(SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1)), 12,
+                        "adaptation")
         path = tmp_path / "adapt.ckpt"
         save_adaptation(path, module)
         _rewrite_meta(path, edit)
@@ -294,7 +299,7 @@ class TestIncompleteMetadata:
 
     def test_already_read_checkpoint_is_not_read_again(self, tmp_path):
         path = tmp_path / "speaker.ckpt"
-        model = SpeakerModel(ENCODER, seed=7)
+        model = seeded(SpeakerModel(ENCODER), 7, "speaker_model")
         save_speaker_checkpoint(path, model, toy_run_config())
         checkpoint = ckpt.load_checkpoint(path)
         path.unlink()
