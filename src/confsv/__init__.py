@@ -14,11 +14,12 @@ per-block (B, T', d) feature maps), then `MfaAggregator`,
 encoder.  No constructor takes a seed: a module is seeded with
 `nn.seed_parameters(module, seed, scope)` or loaded from a checkpoint.
 Both embed one utterance's (T, 80) `log_mel` features with
-`embed_utterance`.  A forward with `rng=None` is inference and changes
-nothing; a forward with an rng is a training step.  Scoring takes whole
-trial lists: `scoring.score_trials` or `snorm_scores`, then `qmf_features`,
-`qmf_fit` and `QmfModel.calibrate`.  Every name re-exported below is used
-inside the package.
+`embed_utterance`, and `load_embedder(path, backbone_ckpt)` returns either
+one, frozen, from a speaker or an adaptation checkpoint.  A forward with
+`rng=None` is inference and changes nothing; a forward with an rng is a
+training step.  Scoring takes whole trial lists: `scoring.score_trials` or
+`snorm_scores`, then `qmf_features`, `qmf_fit` and `QmfModel.calibrate`.
+Every name re-exported below is used inside the package.
 """
 
 from .adaptation import (
@@ -26,7 +27,6 @@ from .adaptation import (
     LayerAdaptor,
     SpeakerAdaptation,
     linear_probe,
-    truncate_encoder,
 )
 from .autodiff import Tensor, backward, layer_norm, matmul, softmax, tensor
 from .conformer import ENCODER_PRESETS, ConformerBlock, ConformerEncoder, EncoderConfig
@@ -52,5 +52,6 @@ from .losses import (
     distill_kl_loss,
 )
 from .scoring import TrialList, eer, min_dcf, parse_trials, qmf_fit
+from .training import load_embedder
 
 __version__ = "0.1.0"

@@ -18,16 +18,15 @@ outputs are bit-identical with or without the adaptation attached.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from . import checkpoint as ckpt
 from .autodiff import Tensor
 from .conformer import ConformerBlock, ConformerEncoder, EncoderConfig
-from .errors import CheckpointError, ConfigError, DegenerateLabelsError
+from .errors import ConfigError, DegenerateLabelsError
 from .heads import AttentiveStatsPooling, EmbeddingHead, MfaAggregator
 from .nn import LayerNorm, Linear, Module, ModuleList
 from .util import check_finite, rng_for
@@ -108,7 +107,6 @@ class SpeakerAdaptation(Module):
             )
         self.cfg = cfg
         self._backbone = backbone.set_trainable(False)  # underscore: not a submodule
-        self._backbone_dim = bcfg.dim
 
         if cfg.variant in ("V2", "V3"):
             self.adaptors = ModuleList(
@@ -159,16 +157,6 @@ class SpeakerAdaptation(Module):
     def embed_utterance(self, features: np.ndarray) -> np.ndarray:
         """(T, 80) features -> 256-dim embedding, by one inference forward."""
         return self.forward(ad.tensor(features[None])).data[0]
-
-
-def truncate_encoder(encoder: ConformerEncoder, n: int) -> ConformerEncoder:
-    """Subsampling plus the first n blocks, with weights copied."""
-    if not 1 <= n <= encoder.cfg.layers:
-        raise ConfigError(f"cannot keep {n} of {encoder.cfg.layers} layers")
-    cfg = EncoderConfig(**{**encoder.cfg.to_dict(), "layers": n})
-    out = ConformerEncoder(cfg)
-    out.load_state_arrays(encoder.state_arrays())  # the extra blocks' arrays are ignored
-    return out
 
 
 def linear_probe(
@@ -228,33 +216,3 @@ def linear_probe(
         check_finite(h, f"probe logits of layer {layer_idx + 1}")
         accuracies.append(float((h.argmax(axis=-1) == labels).mean()))
     return accuracies
-
-
-ADAPTATION_CKPT_KIND = "adaptation"
-
-
-def save_adaptation(path, module: SpeakerAdaptation) -> None:
-    """Store only the add-on's arrays plus a hash binding them to its backbone."""
-    meta = {
-        "kind": ADAPTATION_CKPT_KIND,
-        "config": asdict(module.cfg),
-        "backbone_hash": ckpt.content_hash(module.backbone.state_arrays()),
-    }
-    ckpt.save_checkpoint(path, meta, module.state_arrays())
-
-
-def load_adaptation(path, backbone: ConformerEncoder,
-                    checkpoint: Optional[tuple[dict, dict]] = None) -> SpeakerAdaptation:
-    """The stored add-on on `backbone`, frozen like its backbone.
-
-    `checkpoint` is `path` already read, if it was.
-    """
-    meta, arrays = checkpoint or ckpt.load_checkpoint(path)
-    ckpt.check_kind(meta, ADAPTATION_CKPT_KIND, path)
-    backbone_hash = ckpt.content_hash(backbone.state_arrays())
-    if ckpt.meta_value(meta, "backbone_hash", str, path) != backbone_hash:
-        raise CheckpointError(f"{path}: backbone content hash mismatch")
-    cfg = ckpt.config_from_meta(AdaptationConfig, meta, "config", path)
-    module = SpeakerAdaptation(backbone, cfg)
-    module.load_state_arrays(arrays)
-    return module.set_trainable(False)

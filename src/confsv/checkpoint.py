@@ -104,13 +104,6 @@ def content_hash(arrays: dict[str, np.ndarray]) -> str:
     return hashlib.sha256(_array_section(ordered)).hexdigest()
 
 
-def check_kind(meta: dict, kind: str, path) -> None:
-    """ConfigError unless the metadata names a checkpoint of `kind`."""
-    if meta.get("kind") != kind:
-        noun = {"asr": "an ASR", "speaker": "a speaker", "adaptation": "an adaptation"}[kind]
-        raise ConfigError(f"{path}: not {noun} checkpoint (kind {meta.get('kind')!r})")
-
-
 def meta_value(meta: dict, key: str, kind: type, path) -> typing.Any:
     """`meta[key]`, which must be a `kind` (never a bool); else CheckpointError."""
     value = meta.get(key)

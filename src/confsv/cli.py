@@ -16,9 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import autodiff as ad
-from . import checkpoint as ckpt
 from .accounting import count_adaptation_params, count_params, estimate_macs
-from .adaptation import AdaptationConfig, load_adaptation, linear_probe
+from .adaptation import AdaptationConfig, linear_probe
 from .config import RunConfig, load_run_config
 from .conformer import EncoderConfig, encoder_preset
 from .datapipe import (
@@ -46,7 +45,7 @@ from .scoring import (
 from .training import (
     extract_embeddings,
     load_asr_model,
-    load_speaker_model,
+    load_embedder,
     pretrain_asr,
     quality_features,
     train_adaptation,
@@ -146,20 +145,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    checkpoint = ckpt.load_checkpoint(args.ckpt)
-    kind = checkpoint[0].get("kind")
-    if kind == "speaker":
-        model = load_speaker_model(args.ckpt, checkpoint)
-        embed_fn = model.embed_utterance
-    elif kind == "adaptation":
-        if args.teacher is None:
-            raise ConfigError("embedding with an adaptation checkpoint needs --teacher")
-        backbone, _ = load_asr_model(args.teacher)
-        module = load_adaptation(args.ckpt, backbone, checkpoint)
-        embed_fn = module.embed_utterance
-    else:
-        raise ConfigError(f"{args.ckpt}: cannot embed with checkpoint kind {kind!r}")
-    store = extract_embeddings(embed_fn, args.manifest)
+    model = load_embedder(args.ckpt, args.teacher)
+    store = extract_embeddings(model.embed_utterance, args.manifest)
     save_embeddings(args.out, store)
     print(f"wrote {len(store)} embeddings to {args.out}")
     return EXIT_OK

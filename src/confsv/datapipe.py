@@ -461,11 +461,11 @@ def add_noise(utt: Utterance, noise_kind: str, snr_db: float, rng: np.random.Gen
               return_info: bool = False):
     """Mix procedural noise of a kind at an exact SNR."""
     if np.isinf(snr_db) and snr_db > 0:
-        return (utt, {"kind": noise_kind, "n_sources": 0, "norm_gain": 1.0}) if return_info else utt
+        return (utt, {"noise": noise_kind, "n_sources": 0, "norm_gain": 1.0}) if return_info else utt
     noise, n_sources = make_noise(noise_kind, utt.n_samples, rng)
     out = mix_noise(utt, noise, snr_db)
     if return_info:
-        return out, {"kind": noise_kind, "n_sources": n_sources,
+        return out, {"noise": noise_kind, "n_sources": n_sources,
                      "norm_gain": out.norm_gain / utt.norm_gain}
     return out
 

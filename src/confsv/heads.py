@@ -33,7 +33,6 @@ class AttentiveStatsPooling(Module):
     """
 
     def __init__(self, dim: int):
-        self.dim = dim
         self.score1 = Linear(3 * dim, ASP_BOTTLENECK)
         self.score2 = Linear(ASP_BOTTLENECK, dim)
 

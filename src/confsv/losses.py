@@ -67,15 +67,12 @@ def aam_softmax_loss(
     w = _l2_rows(classifier.weight)
     e = _l2_rows(emb)
     cos = ad.clip(ad.matmul(e, ad.transpose(w)), -1.0 + COS_CLAMP, 1.0 - COS_CLAMP)
-    if margin == 0.0:
-        logits = cos * ad.tensor(scale)
-    else:
-        sin = ad.sqrt(ad.tensor(1.0) - cos * cos)
-        phi = cos * ad.tensor(math.cos(margin)) - sin * ad.tensor(math.sin(margin))
-        onehot = np.zeros((labels.shape[0], classifier.n_classes))
-        onehot[np.arange(labels.shape[0]), labels] = 1.0
-        oh = ad.tensor(onehot)
-        logits = (oh * phi + (ad.tensor(1.0) - oh) * cos) * ad.tensor(scale)
+    sin = ad.sqrt(ad.tensor(1.0) - cos * cos)
+    phi = cos * ad.tensor(math.cos(margin)) - sin * ad.tensor(math.sin(margin))
+    onehot = np.zeros((labels.shape[0], classifier.n_classes))
+    onehot[np.arange(labels.shape[0]), labels] = 1.0
+    oh = ad.tensor(onehot)
+    logits = (oh * phi + (ad.tensor(1.0) - oh) * cos) * ad.tensor(scale)
     logp = ad.log_softmax(logits, axis=-1)
     rows = np.arange(labels.shape[0])[:, None]
     picked = ad.take_pairs(logp, rows, labels[:, None])

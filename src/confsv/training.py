@@ -1,4 +1,5 @@
-"""Training for every strategy through one loop, plus embedding extraction.
+"""Training for every strategy through one loop, the checkpoints of each
+kind, and embedding extraction.
 
 ASR pretraining, speaker training (scratch, pretrained-init, distillation),
 large-margin fine-tuning and adaptation all run in `_train_epochs`: shuffled
@@ -28,21 +29,27 @@ crops, augmentation draws, dropout masks, and parameter init all derive from
 named seed streams, and each item draws only from its own, so nothing depends
 on which thread builds it.  Two runs of the same config produce byte-identical
 loss logs and checkpoints at any worker count.
+
+This module is the one that writes and reads each checkpoint kind: "asr"
+(encoder and CTC decoder), "speaker" (a `SpeakerModel`) and "adaptation"
+(a `SpeakerAdaptation` add-on, bound to its backbone by a content hash).
+`checkpoint` holds only the byte format.  `load_asr_model` serves the
+commands that start from an ASR encoder; `load_embedder` serves `embed`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import autodiff as ad
 from . import checkpoint as ckpt
-from .adaptation import SpeakerAdaptation, save_adaptation, truncate_encoder
+from .adaptation import AdaptationConfig, SpeakerAdaptation
 from .config import RunConfig
 from .conformer import ConformerEncoder, EncoderConfig
 from .datapipe import (
@@ -242,15 +249,6 @@ def save_speaker_checkpoint(path, model: SpeakerModel, run_cfg: RunConfig) -> No
     ckpt.save_checkpoint(path, meta, model.state_arrays())
 
 
-def load_speaker_model(path, checkpoint: Optional[tuple[dict, dict]] = None) -> SpeakerModel:
-    """The stored model, frozen; `checkpoint` is `path` already read, if it was."""
-    meta, arrays = checkpoint or ckpt.load_checkpoint(path)
-    ckpt.check_kind(meta, "speaker", path)
-    model = SpeakerModel(ckpt.config_from_meta(EncoderConfig, meta, "encoder", path))
-    model.load_state_arrays(arrays)
-    return model.set_trainable(False)
-
-
 def save_asr_checkpoint(path, encoder: ConformerEncoder, decoder: CtcDecoder,
                         run_cfg: RunConfig) -> None:
     arrays = {**encoder.state_arrays("encoder."), **decoder.state_arrays("decoder.")}
@@ -263,10 +261,21 @@ def save_asr_checkpoint(path, encoder: ConformerEncoder, decoder: CtcDecoder,
     ckpt.save_checkpoint(path, meta, arrays)
 
 
+def save_adaptation(path, module: SpeakerAdaptation) -> None:
+    """Store only the add-on's arrays plus a hash binding them to its backbone."""
+    meta = {
+        "kind": "adaptation",
+        "config": asdict(module.cfg),
+        "backbone_hash": ckpt.content_hash(module.backbone.state_arrays()),
+    }
+    ckpt.save_checkpoint(path, meta, module.state_arrays())
+
+
 def load_asr_model(path) -> tuple[ConformerEncoder, CtcDecoder]:
     """The stored encoder and decoder, frozen."""
     meta, arrays = ckpt.load_checkpoint(path)
-    ckpt.check_kind(meta, "asr", path)
+    if meta.get("kind") != "asr":
+        raise ConfigError(f"{path}: not an ASR checkpoint (kind {meta.get('kind')!r})")
     encoder = ConformerEncoder(ckpt.config_from_meta(EncoderConfig, meta, "encoder", path))
     vocab = ckpt.meta_value(meta, "vocab", int, path)
     if vocab < 1:
@@ -275,6 +284,32 @@ def load_asr_model(path) -> tuple[ConformerEncoder, CtcDecoder]:
     encoder.load_state_arrays(arrays, "encoder.")
     decoder.load_state_arrays(arrays, "decoder.")
     return encoder.set_trainable(False), decoder.set_trainable(False)
+
+
+def load_embedder(path, backbone_ckpt=None) -> Union[SpeakerModel, SpeakerAdaptation]:
+    """The frozen model a speaker or adaptation checkpoint holds, read once.
+
+    An adaptation checkpoint is loaded on the encoder of `backbone_ckpt`, an
+    ASR checkpoint whose arrays must hash to the one it was trained on.
+    """
+    meta, arrays = ckpt.load_checkpoint(path)
+    kind = meta.get("kind")
+    if kind == "speaker":
+        model = SpeakerModel(ckpt.config_from_meta(EncoderConfig, meta, "encoder", path))
+    elif kind == "adaptation":
+        if backbone_ckpt is None:
+            raise ConfigError(f"{path}: an adaptation checkpoint needs its backbone "
+                              "ASR checkpoint (--teacher)")
+        backbone, _ = load_asr_model(backbone_ckpt)
+        backbone_hash = ckpt.content_hash(backbone.state_arrays())
+        if ckpt.meta_value(meta, "backbone_hash", str, path) != backbone_hash:
+            raise CheckpointError(f"{path}: backbone content hash mismatch")
+        model = SpeakerAdaptation(
+            backbone, ckpt.config_from_meta(AdaptationConfig, meta, "config", path))
+    else:
+        raise ConfigError(f"{path}: cannot embed with checkpoint kind {kind!r}")
+    model.load_state_arrays(arrays)
+    return model.set_trainable(False)
 
 
 # -- ASR pretraining ----------------------------------------------------------------
@@ -373,12 +408,16 @@ def train_speaker(
         if cfg.frozen_epochs > cfg.epochs:
             raise ConfigError("frozen_epochs cannot exceed total epochs")
         frozen = cfg.frozen_epochs
-        encoder, _ = load_asr_model(init_ckpt)
-        if cfg.truncate_layers is not None:
-            encoder = truncate_encoder(encoder, cfg.truncate_layers)
-        if encoder.cfg != cfg.encoder:
+        asr_encoder, _ = load_asr_model(init_ckpt)
+        asr_cfg, n = asr_encoder.cfg, cfg.truncate_layers
+        if n is not None:  # the subsampling and the first n blocks
+            if not 1 <= n <= asr_cfg.layers:
+                raise ConfigError(f"cannot keep {n} of {asr_cfg.layers} layers")
+            asr_cfg = replace(asr_cfg, layers=n)
+        if asr_cfg != cfg.encoder:
             raise ConfigError("run encoder config must match the checkpoint encoder")
-        model.encoder.load_state_arrays(encoder.state_arrays())
+        # the arrays of blocks past the run's depth are ignored
+        model.encoder.load_state_arrays(asr_encoder.state_arrays())
 
     params = [*model.named_parameters("model."), *classifier.named_parameters("classifier.")]
     for prefix, head in (("student_decoder.", student_decoder), ("rate_match.", rate_match)):

@@ -24,7 +24,7 @@ from confsv.scoring import Trial, TrialList, eer, min_dcf, score_trials
 from confsv.training import (
     extract_embeddings,
     load_asr_model,
-    load_speaker_model,
+    load_embedder,
     train_adaptation,
     train_speaker,
 )
@@ -283,7 +283,7 @@ def test_criterion_08_freezing_contracts(small_corpus, toy_asr_ckpt, tmp_path):
     frozen_cfg = toy_run_config(epochs=1, batch_size=30, seed=78, frozen_epochs=1)
     ck = train_speaker(frozen_cfg, small_corpus, tmp_path / "frozen",
                        init_ckpt=str(toy_asr_ckpt))
-    trained = load_speaker_model(ck)
+    trained = load_embedder(ck)
     _, asr_arrays = load_checkpoint(toy_asr_ckpt)
     for name, p in trained.encoder.named_parameters():
         assert p.data.tobytes() == asr_arrays[f"encoder.{name}"].tobytes(), name
@@ -310,7 +310,7 @@ def test_criterion_09_end_to_end_toy_verification(toy_data, toy_asr_ckpt, tmp_pa
     ])
     results = {}
     for name, ck in [("scratch", scratch_ck), ("pretrained", pretrained_ck)]:
-        model = load_speaker_model(ck)
+        model = load_embedder(ck)
         store = extract_embeddings(model.embed_utterance, toy_data["eval_manifest"])
         results[name] = eer(score_trials(store, trials), trials.labels)
     print(f"  held-out EER: scratch {results['scratch']:.2f}%, "

@@ -1,4 +1,4 @@
-"""Frozen-backbone adaptation: wiring, counts, freezing, truncation, probes."""
+"""Frozen-backbone adaptation: wiring, counts, freezing, probes."""
 
 import numpy as np
 import pytest
@@ -11,17 +11,14 @@ from confsv.adaptation import (
     LayerAdaptor,
     SpeakerAdaptation,
     linear_probe,
-    load_adaptation,
-    save_adaptation,
-    truncate_encoder,
 )
 from confsv.conformer import ENCODER_PRESETS, ConformerBlock, ConformerEncoder, EncoderConfig
 from confsv.errors import CheckpointError, ConfigError, DegenerateLabelsError, NumericError
-from confsv.losses import AamClassifier, aam_softmax_loss
+from confsv.losses import AamClassifier, CtcDecoder, aam_softmax_loss
 from confsv.nn import seed_parameters
-from confsv.training import AdamW
+from confsv.training import AdamW, load_embedder, save_adaptation, save_asr_checkpoint
 
-from conftest import gradcheck, param_count, seeded
+from conftest import gradcheck, param_count, seeded, toy_run_config
 
 
 def toy_backbone(layers=3, dim=32, seed=11):
@@ -166,27 +163,6 @@ class TestAdaptationForward:
             np.testing.assert_array_equal(arr, state_before[name])
 
 
-class TestTruncation:
-    def test_full_depth_truncation_is_identity(self):
-        enc = toy_backbone(layers=3)
-        out = truncate_encoder(enc, 3)
-        feats = np.random.default_rng(17).normal(size=(80, 18)).T
-        for a, b in zip(enc(ad.tensor(feats[None])), out(ad.tensor(feats[None]))):
-            np.testing.assert_array_equal(a.data[0], b.data[0])
-
-    def test_prefix_matches_original_blocks(self):
-        enc = toy_backbone(layers=3)
-        out = truncate_encoder(enc, 1)
-        feats = np.random.default_rng(18).normal(size=(80, 18)).T
-        np.testing.assert_array_equal(enc(ad.tensor(feats[None]))[0].data[0],
-                                      out(ad.tensor(feats[None]))[0].data[0])
-        assert out.cfg.layers == 1
-
-    def test_out_of_range(self):
-        with pytest.raises(ConfigError):
-            truncate_encoder(toy_backbone(layers=3), 4)
-
-
 class TestLinearProbe:
     def test_separable_features_reach_perfect_accuracy(self):
         labels = [0, 1, 2, 3] * 8
@@ -237,9 +213,10 @@ class TestAdaptationCheckpoint:
         backbone = toy_backbone()
         module = seeded(SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1)), 22,
                         "adaptation")
-        path = tmp_path / "adapt.ckpt"
+        path, backbone_path = tmp_path / "adapt.ckpt", tmp_path / "asr.ckpt"
         save_adaptation(path, module)
-        restored = load_adaptation(path, backbone)
+        save_asr_checkpoint(backbone_path, backbone, CtcDecoder(32, 6), toy_run_config())
+        restored = load_embedder(path, backbone_path)
         for (n1, p1), (n2, p2) in zip(
             sorted(module.named_parameters()), sorted(restored.named_parameters())
         ):
@@ -249,8 +226,9 @@ class TestAdaptationCheckpoint:
     def test_wrong_backbone_rejected(self, tmp_path):
         backbone = toy_backbone(seed=23)
         module = seeded(SpeakerAdaptation(backbone, toy_adapt_cfg()), 24, "adaptation")
-        path = tmp_path / "adapt.ckpt"
+        path, other_path = tmp_path / "adapt.ckpt", tmp_path / "other.ckpt"
         save_adaptation(path, module)
-        other = toy_backbone(seed=99)
+        save_asr_checkpoint(other_path, toy_backbone(seed=99), CtcDecoder(32, 6),
+                            toy_run_config())
         with pytest.raises(CheckpointError):
-            load_adaptation(path, other)
+            load_embedder(path, other_path)

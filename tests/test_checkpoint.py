@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confsv.adaptation import AdaptationConfig, SpeakerAdaptation, save_adaptation
+from confsv.adaptation import AdaptationConfig, SpeakerAdaptation
 from confsv.checkpoint import content_hash, load_checkpoint, save_checkpoint
 from confsv.conformer import ConformerEncoder, EncoderConfig
 from confsv.errors import CheckpointError, DimensionError
 from confsv.heads import SpeakerModel
 from confsv.losses import CtcDecoder
-from confsv.training import save_asr_checkpoint, save_speaker_checkpoint
+from confsv.training import save_adaptation, save_asr_checkpoint, save_speaker_checkpoint
 
 from conftest import seeded, toy_run_config
 

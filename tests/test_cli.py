@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confsv import checkpoint as ckpt
+from confsv.adaptation import AdaptationConfig, SpeakerAdaptation
 from confsv.checkpoint import load_checkpoint, save_checkpoint
 from confsv.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from confsv.config import load_run_config
@@ -21,7 +22,8 @@ from confsv.nn import seed_parameters
 from confsv.scoring import load_embeddings, parse_trials, save_embeddings
 from confsv.training import (
     load_asr_model,
-    load_speaker_model,
+    load_embedder,
+    save_adaptation,
     save_asr_checkpoint,
     save_speaker_checkpoint,
 )
@@ -266,7 +268,7 @@ class TestTrain:
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg), "--manifest", str(mini["manifest"]),
                      "--out", str(out), "--init", str(asr)]) == EXIT_OK
-        trained = dict(load_speaker_model(out / "speaker.ckpt").encoder.named_parameters())
+        trained = dict(load_embedder(out / "speaker.ckpt").encoder.named_parameters())
         first = {name: p for name, p in load_asr_model(asr)[0].named_parameters()
                  if not name.startswith("blocks.1.")}
         assert trained.keys() == first.keys()
@@ -393,7 +395,7 @@ class TestTrain:
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg), "--manifest", str(mini["manifest"]),
                      "--out", str(out), "--init", str(mini["asr_ckpt"])]) == EXIT_OK
-        trained = dict(load_speaker_model(out / "speaker.ckpt").encoder.named_parameters())
+        trained = dict(load_embedder(out / "speaker.ckpt").encoder.named_parameters())
         asr = dict(load_asr_model(mini["asr_ckpt"])[0].named_parameters())
         assert trained.keys() == asr.keys()
         same = [trained[n].data.tobytes() == p.data.tobytes() for n, p in asr.items()]
@@ -479,6 +481,14 @@ class TestAdapt:
 def _speaker_ckpt(path):
     model = seeded(SpeakerModel(EncoderConfig(1, 16, 4, 32, conv_kernel=7)), 3, "speaker_model")
     save_speaker_checkpoint(path, model, toy_run_config())
+    return path
+
+
+def _adaptation_ckpt(path, backbone_ckpt):
+    """A seeded, untrained V2 add-on on the encoder of `backbone_ckpt`."""
+    backbone, _ = load_asr_model(backbone_ckpt)
+    cfg = AdaptationConfig("V2", 1, light_dim=16, light_hidden=32, light_kernel=7)
+    save_adaptation(path, seeded(SpeakerAdaptation(backbone, cfg), 4, "adaptation"))
     return path
 
 
@@ -641,6 +651,28 @@ class TestEmbedPipeline:
         assert main(["embed", "--ckpt", str(path), "--manifest", str(mini["manifest"]),
                      "--out", str(tmp_path / "e.bin")]) == EXIT_OK
         assert reads == [str(path)]
+
+    def test_embed_reads_an_adaptation_checkpoint_and_its_backbone_once_each(
+            self, mini, tmp_path, monkeypatch):
+        path = _adaptation_ckpt(tmp_path / "adaptation.ckpt", mini["asr_ckpt"])
+        reads = []
+        real = ckpt.load_checkpoint
+        monkeypatch.setattr(ckpt, "load_checkpoint", lambda p: reads.append(p) or real(p))
+        assert main(["embed", "--ckpt", str(path), "--teacher", str(mini["asr_ckpt"]),
+                     "--manifest", str(mini["manifest"]), "--out", str(tmp_path / "e.bin")
+                     ]) == EXIT_OK
+        assert reads == [str(path), str(mini["asr_ckpt"])]
+
+    def test_embed_on_another_backbone_exits_3_and_writes_no_store(self, mini, tmp_path,
+                                                                   capsys):
+        path = _adaptation_ckpt(tmp_path / "adaptation.ckpt", mini["asr_ckpt"])
+        other = _asr_ckpt(tmp_path / "other.ckpt", EncoderConfig(1, 16, 4, 32, conv_kernel=7))
+        out = tmp_path / "e.bin"
+        code = main(["embed", "--ckpt", str(path), "--teacher", str(other),
+                     "--manifest", str(mini["manifest"]), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {path}: backbone content hash mismatch\n"
+        assert not out.exists()
 
     def test_adaptation_checkpoint_embeds_and_evaluates(self, mini, tmp_path):
         cfg = tmp_path / "adapt.cfg"

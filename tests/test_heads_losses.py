@@ -161,6 +161,39 @@ class TestAamSoftmax:
         expected = -np.mean([logp[i, y] for i, y in enumerate(labels)])
         assert abs(float(loss.data) - expected) < 1e-12
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_zero_margin_matches_the_plain_cosine_branch_bitwise(self, monkeypatch, seed):
+        """Margin 0 takes the margin form: cos * cos 0 - sin * sin 0 is cos, and
+        each gradient term through the sine adds a zero.  The oracle is the
+        separate margin-0 branch the loss used to have."""
+        monkeypatch.setattr(losses, "EMBEDDING_DIM", 8)
+        rng = np.random.default_rng(seed)
+        batch, n_classes = int(rng.integers(1, 40)), int(rng.integers(2, 300))
+        scale = (1.0, 32.0)[seed % 2]
+        clf = AamClassifier(n_classes)
+        seed_parameters(clf, seed)
+        labels = rng.integers(0, n_classes, size=batch)
+        emb_data = rng.normal(size=(batch, 8))
+
+        def cosine_branch(emb):
+            w, e = losses._l2_rows(clf.weight), losses._l2_rows(emb)
+            cos = ad.clip(ad.matmul(e, ad.transpose(w)),
+                          -1.0 + losses.COS_CLAMP, 1.0 - losses.COS_CLAMP)
+            logp = ad.log_softmax(cos * ad.tensor(scale), axis=-1)
+            rows = np.arange(batch)[:, None]
+            return -ad.mean(ad.take_pairs(logp, rows, labels[:, None]))
+
+        def run(loss_of):
+            emb = ad.tensor(emb_data, requires_grad=True)
+            clf.weight.grad = None
+            loss = loss_of(emb)
+            ad.backward(loss)
+            return loss.data, emb.grad, clf.weight.grad
+
+        got = run(lambda emb: aam_softmax_loss(emb, labels, clf, scale, 0.0))
+        for a, b in zip(got, run(cosine_branch)):
+            assert np.array_equal(a, b)
+
     def test_two_class_aligned_case(self, monkeypatch):
         # embedding colinear with the target weight, orthogonal imposter
         monkeypatch.setattr(losses, "EMBEDDING_DIM", 4)

@@ -9,6 +9,11 @@ with the module path, and an op whose last caller is gone is dead code; these
 tests keep both from growing back.  The allowlist, empty now, would hold an
 unused name that stays on purpose.
 
+Only `training` writes and reads the checkpoint kinds ("asr", "speaker",
+"adaptation"): no other module holds the string "kind", so a command cannot
+pick a loader by peeking at the metadata, and `checkpoint` keeps only the
+byte format.
+
 A parameter with a default in `src/confsv` must be passed, by keyword or by
 position, at some call in the package or the benchmark (`perfbench/`, its
 tests aside).  The tests do not count as callers: a parameter that only a
@@ -251,3 +256,25 @@ def test_a_parameter_that_only_the_tests_pass_is_caught():
     assert unpassed_outside_allowlist(_with_global_context(_trees())) == [
         "heads.AttentiveStatsPooling(global_context)"
     ]
+
+
+def modules_reading_checkpoint_kinds(trees) -> list[str]:
+    """Modules other than `training` that hold the string constant "kind"."""
+    return [
+        mod for mod, tree in trees.items()
+        if mod != "training"
+        and any(isinstance(node, ast.Constant) and node.value == "kind" for node in ast.walk(tree))
+    ]
+
+
+def test_only_training_reads_and_writes_checkpoint_kinds():
+    assert modules_reading_checkpoint_kinds(_trees()) == []
+
+
+def test_a_command_that_reads_the_kind_itself_is_caught():
+    trees = _trees()
+    trees["cli"].body += ast.parse(
+        "def checkpoint_kind(path):\n"
+        "    return load_checkpoint(path)[0].get('kind')\n"
+    ).body
+    assert modules_reading_checkpoint_kinds(trees) == ["cli"]

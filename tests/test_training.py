@@ -13,7 +13,7 @@ import pytest
 from confsv import autodiff as ad
 from confsv import checkpoint as ckpt
 from confsv import training
-from confsv.adaptation import SpeakerAdaptation, load_adaptation, save_adaptation
+from confsv.adaptation import SpeakerAdaptation
 from confsv.conformer import EncoderConfig
 from confsv.datapipe import Corpus, frame_count, write_corpus
 from confsv.errors import CheckpointError, ConfigError, NumericError
@@ -24,7 +24,8 @@ from confsv.training import (
     AdamW,
     _write_loss_csv,
     load_asr_model,
-    load_speaker_model,
+    load_embedder,
+    save_adaptation,
     save_asr_checkpoint,
     save_speaker_checkpoint,
     train_speaker,
@@ -38,6 +39,16 @@ ENCODER = EncoderConfig(1, 8, 2, 16, conv_kernel=5, dropout=0.1)
 
 def frozen(module) -> bool:
     return all(not p.requires_grad for p in module.parameters())
+
+
+def save_with_backbone(directory, module: SpeakerAdaptation):
+    """(adaptation checkpoint, ASR checkpoint of its backbone) written to `directory`."""
+    directory.mkdir(parents=True, exist_ok=True)
+    path, backbone_path = directory / "adapt.ckpt", directory / "backbone.ckpt"
+    save_adaptation(path, module)
+    save_asr_checkpoint(backbone_path, module.backbone, CtcDecoder(module.backbone.cfg.dim, 6),
+                        toy_run_config())
+    return path, backbone_path
 
 
 class TestFrozenParameters:
@@ -177,12 +188,36 @@ class TestFrozenEpochs:
         assert not (tmp_path / "speaker.ckpt").exists()
 
 
+class TestTruncatedInit:
+    """`truncate_layers` starts the run's encoder from the subsampling and the
+    first blocks of the ASR encoder."""
+
+    @pytest.mark.parametrize("layers", [0, 2])
+    def test_out_of_range(self, tiny_init, tmp_path, layers):
+        manifest, asr = tiny_init
+        cfg = toy_run_config(encoder=ENCODER, epochs=2, batch_size=6, crop_seconds=0.5,
+                             truncate_layers=layers)
+        with pytest.raises(ConfigError, match=f"cannot keep {layers} of 1 layers"):
+            train_speaker(cfg, manifest, tmp_path, init_ckpt=str(asr))
+        assert not (tmp_path / "speaker.ckpt").exists()
+
+    def test_full_depth_truncation_is_identity(self, tiny_init, tmp_path):
+        manifest, asr = tiny_init
+        paths = [
+            train_speaker(toy_run_config(encoder=ENCODER, epochs=2, batch_size=6,
+                                         crop_seconds=0.5, truncate_layers=layers),
+                          manifest, tmp_path / str(layers), init_ckpt=str(asr))
+            for layers in (None, 1)
+        ]
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 class TestLoadersReturnFrozenModules:
     def test_speaker_model(self, tmp_path):
         model = seeded(SpeakerModel(ENCODER), 7, "speaker_model")
         path = tmp_path / "speaker.ckpt"
         save_speaker_checkpoint(path, model, toy_run_config())
-        loaded = load_speaker_model(path)
+        loaded = load_embedder(path)
         assert frozen(loaded) and param_count(loaded, trainable_only=True) == 0
         feats = np.random.default_rng(8).normal(size=(80, 30)).T
         assert loaded.embed_utterance(feats).tobytes() == model.embed_utterance(feats).tobytes()
@@ -202,31 +237,48 @@ class TestLoadersReturnFrozenModules:
                         "adaptation")
         assert frozen(backbone)  # attaching an adaptation freezes its backbone
         assert not frozen(module)
-        path = tmp_path / "adapt.ckpt"
-        save_adaptation(path, module)
-        loaded = load_adaptation(path, backbone)
+        path, backbone_path = save_with_backbone(tmp_path, module)
+        loaded = load_embedder(path, backbone_path)
         assert frozen(loaded) and frozen(loaded.backbone)
         feats = np.random.default_rng(13).normal(size=(80, 24)).T
         assert loaded.embed_utterance(feats).tobytes() == module.embed_utterance(feats).tobytes()
 
 
 class TestLoadersRejectOtherKinds:
-    """`embed` picks the loader by kind itself; a Python caller gets a typed error."""
+    """A checkpoint of another kind than the loader needs is a ConfigError that
+    names its kind; an adaptation checkpoint loads only on its own backbone."""
 
     def test_speaker_model_from_an_asr_checkpoint(self, tmp_path):
         path = tmp_path / "asr.ckpt"
         save_asr_checkpoint(path, seeded(SpeakerModel(ENCODER), 9, "speaker_model").encoder,
                             CtcDecoder(ENCODER.dim, 6), toy_run_config())
-        with pytest.raises(ConfigError, match=r"not a speaker checkpoint \(kind 'asr'\)"):
-            load_speaker_model(path)
+        with pytest.raises(ConfigError, match=r"cannot embed with checkpoint kind 'asr'"):
+            load_embedder(path)
 
-    def test_adaptation_from_a_speaker_checkpoint(self, tmp_path):
-        path = tmp_path / "speaker.ckpt"
-        model = seeded(SpeakerModel(ENCODER), 7, "speaker_model")
-        save_speaker_checkpoint(path, model, toy_run_config())
-        with pytest.raises(ConfigError,
-                           match=r"not an adaptation checkpoint \(kind 'speaker'\)"):
-            load_adaptation(path, toy_backbone())
+    def test_adaptation_on_a_speaker_checkpoint_as_backbone(self, tmp_path):
+        module = seeded(SpeakerAdaptation(toy_backbone(), toy_adapt_cfg()), 12, "adaptation")
+        path, _ = save_with_backbone(tmp_path, module)
+        speaker = tmp_path / "speaker.ckpt"
+        save_speaker_checkpoint(speaker, seeded(SpeakerModel(ENCODER), 7, "speaker_model"),
+                                toy_run_config())
+        with pytest.raises(ConfigError, match=r"not an ASR checkpoint \(kind 'speaker'\)"):
+            load_embedder(path, speaker)
+
+    def test_adaptation_without_its_backbone(self, tmp_path):
+        module = seeded(SpeakerAdaptation(toy_backbone(), toy_adapt_cfg()), 12, "adaptation")
+        path, _ = save_with_backbone(tmp_path, module)
+        with pytest.raises(ConfigError, match="needs its backbone"):
+            load_embedder(path)
+
+    def test_adaptation_on_another_backbone(self, tmp_path):
+        module = seeded(SpeakerAdaptation(toy_backbone(seed=23), toy_adapt_cfg()), 24,
+                        "adaptation")
+        path, _ = save_with_backbone(tmp_path, module)
+        other = seeded(SpeakerAdaptation(toy_backbone(seed=99), toy_adapt_cfg()), 24,
+                       "adaptation")
+        _, other_backbone = save_with_backbone(tmp_path / "other", other)
+        with pytest.raises(CheckpointError, match="backbone content hash mismatch"):
+            load_embedder(path, other_backbone)
 
 
 def _rewrite_meta(path, edit):
@@ -269,7 +321,7 @@ class TestIncompleteMetadata:
         save_speaker_checkpoint(path, model, toy_run_config())
         _rewrite_meta(path, edit)
         with pytest.raises(CheckpointError):
-            load_speaker_model(path)
+            load_embedder(path)
 
     @pytest.mark.parametrize("edit", ENCODER_META_EDITS + [
         _drop("vocab"), _set("vocab", "6"), _set("vocab", True), _set("vocab", 0),
@@ -291,21 +343,10 @@ class TestIncompleteMetadata:
         backbone = toy_backbone()
         module = seeded(SpeakerAdaptation(backbone, toy_adapt_cfg(extra_layers=1)), 12,
                         "adaptation")
-        path = tmp_path / "adapt.ckpt"
-        save_adaptation(path, module)
+        path, backbone_path = save_with_backbone(tmp_path, module)
         _rewrite_meta(path, edit)
         with pytest.raises(CheckpointError):
-            load_adaptation(path, backbone)
-
-    def test_already_read_checkpoint_is_not_read_again(self, tmp_path):
-        path = tmp_path / "speaker.ckpt"
-        model = seeded(SpeakerModel(ENCODER), 7, "speaker_model")
-        save_speaker_checkpoint(path, model, toy_run_config())
-        checkpoint = ckpt.load_checkpoint(path)
-        path.unlink()
-        loaded = load_speaker_model(path, checkpoint)
-        feats = np.random.default_rng(8).normal(size=(80, 30)).T
-        assert loaded.embed_utterance(feats).tobytes() == model.embed_utterance(feats).tobytes()
+            load_embedder(path, backbone_path)
 
 
 def _plan(n, batch_size, epochs=3, *extra, lengths=None, seed=7, stream="asr_order"):
