@@ -16,9 +16,10 @@ encoder.  No constructor takes a seed: a module is seeded with
 Both embed one utterance's (T, 80) `log_mel` features with
 `embed_utterance`, and `load_embedder(path, backbone_ckpt)` returns either
 one, frozen, from a speaker or an adaptation checkpoint.  A forward with
-`rng=None` is inference and changes nothing; a forward with an rng is a
-training step.  Scoring takes whole trial lists: `scoring.score_trials` or
-`snorm_scores`, then `qmf_features`, `qmf_fit` and `QmfModel.calibrate`.
+`rng=None`, or of a frozen encoder, is inference and changes nothing; any
+other forward with an rng is a training step.  Scoring takes whole trial
+lists: `scoring.score_trials` or `snorm_scores`, then `qmf_features`,
+`qmf_fit` and `QmfModel.calibrate`.
 Every name re-exported below is used inside the package.
 """
 

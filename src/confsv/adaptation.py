@@ -10,10 +10,9 @@ Three ways to reuse a frozen ASR-trained Conformer for speaker embedding:
 
 All variants aggregate the branch outputs channel-wise, pool, and project to
 the speaker embedding.  The backbone is never touched: attaching the
-adaptation freezes it, so autodiff records no graph through its weights and
-no gradient can reach it, and its taps are an inference forward (`rng=None`)
-even in a training step, so its batch-norm statistics never change and its
-outputs are bit-identical with or without the adaptation attached.
+adaptation freezes it, and a frozen encoder runs as inference, so no gradient
+reaches it, its batch-norm statistics never change and its outputs are
+bit-identical with or without the adaptation attached.
 """
 
 from __future__ import annotations
@@ -131,9 +130,8 @@ class SpeakerAdaptation(Module):
         return self._backbone
 
     def backbone_taps(self, mel: Tensor) -> list[Tensor]:
-        """Inference forward of the backbone's first L blocks, in training
-        steps too: no dropout, no statistics update, no gradient to its weights."""
-        return self._backbone(mel, rng=None, depth=self.cfg.adapted_layers)
+        """The outputs of the backbone's first L blocks."""
+        return self._backbone(mel, depth=self.cfg.adapted_layers)
 
     def forward(self, mel: Tensor, rng=None) -> Tensor:
         taps = self.backbone_taps(mel)

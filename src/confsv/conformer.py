@@ -250,7 +250,9 @@ class ConformerEncoder(Module):
 
     def forward(self, mel: Tensor, rng=None, depth: Optional[int] = None) -> list[Tensor]:
         """(B, T, n_mels) -> [h_1 ... h_L], each (B, T', d); only the first
-        `depth` blocks run when it is given."""
+        `depth` blocks run when it is given.  A frozen encoder runs as inference."""
+        if rng is not None and not any(p.trainable for _, p in self.named_parameters()):
+            rng = None
         h = self.subsampling(mel)
         outputs = []
         for block in self.blocks[:depth]:

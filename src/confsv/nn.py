@@ -12,11 +12,11 @@ removing sibling modules never perturbs anyone else's init, which is what lets
 two training variants share bit-identical starting points for their common
 parts.
 
-`rng=None` is inference; a forward with an rng is a training step.  A
-training step draws dropout from the rng, and batch norm normalizes by the
-batch statistics and blends them into its running statistics.  An inference
-forward reads the model and changes nothing, so one model can serve several
-callers at once.  No module carries a mode of its own.
+`rng=None` is inference, as is any forward of a frozen encoder; another
+forward with an rng is a training step: dropout draws from the rng, and
+batch norm normalizes by the batch statistics and blends them into its
+running statistics.  Inference reads the model and changes nothing, so one
+model can serve several callers at once.  No module has a mode of its own.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ batches, one backward and one AdamW step per batch under a cosine lr
 schedule, and one loss.csv row per epoch.  Each strategy supplies only its
 item builder, its loss and its schedule.  Pretrained-init freezes the
 encoder by epoch range: `train_speaker` runs epochs `range(frozen_epochs)`
-with the encoder frozen, then `range(frozen_epochs, epochs)` with it
-trainable, as two calls on one schedule; the other strategies freeze nothing.
+with the encoder frozen (so run as inference), then `range(frozen_epochs,
+epochs)` with it trainable, as two calls on one schedule; the other
+strategies freeze nothing.
 
 A training command reads one stream of batches: a `_batch_plan` of item keys
 per batch, mapped through `util.map_batches`, which with CONFSV_THREADS > 1
@@ -435,9 +436,7 @@ def train_speaker(
             if not with_kl:
                 return l_spk, ([float(l_spk.data), 0.0] if distilling else [])
             frames = maps[-1] if rate_match is None else rate_match(maps[-1])
-            # the loaded teacher is frozen and runs as inference: no dropout, no
-            # statistics update, no graph
-            teacher = teacher_decoder(teacher_encoder(mel, rng=None)[-1]).data
+            teacher = teacher_decoder(teacher_encoder(mel)[-1]).data
             l_kl = distill_kl_loss(student_decoder(frames), teacher)
             return combined_loss(l_spk, l_kl, cfg.alpha), [float(l_spk.data), float(l_kl.data)]
 

@@ -387,18 +387,18 @@ class TestTrain:
     @pytest.mark.parametrize("frozen_epochs, kept", [(2, True), (1, False)])
     def test_init_keeps_the_asr_encoder_through_its_frozen_epochs(self, mini, tmp_path,
                                                                   frozen_epochs, kept):
-        """With every epoch frozen, the trained encoder's parameters are the ASR
-        encoder's, bit for bit (batch-norm running statistics still update)."""
+        """With every epoch frozen, the trained encoder's arrays, batch-norm
+        running statistics included, are the ASR encoder's, bit for bit."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(MINI_CONFIG + f"\n[schedule]\nfrozen_epochs = {frozen_epochs}\n",
                        encoding="utf-8")
         out = tmp_path / "o"
         assert main(["train", "--config", str(cfg), "--manifest", str(mini["manifest"]),
                      "--out", str(out), "--init", str(mini["asr_ckpt"])]) == EXIT_OK
-        trained = dict(load_embedder(out / "speaker.ckpt").encoder.named_parameters())
-        asr = dict(load_asr_model(mini["asr_ckpt"])[0].named_parameters())
+        trained = load_embedder(out / "speaker.ckpt").encoder.state_arrays()
+        asr = load_asr_model(mini["asr_ckpt"])[0].state_arrays()
         assert trained.keys() == asr.keys()
-        same = [trained[n].data.tobytes() == p.data.tobytes() for n, p in asr.items()]
+        same = [trained[n].tobytes() == a.tobytes() for n, a in asr.items()]
         assert all(same) if kept else not all(same)
 
     def test_pretrained_init_requires_matching_encoder(self, mini, tmp_path):

@@ -63,6 +63,21 @@ def test_training_step_updates_each_batch_norm(build):
     assert backbone_before is None or snapshot(backbone) == backbone_before
 
 
+def test_a_frozen_encoder_runs_as_inference_in_a_training_step():
+    """A frozen encoder used to draw dropout and move its batch-norm statistics
+    in a training step; now only the head's batch norm updates."""
+    model = seeded(SpeakerModel(TOY), 10, "speaker_model")
+    model.encoder.set_trainable(False)
+    mel = ad.tensor(np.random.default_rng(11).normal(size=(3, 24, 80)))
+    inference = [m.data.tobytes() for m in model.encoder(mel)]
+    before = snapshot(model)
+    _, maps = model(mel, np.random.default_rng(12), return_maps=True)
+    after = snapshot(model)
+    assert [m.data.tobytes() for m in maps] == inference
+    assert {n for n in before if after[n] != before[n]} == {
+        "head.norm.running_mean", "head.norm.running_var"}
+
+
 def test_threads_embed_bitwise_after_a_training_step():
     """Embedding used to flip the shared model to eval mode and back, so one
     thread could run (and update batch norm) in the other's restored training mode."""
